@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import formats, verify
 from .classify import classify_flow, passive_max_active_product, thermal_product
@@ -29,40 +28,18 @@ from .optimize import (
     optimal_diagonal_unitary,
 )
 from .qubits import max_transfer_2q, plane_scan
-from .states import decompose
-from .transfer import analyze, transfer_direct
+from .states import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, decompose
+from .transfer import SPLIT_TOL, analyze, transfer_direct
 from .unitaries import sample_haar
 
-TOLERANCE_KEYS = ("herm", "trace", "psd", "split")
-
 DEFAULT_TOLERANCES = {
-    "herm": 1e-12,
-    "trace": 1e-12,
-    "psd": 1e-10,
-    "split": 1e-12,
+    "herm": HERMITICITY_TOL,
+    "trace": TRACE_TOL,
+    "psd": PSD_TOL,
+    "split": SPLIT_TOL,
 }
 
-
-@dataclass
-class RunConfig:
-    """Validated invocation of one subcommand."""
-
-    command: str
-    input_path: str | None = None
-    unitary_path: str | None = None
-    output_path: str | None = None
-    csv_path: str | None = None
-    target: str | None = None
-    seed: int | None = None
-    samples: int | None = None
-    resolution: int = 201
-    method: str = "exact"
-    beta_a: float | None = None
-    beta_b: float | None = None
-    probs_a: list[float] | None = None
-    probs_b: list[float] | None = None
-    fixed_alpha: bool = False
-    tolerances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+TOLERANCE_KEYS = tuple(DEFAULT_TOLERANCES)
 
 
 def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
@@ -91,28 +68,30 @@ def _parse_probs(raw: str | None) -> list[float] | None:
         raise ValidationError(f"expected comma-separated floats, got {raw!r}") from None
 
 
-def _load_state(config: RunConfig, require_state: bool = True):
-    if config.input_path is None:
-        raise ValidationError(f"command {config.command!r} requires --input")
-    h_a, h_b, spec, state = formats.load_problem(config.input_path, config.tolerances)
+def _load_state(args: argparse.Namespace, tolerances: dict, require_state: bool = True):
+    if args.input is None:
+        raise ValidationError(f"command {args.command!r} requires --input")
+    h_a, h_b, spec, state = formats.load_problem(args.input, tolerances)
     if require_state and state is None:
         raise ValidationError("problem file carries no state")
     return h_a, h_b, spec, state
 
 
-def _write_report(config: RunConfig, payload: dict) -> None:
-    if config.output_path is None:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _write_report(args: argparse.Namespace, payload: dict) -> None:
+    if args.output is None:
+        print(formats.format_json(payload))
     else:
-        formats.dump_json(payload, config.output_path)
+        formats.dump_json(payload, args.output)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration; returns the process exit code."""
-    if config.command == "decompose":
-        _, _, spec, state = _load_state(config)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the process exit code."""
+    tolerances = _parse_tolerances(args.tolerance)
+
+    if args.command == "decompose":
+        _, _, spec, state = _load_state(args, tolerances)
         decomp = decompose(state, spec)
-        decomp.validate(trace_tol=config.tolerances["trace"])
+        decomp.validate(trace_tol=tolerances["trace"])
         payload = {
             "p_E": {formats.fraction_key(e): p for e, p in sorted(decomp.p_E.items())},
             "blocks": {
@@ -124,101 +103,98 @@ def run(config: RunConfig) -> int:
                 for e1, e2 in decomp.coh_blocks
             ),
         }
-        _write_report(config, payload)
-        if config.csv_path is not None:
-            formats.write_decomposition_csv(decomp, config.csv_path)
+        _write_report(args, payload)
+        if args.csv is not None:
+            formats.write_decomposition_csv(decomp, args.csv)
         return 0
 
-    if config.command == "analyze":
-        _, _, spec, state = _load_state(config)
-        if config.unitary_path is not None:
-            with open(config.unitary_path, "r", encoding="utf-8") as handle:
-                u = formats.sec_unitary_from_json(json.load(handle), spec)
-        elif config.seed is not None:
-            u = sample_haar(spec, config.seed)
+    if args.command == "analyze":
+        _, _, spec, state = _load_state(args, tolerances)
+        if args.unitary is not None:
+            u = formats.sec_unitary_from_json(formats.read_json(args.unitary), spec)
+        elif args.seed is not None:
+            u = sample_haar(spec, args.seed)
         else:
             raise ValidationError("analyze needs --unitary FILE or --seed N")
-        report = analyze(state, u, config.target, split_tol=config.tolerances["split"])
-        _write_report(config, formats.transfer_report_to_json(report))
+        report = analyze(state, u, args.target, split_tol=tolerances["split"])
+        _write_report(args, formats.transfer_report_to_json(report))
         return 0
 
-    if config.command == "optimize":
-        _, _, spec, state = _load_state(config)
-        if config.method == "exact":
-            result = maximize_transfer_exact(state, spec, config.target)
-        elif config.method == "diagonal":
+    if args.command == "optimize":
+        _, _, spec, state = _load_state(args, tolerances)
+        if args.method == "exact":
+            result = maximize_transfer_exact(state, spec, args.target)
+        elif args.method == "diagonal":
             decomp = decompose(state, spec)
-            unitary = optimal_diagonal_unitary(decomp, spec, config.target)
-            value = transfer_direct(state, unitary, config.target)
+            unitary = optimal_diagonal_unitary(decomp, spec, args.target)
+            value = transfer_direct(state, unitary, args.target)
             result = OptimizationResult(value, unitary, METHOD_DIAGONAL)
-        elif config.method == "monte-carlo":
-            if config.seed is None:
+        elif args.method == "monte-carlo":
+            if args.seed is None:
                 raise ValidationError("optimize --method monte-carlo requires --seed")
-            samples = config.samples or 10000
-            result = monte_carlo_max(state, spec, config.target, samples, config.seed)
+            result = monte_carlo_max(state, spec, args.target, args.samples, args.seed)
         else:
-            raise ValidationError(f"unknown optimize method {config.method!r}")
-        _write_report(config, formats.optimization_result_to_json(result))
+            raise ValidationError(f"unknown optimize method {args.method!r}")
+        _write_report(args, formats.optimization_result_to_json(result))
         return 0
 
-    if config.command == "classify":
-        h_a, h_b, spec, state = _load_state(config, require_state=False)
+    if args.command == "classify":
+        probs_a = _parse_probs(args.probs_a)
+        probs_b = _parse_probs(args.probs_b)
+        h_a, h_b, spec, state = _load_state(args, tolerances, require_state=False)
         constructors = [
-            config.beta_a is not None or config.beta_b is not None,
-            config.probs_a is not None or config.probs_b is not None,
+            args.beta_a is not None or args.beta_b is not None,
+            probs_a is not None or probs_b is not None,
         ]
         if sum(constructors) > 1:
             raise ValidationError("choose one of thermal or passive/max-active flags")
         if constructors[0]:
-            if config.beta_a is None or config.beta_b is None:
+            if args.beta_a is None or args.beta_b is None:
                 raise ValidationError("thermal constructor needs both --beta-a and --beta-b")
-            state = thermal_product(h_a, h_b, config.beta_a, config.beta_b)
+            state = thermal_product(h_a, h_b, args.beta_a, args.beta_b)
         elif constructors[1]:
-            if config.probs_a is None or config.probs_b is None:
+            if probs_a is None or probs_b is None:
                 raise ValidationError(
                     "passive/max-active constructor needs both --probs-a and --probs-b"
                 )
-            state = passive_max_active_product(config.probs_a, config.probs_b, h_a, h_b)
+            state = passive_max_active_product(probs_a, probs_b, h_a, h_b)
         elif state is None:
             raise ValidationError(
                 "classify needs a state in the problem file or constructor flags"
             )
-        label = classify_flow(state, spec, config.target)
-        _write_report(config, formats.flow_classification_to_json(label))
+        label = classify_flow(state, spec, args.target)
+        _write_report(args, formats.flow_classification_to_json(label))
         return 0
 
-    if config.command == "qubit-max":
-        if config.input_path is None:
+    if args.command == "qubit-max":
+        if args.input is None:
             raise ValidationError("qubit-max requires --input with two-qubit parameters")
-        with open(config.input_path, "r", encoding="utf-8") as handle:
-            params = formats.two_qubit_params_from_json(json.load(handle))
-        optimum = max_transfer_2q(
-            params, config.target, optimize_alpha=not config.fixed_alpha
-        )
+        params = formats.two_qubit_params_from_json(formats.read_json(args.input))
+        optimum = max_transfer_2q(params, args.target, optimize_alpha=not args.fixed_alpha)
         payload = {
-            "target": config.target,
+            "target": args.target,
             "value": optimum.value,
             "r_star": optimum.r_star,
             "phi_star": optimum.phi_star,
             "alpha_star_re": optimum.alpha_star.real,
             "alpha_star_im": optimum.alpha_star.imag,
-            "alpha_optimized": not config.fixed_alpha,
+            "alpha_optimized": not args.fixed_alpha,
         }
-        _write_report(config, payload)
+        _write_report(args, payload)
         return 0
 
-    if config.command == "bell-scan":
-        if config.output_path is None:
+    if args.command == "bell-scan":
+        if args.output is None:
             raise ValidationError("bell-scan requires --output for the CSV table")
-        scan = plane_scan(config.resolution)
-        formats.write_plane_scan_csv(scan, config.output_path)
+        scan = plane_scan(args.resolution)
+        formats.write_plane_scan_csv(scan, args.output)
         return 0
 
-    if config.command == "verify":
-        seed = config.seed if config.seed is not None else 20240801
+    if args.command == "verify":
+        seed = args.seed if args.seed is not None else 20240801
         results = verify.run_all(seed)
         print(verify.format_table(results))
-        if config.output_path is not None:
+        if args.output is not None:
             formats.dump_json(
                 {
                     "seed": seed,
@@ -227,13 +203,13 @@ def run(config: RunConfig) -> int:
                         for r in results
                     ],
                 },
-                config.output_path,
+                args.output,
             )
         if not all(r.passed for r in results):
             return 3
         return 0
 
-    raise ValidationError(f"unknown command {config.command!r}")
+    raise ValidationError(f"unknown command {args.command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_cmd.add_argument(
         "--method", choices=("exact", "diagonal", "monte-carlo"), default="exact"
     )
-    optimize_cmd.add_argument("--samples", type=int, default=None)
+    optimize_cmd.add_argument(
+        "--samples", type=int, default=10000, help="monte-carlo sample count (at least 1)"
+    )
 
     classify_cmd = sub.add_parser("classify", help="one-way energy-flow membership")
     common(classify_cmd, target=True)
@@ -300,33 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        unitary_path=getattr(args, "unitary", None),
-        output_path=getattr(args, "output", None),
-        csv_path=getattr(args, "csv", None),
-        target=getattr(args, "target", None),
-        seed=getattr(args, "seed", None),
-        samples=getattr(args, "samples", None),
-        resolution=getattr(args, "resolution", 201),
-        method=getattr(args, "method", "exact"),
-        beta_a=getattr(args, "beta_a", None),
-        beta_b=getattr(args, "beta_b", None),
-        probs_a=_parse_probs(getattr(args, "probs_a", None)),
-        probs_b=_parse_probs(getattr(args, "probs_b", None)),
-        fixed_alpha=getattr(args, "fixed_alpha", False),
-        tolerances=_parse_tolerances(getattr(args, "tolerance", None)),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        return run(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

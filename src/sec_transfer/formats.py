@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalInvariantError, ValidationError
 from .qubits import PlaneScan, TwoQubitParams
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState, StateDecomposition
@@ -41,9 +41,32 @@ from .unitaries import SecUnitary
 
 
 def _require(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{context} must be a JSON object")
     if key not in mapping:
         raise ValidationError(f"{context} is missing required key {key!r}")
     return mapping[key]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, context: str) -> float:
+    """A JSON number as a float; strings, bools and nulls are rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{context} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reject_constant(token: str):
+    raise ValidationError(f"non-finite JSON value {token} is not allowed")
+
+
+def read_json(path):
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity tokens."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle, parse_constant=_reject_constant)
 
 
 def fraction_to_json(value: Fraction) -> list[int]:
@@ -69,7 +92,13 @@ def hamiltonian_from_json(data: dict) -> Hamiltonian:
             raise ValidationError(
                 f"Hamiltonian energies must be [num, den] pairs, got {entry!r}"
             )
-        parsed.append(Fraction(int(entry[0]), int(entry[1])))
+        if not (_is_int(entry[0]) and _is_int(entry[1])):
+            raise ValidationError(
+                f"Hamiltonian energy [num, den] must hold two integers, got {entry!r}"
+            )
+        if entry[1] == 0:
+            raise ValidationError(f"Hamiltonian energy {entry!r} has a zero denominator")
+        parsed.append(Fraction(entry[0], entry[1]))
     labels = data.get("labels")
     return Hamiltonian(tuple(parsed), tuple(labels) if labels is not None else None)
 
@@ -81,9 +110,24 @@ def _matrix_to_json(matrix: np.ndarray) -> dict:
     }
 
 
+def _real_array(data: dict, key: str, context: str) -> np.ndarray:
+    """A rectangular array of JSON numbers; no per-entry Python loop."""
+    try:
+        values = np.asarray(_require(data, key, context))
+    except ValueError:
+        raise ValidationError(f"{context}: {key!r} is not a rectangular array") from None
+    if values.dtype.kind not in "iuf":
+        raise ValidationError(
+            f"{context}: {key!r} must hold only numbers (got numpy dtype {values.dtype})"
+        )
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{context}: {key!r} holds non-finite values")
+    return values
+
+
 def _matrix_from_json(data: dict, context: str) -> np.ndarray:
-    re = np.array(_require(data, "re", context), dtype=float)
-    im = np.array(_require(data, "im", context), dtype=float)
+    re = _real_array(data, "re", context)
+    im = _real_array(data, "im", context)
     if re.shape != im.shape:
         raise ValidationError(f"{context}: re/im shapes differ ({re.shape} vs {im.shape})")
     return re + 1j * im
@@ -95,15 +139,16 @@ def state_to_json(state: BipartiteState) -> dict:
 
 def state_from_json(data: dict, tolerances: dict | None = None) -> BipartiteState:
     dims = _require(data, "dims", "state JSON")
+    if not (
+        isinstance(dims, list) and len(dims) == 2 and all(_is_int(d) and d > 0 for d in dims)
+    ):
+        raise ValidationError(f"state JSON dims must be two positive integers, got {dims!r}")
     matrix = _matrix_from_json(data, "state JSON")
-    kwargs = {}
-    if tolerances:
-        kwargs = {
-            "herm_tol": tolerances.get("herm", 1e-12),
-            "trace_tol": tolerances.get("trace", 1e-12),
-            "psd_tol": tolerances.get("psd", 1e-10),
-        }
-    return BipartiteState(matrix, (int(dims[0]), int(dims[1])), **kwargs)
+    tolerances = tolerances or {}
+    kwargs = {
+        f"{key}_tol": tolerances[key] for key in ("herm", "trace", "psd") if key in tolerances
+    }
+    return BipartiteState(matrix, (dims[0], dims[1]), **kwargs)
 
 
 def sec_unitary_to_json(u: SecUnitary) -> dict:
@@ -117,10 +162,15 @@ def sec_unitary_to_json(u: SecUnitary) -> dict:
 
 def sec_unitary_from_json(data: dict, spectrum: JointSpectrum) -> SecUnitary:
     blocks_json = _require(data, "blocks", "unitary JSON")
-    blocks = {
-        Fraction(key): _matrix_from_json(value, f"unitary block {key}")
-        for key, value in blocks_json.items()
-    }
+    if not isinstance(blocks_json, dict):
+        raise ValidationError("unitary JSON 'blocks' must map energies to matrices")
+    blocks = {}
+    for key, value in blocks_json.items():
+        try:
+            energy = Fraction(key)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"unitary block key {key!r} is not a rational energy") from None
+        blocks[energy] = _matrix_from_json(value, f"unitary block {key}")
     return SecUnitary(blocks, spectrum)
 
 
@@ -175,21 +225,20 @@ def two_qubit_params_to_json(params: TwoQubitParams) -> dict:
 
 
 def two_qubit_params_from_json(data: dict) -> TwoQubitParams:
-    return TwoQubitParams(
-        p00=float(_require(data, "p00", "two-qubit params JSON")),
-        p01=float(_require(data, "p01", "two-qubit params JSON")),
-        p10=float(_require(data, "p10", "two-qubit params JSON")),
-        p11=float(_require(data, "p11", "two-qubit params JSON")),
-        alpha=complex(float(data.get("alpha_re", 0.0)), float(data.get("alpha_im", 0.0))),
-    )
+    context = "two-qubit params JSON"
+    probs = [
+        _number(_require(data, key, context), f"{context} {key!r}")
+        for key in ("p00", "p01", "p10", "p11")
+    ]
+    alpha = [_number(data.get(key, 0.0), f"{context} {key!r}") for key in ("alpha_re", "alpha_im")]
+    return TwoQubitParams(*probs, alpha=complex(*alpha))
 
 
 def load_problem(
     path, tolerances: dict | None = None
 ) -> tuple[Hamiltonian, Hamiltonian, JointSpectrum, BipartiteState | None]:
     """Read a problem file: both Hamiltonians plus an optional state."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(path)
     h_a = hamiltonian_from_json(_require(data, "h_a", "problem file"))
     h_b = hamiltonian_from_json(_require(data, "h_b", "problem file"))
     spec = build_joint_spectrum(h_a, h_b)
@@ -204,10 +253,17 @@ def load_problem(
     return h_a, h_b, spec, state
 
 
+def format_json(payload: dict) -> str:
+    """A report's text: sorted keys, indent 2; non-finite values are refused."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalInvariantError(f"report holds a non-finite value ({exc})") from None
+
+
 def dump_json(payload: dict, path) -> None:
-    """Write a report deterministically: sorted keys, indent 2, newline at end."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write a report deterministically, the same bytes stdout would get."""
+    Path(path).write_text(format_json(payload) + "\n", encoding="utf-8")
 
 
 DECOMP_CSV_HEADER = ["E", "p_E", "probs", "chi_same_energy_max", "chi_cross_energy_max"]

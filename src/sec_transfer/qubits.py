@@ -68,6 +68,10 @@ class TwoQubitParams:
 
     def __post_init__(self):
         probs = (self.p00, self.p01, self.p10, self.p11)
+        if not np.isfinite([*probs, self.alpha]).all():
+            raise ValidationError(
+                f"two-qubit parameters must be finite, got {probs} and alpha={self.alpha}"
+            )
         if min(probs) < -1e-12:
             raise ValidationError(f"populations must be nonnegative, got {probs}")
         total = sum(probs)

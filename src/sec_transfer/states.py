@@ -31,7 +31,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 ZERO_TOL = 1e-15
-REASSEMBLY_TOL = 1e-14
 
 
 class BipartiteState:
@@ -60,6 +59,8 @@ class BipartiteState:
                 f"matrix of size {mat.shape[0]} does not match dims {dims}"
             )
         if validate:
+            if not np.isfinite(mat).all():
+                raise NotAState("state matrix has non-finite entries")
             herm = np.abs(mat - mat.conj().T).max()
             if herm > herm_tol:
                 raise NotAState(

@@ -13,21 +13,23 @@ same-energy coherence blocks.  Both parts are computable block by block:
   per-level coefficients ``eta`` whose energy-weighted sum is the coherent
   transfer.  Cross-energy coherences drop out identically.
 
-``transfer_direct`` (dense evolution) is the single source of truth here;
-the block-wise paths are validated against it in the test suite rather than
-trusted independently.  All transfers are in units of the energy quantum
-(set to 1).
+One kernel, ``batch_transfers``, computes both parts for a stack of block
+unitaries; ``transfer_diagonal``, ``transfer_coherent`` and ``analyze`` run
+it on a stack of one.  ``transfer_direct`` (dense evolution) is the single
+source of truth here; the kernel is validated against it in the test suite
+rather than trusted independently.  All transfers are in units of the
+energy quantum (set to 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BlockMismatch, NumericalInvariantError
-from .spectra import JointSpectrum, check_system
+from .spectra import check_system
 from .states import BipartiteState, StateDecomposition, decompose, local_energy
 from .unitaries import SecUnitary, evolve
 
@@ -60,32 +62,92 @@ def transfer_direct(state: BipartiteState, u: SecUnitary, target: str) -> float:
     return local_energy(after, spec, target) - local_energy(state, spec, target)
 
 
-def _check_same_spectrum(decomp: StateDecomposition, u: SecUnitary) -> JointSpectrum:
+@dataclass
+class BatchTransfers:
+    """Transfer components for a stack of ``n`` block unitaries.
+
+    ``per_block_diagonal`` maps each block energy to its ``(n,)`` diagonal
+    contributions; ``eta`` is ``(n, d_target)``, the per-level coefficients
+    of the coherent part.
+    """
+
+    total: np.ndarray
+    diagonal: np.ndarray
+    coherent: np.ndarray
+    per_block_diagonal: dict[Fraction, np.ndarray]
+    eta: np.ndarray
+
+
+def batch_transfers(
+    decomp: StateDecomposition,
+    block_samples: dict[Fraction, np.ndarray],
+    target: str,
+) -> BatchTransfers:
+    """Diagonal, coherent and total transfers for a whole stack of unitaries.
+
+    ``block_samples`` maps each block energy to an ``(n, d, d)`` stack as
+    produced by :func:`sec_transfer.unitaries.sample_haar_blocks`.  This is
+    the one place the block-wise transfer is computed.  The diagonal part is
+    summed block by block in spectrum order, and the coherent part level by
+    level, so a stack of one reproduces the scalar results bit for bit.
+    Blocks with zero probability contribute exactly zero (their normalized
+    one-sided state is undefined, but the unnormalized populations are not).
+    """
+    check_system(target)
+    spec = decomp.spectrum
+    counts = {stack.shape[0] for stack in block_samples.values()}
+    if len(counts) != 1:
+        raise BlockMismatch("all block sample stacks must have the same length")
+    n = counts.pop()
+    side, h_target = (0, spec.h_a) if target == "A" else (1, spec.h_b)
+    useful = decomp.useful_coherence_blocks()
+    diagonal = np.zeros(n)
+    per_block: dict[Fraction, np.ndarray] = {}
+    eta = np.zeros((n, h_target.dim))
+    for block in spec.blocks:
+        stack = block_samples[block.energy]
+        if stack.shape[1:] != (block.dim, block.dim):
+            raise BlockMismatch(
+                f"sample stack for E={block.energy} has shape {stack.shape[1:]}, "
+                f"expected {(block.dim, block.dim)}"
+            )
+        probs = decomp.diag_blocks[block.energy].probs
+        energies = spec.local_energies_float(block.energy, target)
+        weights = np.abs(stack) ** 2
+        per_block[block.energy] = (weights @ probs - probs) @ energies
+        diagonal += per_block[block.energy]
+        alpha = useful.get(block.energy)
+        if alpha is not None:
+            gained = np.einsum("nki,ij,nkj->nk", stack, alpha, stack.conj()).real
+            # within a block each target level appears once
+            eta[:, [member[side] for member in block.members]] += gained
+    coherent = np.zeros(n)
+    for level, energy in enumerate(h_target.energies_float()):
+        coherent += eta[:, level] * energy
+    return BatchTransfers(diagonal + coherent, diagonal, coherent, per_block, eta)
+
+
+def _split(decomp: StateDecomposition, u: SecUnitary, target: str) -> TransferReport:
+    """The kernel on a stack of one unitary; ``total`` is diagonal + coherent."""
     if u.spectrum != decomp.spectrum:
         raise BlockMismatch("unitary and decomposition use different joint spectra")
-    return decomp.spectrum
+    result = batch_transfers(decomp, {e: mat[None] for e, mat in u.blocks.items()}, target)
+    return TransferReport(
+        target=target,
+        total=float(result.total[0]),
+        diagonal=float(result.diagonal[0]),
+        coherent=float(result.coherent[0]),
+        eta=dict(enumerate(result.eta[0].tolist())),
+        per_block_diagonal={e: float(v[0]) for e, v in result.per_block_diagonal.items()},
+    )
 
 
 def transfer_diagonal(
     decomp: StateDecomposition, u: SecUnitary, target: str
 ) -> tuple[float, dict[Fraction, float]]:
-    """Population-sourced part of the transfer, with its per-block breakdown.
-
-    Blocks with zero probability contribute exactly zero (their normalized
-    one-sided state is undefined, but the unnormalized populations are not).
-    """
-    check_system(target)
-    spec = _check_same_spectrum(decomp, u)
-    per_block: dict[Fraction, float] = {}
-    total = 0.0
-    for block in spec.blocks:
-        probs = decomp.diag_blocks[block.energy].probs
-        energies = spec.local_energies_float(block.energy, target)
-        weights = np.abs(u.blocks[block.energy]) ** 2
-        contribution = float(energies @ (weights @ probs - probs))
-        per_block[block.energy] = contribution
-        total += contribution
-    return total, per_block
+    """Population-sourced part of the transfer, with its per-block breakdown."""
+    split = _split(decomp, u, target)
+    return split.diagonal, split.per_block_diagonal
 
 
 def transfer_coherent(
@@ -98,22 +160,8 @@ def transfer_coherent(
     the population pushed onto that level by rotating the block's coherences;
     the transfer is ``sum_k eta[k] * energy[k]``.
     """
-    check_system(target)
-    spec = _check_same_spectrum(decomp, u)
-    h_target = spec.h_a if target == "A" else spec.h_b
-    eta = {k: 0.0 for k in range(h_target.dim)}
-    for energy, alpha in decomp.coh_blocks.items():
-        if energy[0] != energy[1]:
-            continue
-        block = spec.block(energy[0])
-        mat = u.blocks[block.energy]
-        gained = np.einsum("ki,ij,kj->k", mat, alpha, mat.conj()).real
-        for member_index, (a, b) in enumerate(block.members):
-            level = a if target == "A" else b
-            eta[level] += float(gained[member_index])
-    energies = h_target.energies_float()
-    value = float(sum(eta[k] * energies[k] for k in eta))
-    return value, eta
+    split = _split(decomp, u, target)
+    return split.coherent, split.eta
 
 
 def analyze(
@@ -128,72 +176,13 @@ def analyze(
     satisfy ``total = diagonal + coherent`` within ``split_tol``; that bound
     holding is exactly what makes the block-wise paths trustworthy.
     """
-    spec = u.spectrum
-    decomp = decompose(state, spec)
+    decomp = decompose(state, u.spectrum)
     total = transfer_direct(state, u, target)
-    diagonal, per_block = transfer_diagonal(decomp, u, target)
-    coherent, eta = transfer_coherent(decomp, u, target)
-    residual = abs(total - diagonal - coherent)
+    split = _split(decomp, u, target)
+    residual = abs(total - split.diagonal - split.coherent)
     if residual > split_tol:
         raise NumericalInvariantError(
             f"transfer split violated: |total - diagonal - coherent| = "
             f"{residual:.3e} exceeds {split_tol:g}"
         )
-    return TransferReport(
-        target=target,
-        total=total,
-        diagonal=diagonal,
-        coherent=coherent,
-        eta=eta,
-        per_block_diagonal=per_block,
-    )
-
-
-@dataclass
-class BatchTransfers:
-    """Vectorized transfer components for a stack of sampled unitaries."""
-
-    total: np.ndarray
-    diagonal: np.ndarray
-    coherent: np.ndarray
-
-
-def batch_transfers(
-    decomp: StateDecomposition,
-    block_samples: dict[Fraction, np.ndarray],
-    target: str,
-) -> BatchTransfers:
-    """Evaluate diagonal/coherent/total transfers for a whole sample stack.
-
-    ``block_samples`` maps each block energy to an ``(n, d, d)`` stack as
-    produced by :func:`sec_transfer.unitaries.sample_haar_blocks`.  This is
-    the fast path behind the Monte-Carlo oracles; it matches the scalar
-    routines sample by sample (they are cross-checked in the tests).
-    """
-    check_system(target)
-    spec = decomp.spectrum
-    counts = {stack.shape[0] for stack in block_samples.values()}
-    if len(counts) != 1:
-        raise BlockMismatch("all block sample stacks must have the same length")
-    n = counts.pop()
-    diagonal = np.zeros(n)
-    coherent = np.zeros(n)
-    useful = decomp.useful_coherence_blocks()
-    for block in spec.blocks:
-        stack = block_samples[block.energy]
-        if stack.shape[1:] != (block.dim, block.dim):
-            raise BlockMismatch(
-                f"sample stack for E={block.energy} has shape {stack.shape[1:]}, "
-                f"expected {(block.dim, block.dim)}"
-            )
-        probs = decomp.diag_blocks[block.energy].probs
-        energies = spec.local_energies_float(block.energy, target)
-        weights = np.abs(stack) ** 2
-        diagonal += np.einsum("nki,i,k->n", weights, probs, energies) - float(
-            energies @ probs
-        )
-        alpha = useful.get(block.energy)
-        if alpha is not None:
-            gained = np.einsum("nki,ij,nkj->nk", stack, alpha, stack.conj()).real
-            coherent += gained @ energies
-    return BatchTransfers(total=diagonal + coherent, diagonal=diagonal, coherent=coherent)
+    return replace(split, total=total)
