@@ -191,13 +191,12 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        seed = args.seed if args.seed is not None else 20240801
-        results = verify.run_all(seed)
+        results = verify.run_all(args.seed)
         print(verify.format_table(results))
         if args.output is not None:
             formats.dump_json(
                 {
-                    "seed": seed,
+                    "seed": args.seed,
                     "checks": [
                         {"name": r.name, "passed": r.passed, "detail": r.detail}
                         for r in results
@@ -272,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(scan_cmd)
     scan_cmd.add_argument("--resolution", type=int, default=201)
 
-    verify_cmd = sub.add_parser("verify", help="run the built-in property suite")
+    verify_cmd = sub.add_parser("verify", help="run the property registry at fast strength")
     common(verify_cmd, seed=True)
+    verify_cmd.set_defaults(seed=verify.DEFAULT_SEED)
 
     return parser
 
@@ -289,8 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalInvariantError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"validation error: cannot read {exc.filename!r}", file=sys.stderr)
+    except OSError as exc:
+        print(f"validation error: {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"validation error: malformed JSON ({exc})", file=sys.stderr)

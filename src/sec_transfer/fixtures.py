@@ -1,8 +1,8 @@
 """Built-in fixtures: spectra, random states, and one-way-flow members.
 
-Shared by the self-check suite (``sec-transfer verify``), the test suite,
-and the demo scripts.  Random objects are drawn from seeded generators so
-every consumer sees the same instances.
+Shared by the property registry (``sec-transfer verify`` and the acceptance
+gate), the test suite, and the demo scripts.  Random objects are drawn from
+seeded generators so every consumer sees the same instances.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from .classify import passive_max_active_product, thermal_product
 from .qubits import TwoQubitParams
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState, decompose
+from .unitaries import SecUnitary, sample_haar
 
 DIMENSION_CLASSES = ((2, 2), (3, 2), (3, 3), (4, 4))
 
@@ -117,17 +118,22 @@ def one_way_members(seed: int = 7, count: int = 50) -> list[tuple[BipartiteState
     return members
 
 
-def random_pairs(
+def random_suite(
     seed: int, per_class: int
-) -> list[tuple[BipartiteState, JointSpectrum]]:
-    """Random coherent states spread over the standard dimension classes."""
+) -> list[tuple[BipartiteState, SecUnitary, JointSpectrum]]:
+    """Random coherent states, each with its own Haar unitary, over the standard classes.
+
+    States come from one generator seeded with ``seed``; the unitary of the
+    i-th state in class k is drawn from ``seed + 1000 * k + i``.
+    """
     rng = np.random.default_rng(seed)
-    out = []
-    for dims in DIMENSION_CLASSES:
+    suite = []
+    for class_index, dims in enumerate(DIMENSION_CLASSES):
         spec = ladder_spectrum(*dims)
-        for _ in range(per_class):
-            out.append((random_state(dims, rng), spec))
-    return out
+        for i in range(per_class):
+            state = random_state(dims, rng)
+            suite.append((state, sample_haar(spec, seed + 1000 * class_index + i), spec))
+    return suite
 
 
 def zero_cross_coherences(state: BipartiteState, spec: JointSpectrum) -> BipartiteState:

@@ -402,16 +402,11 @@ def plane_scan(resolution: int = 201) -> PlaneScan:
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
     xs = np.linspace(0.0, 1.0, resolution)
     zs = np.linspace(-1.0, 1.0, resolution)
-    rows_x, rows_z, idx_x, idx_z = [], [], [], []
-    for ix, x in enumerate(xs):
-        for iz, z in enumerate(zs):
-            if z <= 1.0 - 2.0 * x + 1e-12:
-                rows_x.append(x)
-                rows_z.append(z)
-                idx_x.append(ix)
-                idx_z.append(iz)
-    c_x = np.array(rows_x)
-    c_z = np.array(rows_z)
+    grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
+    keep = grid_z <= 1.0 - 2.0 * grid_x + 1e-12
+    idx_x, idx_z = np.nonzero(keep)
+    c_x = grid_x[keep]
+    c_z = grid_z[keep]
     concurrence = np.maximum(0.0, c_x - 0.5 * (1.0 + c_z))
     return PlaneScan(
         resolution=resolution,
@@ -421,8 +416,8 @@ def plane_scan(resolution: int = 201) -> PlaneScan:
         max_transfer=0.5 * c_x,
         concurrence=concurrence,
         separable=concurrence == 0.0,
-        x_index=np.array(idx_x, dtype=int),
-        z_index=np.array(idx_z, dtype=int),
+        x_index=idx_x,
+        z_index=idx_z,
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sec_transfer.fixtures import ladder_spectrum, random_state
+from sec_transfer.fixtures import ladder_spectrum
 
 
 @pytest.fixture
@@ -18,7 +18,3 @@ def two_qubit_spec():
 def qutrit_qubit_spec():
     return ladder_spectrum(3, 2)
 
-
-def random_pair(spec, rng, coherent=True):
-    """Convenience: a random state over a spectrum's dimensions."""
-    return random_state(spec.dims, rng, coherent=coherent)

@@ -1,290 +1,64 @@
-"""Acceptance suite.
+"""Acceptance suite: the property registry of ``sec_transfer.verify`` at full strength.
 
-Each test pins one release criterion at a fixed tolerance and prints a
-single pass line on success (pytest -v -s shows them).  The random suites
-are seeded, so the whole module is deterministic.
+Each criterion runs one registry property at the release sizes, sample counts
+and tolerances, and prints a single pass line on success (pytest -v -s shows
+them).  The properties are seeded, so the whole module is deterministic.
 """
 
-import numpy as np
+import pytest
 
-from sec_transfer import (
-    TwoQubitParams,
-    check_coherence_bound,
-    classify_flow,
-    concurrence_bell_diagonal,
-    concurrence_directional_derivative,
-    concurrence_wootters,
-    bell_diagonal_state,
-    BellDiagParams,
-    decompose,
-    max_transfer_2q,
-    maximize_transfer_exact,
-    monte_carlo_max,
-    optimal_diagonal_unitary,
-    plane_scan,
-    plane_scan_gradient,
-    sample_haar,
-    transfer_coherent,
-    transfer_diagonal,
-    transfer_direct,
-    two_qubit_spectrum,
-)
-from sec_transfer.fixtures import (
-    DIMENSION_CLASSES,
-    ladder_spectrum,
-    max_coherence_params,
-    one_way_members,
-    random_state,
-    zero_cross_coherences,
-    zero_same_coherences,
-)
-from sec_transfer.transfer import batch_transfers
-from sec_transfer.unitaries import sample_haar_blocks
+from sec_transfer import verify
 
 SEED = 987654
 
 
-def _passed(number, name):
-    print(f"[acceptance {number:02d}] {name}: PASS")
-
-
-def _random_suite(per_class=250):
-    """The shared random (state, unitary) suite over the four dimension classes."""
-    rng = np.random.default_rng(SEED)
-    suite = []
-    for class_index, dims in enumerate(DIMENSION_CLASSES):
-        spec = ladder_spectrum(*dims)
-        for i in range(per_class):
-            state = random_state(dims, rng)
-            u = sample_haar(spec, SEED + 1000 * class_index + i)
-            suite.append((state, u, spec))
-    return suite
+def _accept(number, check):
+    result = check(SEED, verify.FULL)
+    assert result.passed, result.detail
+    print(f"[acceptance {number:02d}] {result.name}: PASS ({result.detail})")
 
 
 def test_criterion_01_two_qubit_optimum_grid():
-    """Free-coherence optimum on a 20 x 20 population grid, both targets."""
-    spec = two_qubit_spectrum()
-    values = np.linspace(0.02, 0.92, 20)
-    checked = 0
-    for p01 in values:
-        for p10 in values:
-            if p01 + p10 > 1.0:
-                continue
-            rest = 0.5 * (1.0 - p01 - p10)
-            amax = np.sqrt(p01 * p10)
-            params = TwoQubitParams(rest, p01, p10, rest, amax)
-            opt_a = max_transfer_2q(params, "A")
-            opt_b = max_transfer_2q(params, "B")
-            assert abs(opt_a.value - p01) <= 1e-10
-            assert abs(opt_b.value - p10) <= 1e-10
-            assert abs(opt_a.r_star**2 - p01 / (p01 + p10)) <= 1e-10
-            assert abs(opt_b.r_star**2 - p10 / (p01 + p10)) <= 1e-10
-            exact_a = maximize_transfer_exact(params.to_state(), spec, "A").value
-            exact_b = maximize_transfer_exact(params.to_state(), spec, "B").value
-            assert abs(exact_a - p01) <= 1e-10
-            assert abs(exact_b - p10) <= 1e-10
-            checked += 1
-    assert checked >= 200
-    _passed(1, f"two-qubit optimum grid ({checked} points)")
+    _accept(1, verify.two_qubit_optimum_grid)
 
 
 def test_criterion_02_transfer_vs_concurrence_line():
-    """Along the maximum-coherence Bell-diagonal line the optimum is (1+C)/4."""
-    spec = two_qubit_spectrum()
-    for tenths in range(11):
-        concurrence = tenths / 10
-        p01 = 0.25 * (1.0 + concurrence)
-        params = TwoQubitParams(0.5 - p01, p01, p01, 0.5 - p01, p01)
-        closed = max_transfer_2q(params, "A").value
-        assert abs(closed - 0.25 * (1.0 + concurrence)) <= 1e-12
-        exact = maximize_transfer_exact(params.to_state(), spec, "A").value
-        assert abs(exact - closed) <= 1e-12
-    assert max_transfer_2q(
-        TwoQubitParams(0.25, 0.25, 0.25, 0.25, 0.25), "A"
-    ).value == 0.25
-    assert max_transfer_2q(TwoQubitParams(0.0, 0.5, 0.5, 0.0, 0.5), "A").value == 0.5
-    _passed(2, "max transfer equals (1+C)/4 on the max-coherence line")
+    _accept(2, verify.concurrence_line)
 
 
 def test_criterion_03_transfer_split():
-    """total = diagonal + coherent and A/B antisymmetry on 1000 random pairs."""
-    worst_split = 0.0
-    worst_antisym = 0.0
-    for state, u, spec in _random_suite():
-        decomp = decompose(state, spec)
-        totals = {}
-        for target in ("A", "B"):
-            total = transfer_direct(state, u, target)
-            diagonal, _ = transfer_diagonal(decomp, u, target)
-            coherent, _ = transfer_coherent(decomp, u, target)
-            worst_split = max(worst_split, abs(total - diagonal - coherent))
-            totals[target] = total
-        worst_antisym = max(worst_antisym, abs(totals["A"] + totals["B"]))
-    assert worst_split <= 1e-12
-    assert worst_antisym <= 1e-12
-    _passed(3, f"transfer split (worst {worst_split:.2e}, antisym {worst_antisym:.2e})")
+    _accept(3, verify.transfer_split)
 
 
 def test_criterion_04_coherence_locality():
-    """Cross-energy coherences are inert; same-energy ones carry the coherent part."""
-    worst_cross = 0.0
-    worst_killed = 0.0
-    for state, u, spec in _random_suite():
-        stripped = zero_cross_coherences(state, spec)
-        dephased = zero_same_coherences(state, spec)
-        for target in ("A", "B"):
-            worst_cross = max(
-                worst_cross,
-                abs(
-                    transfer_direct(state, u, target)
-                    - transfer_direct(stripped, u, target)
-                ),
-            )
-            coherent, _ = transfer_coherent(decompose(dephased, spec), u, target)
-            worst_killed = max(worst_killed, abs(coherent))
-    assert worst_cross <= 1e-13
-    assert worst_killed <= 1e-13
-    _passed(4, f"useful-coherence locality (worst {max(worst_cross, worst_killed):.2e})")
+    _accept(4, verify.coherence_locality)
 
 
 def test_criterion_05_diagonal_optimal_unitary():
-    """The population-optimal unitary: zero coherent part, dominates 10^4 samples."""
-    rng = np.random.default_rng(SEED + 5)
-    worst_coherent = 0.0
-    worst_margin = np.inf
-    for class_index, dims in enumerate(DIMENSION_CLASSES):
-        spec = ladder_spectrum(*dims)
-        batch = sample_haar_blocks(spec, SEED + 50 + class_index, 10_000)
-        for _ in range(100):
-            state = random_state(dims, rng)
-            decomp = decompose(state, spec)
-            for target in ("A", "B"):
-                u = optimal_diagonal_unitary(decomp, spec, target)
-                coherent, _ = transfer_coherent(decomp, u, target)
-                worst_coherent = max(worst_coherent, abs(coherent))
-                best, _ = transfer_diagonal(decomp, u, target)
-                sampled = batch_transfers(decomp, batch, target).diagonal.max()
-                worst_margin = min(worst_margin, best - sampled)
-    assert worst_coherent <= 1e-12
-    assert worst_margin >= -1e-12
-    _passed(
-        5,
-        f"diagonal-optimal unitary (|coh| <= {worst_coherent:.2e}, "
-        f"min dominance margin {worst_margin:.2e})",
-    )
+    _accept(5, verify.diagonal_optimal_unitary)
 
 
 def test_criterion_06_coherence_bound():
-    """Optimal transfer never drops after adding coherence; strict gap exists."""
-    rng = np.random.default_rng(SEED + 6)
-    worst = 0.0
-    for dims in DIMENSION_CLASSES:
-        spec = ladder_spectrum(*dims)
-        for _ in range(100):
-            state = random_state(dims, rng)
-            lhs, rhs, holds = check_coherence_bound(state, spec, "A")
-            assert holds
-            worst = max(worst, rhs - lhs)
-    spec = two_qubit_spectrum()
-    gaps = []
-    for p01, p10 in ((0.3, 0.1), (0.4, 0.2), (0.45, 0.05)):
-        state = max_coherence_params(p01, p10).to_state()
-        lhs, rhs, holds = check_coherence_bound(state, spec, "A")
-        assert holds
-        gaps.append(lhs - rhs)
-    assert min(gaps) > 1e-6
-    assert worst <= 1e-12
-    _passed(6, f"coherence bound (worst violation {max(worst, 0.0):.2e}, gap {min(gaps):.3f})")
+    _accept(6, verify.coherence_bound)
 
 
 def test_criterion_07_one_way_flow_soundness():
-    """50 constructed one-way members never lose energy over 1000 unitaries each."""
-    members = one_way_members(seed=SEED + 7, count=50)
-    assert len(members) == 50
-    batches = {}
-    worst = np.inf
-    for state, spec in members:
-        label = classify_flow(state, spec, "A")
-        assert label.direction == "A_from_B"
-        key = id(spec)
-        if key not in batches:
-            batches[key] = sample_haar_blocks(spec, SEED + 70, 1000)
-        decomp = decompose(state, spec)
-        worst = min(worst, float(batch_transfers(decomp, batches[key], "A").total.min()))
-    assert worst >= -1e-12
-    _passed(7, f"one-way-flow soundness (min sampled transfer {worst:.2e})")
+    _accept(7, verify.one_way_flow)
 
 
 def test_criterion_08_concurrence_consistency():
-    """Closed-form concurrence matches the spin-flip construction; boundary is zero."""
-    rng = np.random.default_rng(SEED + 8)
-    worst = 0.0
-    produced = 0
-    while produced < 1000:
-        c_x = rng.uniform(0.0, 1.0)
-        c_z = rng.uniform(-1.0, 1.0)
-        if c_z > 1.0 - 2.0 * c_x:
-            continue
-        c = BellDiagParams(c_x, c_x, c_z)
-        closed = concurrence_bell_diagonal(c)
-        general = concurrence_wootters(bell_diagonal_state(c))
-        worst = max(worst, abs(closed - general))
-        produced += 1
-    assert worst <= 1e-10
-    for c_x in np.linspace(0.0, 0.5, 26):
-        c = BellDiagParams(c_x, c_x, 2.0 * c_x - 1.0)
-        assert concurrence_bell_diagonal(c) <= 1e-12
-        assert concurrence_wootters(bell_diagonal_state(c)) <= 1e-12
-    _passed(8, f"concurrence consistency (worst mismatch {worst:.2e})")
+    _accept(8, verify.concurrence_consistency)
 
 
 def test_criterion_09_plane_geometry():
-    """Scan gradient direction/magnitude, concurrence monotonicity, separable advantage."""
-    scan = plane_scan(201)
-    gradient = plane_scan_gradient(scan)["gradients"]
-    assert len(gradient) > 0
-    norms = np.linalg.norm(gradient, axis=1)
-    direction = gradient / norms[:, None]
-    expected = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    worst_dir = np.abs(direction - expected).max()
-    worst_mag = np.abs(norms - 1.0 / np.sqrt(2.0)).max()
-    assert worst_dir <= 1e-8
-    assert worst_mag <= 1e-8
-    rates = concurrence_directional_derivative(scan)["rates"]
-    assert len(rates) > 0
-    assert rates.min() > 0.0
-    winners = scan.separable & (scan.max_transfer > 0.05)
-    assert winners.any()
-    _passed(
-        9,
-        f"plane geometry (dir err {worst_dir:.2e}, mag err {worst_mag:.2e}, "
-        f"{int(winners.sum())} separable winners)",
-    )
+    _accept(9, verify.plane_geometry)
 
 
 def test_criterion_10_sampling_dominance():
-    """Monte-Carlo maxima never beat the exact optimizer and approach it on qubits."""
-    spec = two_qubit_spectrum()
-    tight = []
-    for params in (
-        max_coherence_params(0.3, 0.1),
-        max_coherence_params(0.2, 0.2),
-        TwoQubitParams(0.25, 0.25, 0.25, 0.25, 0.25),
-    ):
-        state = params.to_state()
-        exact = maximize_transfer_exact(state, spec, "A").value
-        sampled = monte_carlo_max(state, spec, "A", n_samples=100_000, seed=SEED).value
-        assert sampled <= exact + 1e-10
-        assert abs(exact - sampled) <= 1e-2
-        tight.append(exact - sampled)
-    rng = np.random.default_rng(SEED + 10)
-    for dims in DIMENSION_CLASSES:
-        big_spec = ladder_spectrum(*dims)
-        for _ in range(3):
-            state = random_state(dims, rng)
-            exact = maximize_transfer_exact(state, big_spec, "A").value
-            sampled = monte_carlo_max(
-                state, big_spec, "A", n_samples=10_000, seed=SEED + 11
-            ).value
-            assert sampled <= exact + 1e-10
-    _passed(10, f"sampling dominance (qubit deficits {[f'{t:.1e}' for t in tight]})")
+    _accept(10, verify.sampling_dominance)
+
+
+@pytest.mark.parametrize("check", verify.ALL_CHECKS[10:], ids=lambda check: check.body.__name__)
+def test_registry_property_beyond_the_criteria(check):
+    result = check(SEED, verify.FULL)
+    assert result.passed, result.detail

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sec_transfer import formats
+from sec_transfer import formats, verify
 from sec_transfer.cli import main
 from sec_transfer.fixtures import ladder_spectrum, max_coherence_params, random_state
 
@@ -368,3 +368,33 @@ def test_verify_command(tmp_path, capsys):
     assert "FAIL" not in table
     payload = read_json(out)
     assert all(check["passed"] for check in payload["checks"])
+
+
+def test_verify_defaults_to_one_seed_and_reports_registry_rows(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--output", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["seed"] == 20240801
+    names = [check["name"] for check in payload["checks"]]
+    assert names == [check.name for check in verify.ALL_CHECKS]
+    assert len(set(names)) == len(names) == 14
+
+
+def test_verify_passes_for_a_seed_that_once_failed_by_chance():
+    assert main(["verify", "--seed", "888"]) == 0
+
+
+def test_verify_gate_fails_when_the_split_breaks(tmp_path, capsys, monkeypatch):
+    real = verify.transfer_coherent
+
+    def shifted(*args):
+        value, per_block = real(*args)
+        return value + 1e-9, per_block
+
+    monkeypatch.setattr(verify, "transfer_coherent", shifted)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--output", str(out)]) == 3
+    table = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("transfer split ") and "  FAIL  " in line for line in table)
+    rows = {check["name"]: check["passed"] for check in read_json(out)["checks"]}
+    assert rows["transfer split"] is False

@@ -223,3 +223,30 @@ def test_non_finite_report_value_exits_3(to_file, tmp_path, capsys, monkeypatch)
     argv = ["optimize", "--input", problem, "--target", "A"]
     assert _exit_code(argv + (["--output", str(out)] if to_file else []), capsys) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["input-directory", "output-directory", "output-in-missing-directory", "bell-scan-directory"],
+)
+def test_io_error_exits_2_naming_path_and_reason(case, tmp_path, capsys):
+    problem = _write(tmp_path, _problem(state=_state()))
+    missing = tmp_path / "missing" / "report.json"
+    argv, path, reason = {
+        "input-directory": (["decompose", "--input", str(tmp_path)], tmp_path, "Is a directory"),
+        "output-directory": (
+            ["decompose", "--input", problem, "--output", str(tmp_path)], tmp_path, "Is a directory"
+        ),
+        "output-in-missing-directory": (
+            ["decompose", "--input", problem, "--output", str(missing)],
+            missing,
+            "No such file or directory",
+        ),
+        "bell-scan-directory": (
+            ["bell-scan", "--resolution", "3", "--output", str(tmp_path)], tmp_path, "Is a directory"
+        ),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert str(path) in err and reason in err

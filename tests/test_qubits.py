@@ -367,6 +367,24 @@ def test_plane_scan_smallest_grid():
     assert scan.concurrence[apex[0]] == 0.0
 
 
+@pytest.mark.parametrize("resolution", [2, 3, 4, 51])
+def test_plane_scan_rows_match_the_grid_loop(resolution):
+    """The masked grid keeps the points, and the order, of a loop over c_x then c_z."""
+    xs = np.linspace(0.0, 1.0, resolution)
+    zs = np.linspace(-1.0, 1.0, resolution)
+    kept = [
+        (ix, iz, x, z)
+        for ix, x in enumerate(xs)
+        for iz, z in enumerate(zs)
+        if z <= 1.0 - 2.0 * x + 1e-12
+    ]
+    scan = plane_scan(resolution)
+    assert scan.x_index.tolist() == [row[0] for row in kept]
+    assert scan.z_index.tolist() == [row[1] for row in kept]
+    assert scan.c_x.tolist() == [row[2] for row in kept]
+    assert scan.c_z.tolist() == [row[3] for row in kept]
+
+
 def test_plane_scan_rejects_tiny_resolution():
     with pytest.raises(ValidationError):
         plane_scan(1)
