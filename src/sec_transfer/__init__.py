@@ -79,11 +79,8 @@ from .spectra import (
 from .states import (
     BipartiteState,
     DiagBlock,
-    ELocalDensity,
     StateDecomposition,
     decompose,
-    dephase_local,
-    e_local_reduced,
     local_energy,
     partial_trace,
 )

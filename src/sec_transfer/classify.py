@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import tolerances
 from .errors import (
     LengthMismatch,
     NegativeTemperatureWarning,
@@ -37,9 +38,6 @@ from .spectra import Hamiltonian, JointSpectrum, check_system
 from .states import BipartiteState, decompose
 from .transfer import batch_transfers
 from .unitaries import SecUnitary, sample_haar_blocks
-
-COHERENCE_ZERO_TOL = 1e-14
-PASSIVITY_EQ_TOL = 1e-12
 
 DIRECTION_A_FROM_B = "A_from_B"
 DIRECTION_B_FROM_A = "B_from_A"
@@ -61,7 +59,7 @@ class FlowClassification:
     witness: SecUnitary | None = None
 
 
-def is_e_passive(block_probs, block_energies, eq_tol: float = PASSIVITY_EQ_TOL) -> bool:
+def is_e_passive(block_probs, block_energies, eq_tol: float = tolerances.PASSIVITY_EQ) -> bool:
     """Whether populations are non-increasing as the local energy increases.
 
     Equal probabilities never violate passivity; "equal" allows a float slack
@@ -120,7 +118,7 @@ def classify_flow(
     state: BipartiteState,
     spec: JointSpectrum,
     target: str,
-    coherence_tol: float = COHERENCE_ZERO_TOL,
+    coherence_tol: float = tolerances.COHERENCE_ZERO,
 ) -> FlowClassification:
     """Decide membership in the one-way-flow class for the given target.
 
@@ -184,7 +182,7 @@ def passive_max_active_product(
     probs_b,
     h_a: Hamiltonian,
     h_b: Hamiltonian,
-    eq_tol: float = PASSIVITY_EQ_TOL,
+    eq_tol: float = tolerances.PASSIVITY_EQ,
 ) -> BipartiteState:
     """Product of a passive A state with a maximally active B state.
 
@@ -203,8 +201,10 @@ def passive_max_active_product(
     for name, p in (("probs_a", pa), ("probs_b", pb)):
         if np.any(p < 0):
             raise ValidationError(f"{name} must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValidationError(f"{name} must sum to 1 within 1e-12, got {p.sum()!r}")
+        if abs(p.sum() - 1.0) > tolerances.TRACE:
+            raise ValidationError(
+                f"{name} must sum to 1 within {tolerances.TRACE:g}, got {p.sum()!r}"
+            )
     if np.any(pa[1:] > pa[:-1] + eq_tol):
         raise NotPassive(
             "probs_a must be non-increasing with energy (slack "
@@ -224,7 +224,7 @@ def probe_unidirectional(
     target: str,
     n_samples: int,
     seed: int,
-    tol: float = 1e-12,
+    tol: float = tolerances.TRANSFER_NOISE,
 ) -> dict:
     """Sampling harness: hunt for a unitary that drains the target system.
 

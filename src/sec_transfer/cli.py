@@ -6,6 +6,10 @@ validation error (malformed input, missing field, unphysical data), 3 when a
 numerical invariant fails.  Every failure message names the violated
 invariant and, where one applies, the offending tolerance.
 
+``--tolerance KEY=VAL`` overrides one of the four keys of
+:mod:`sec_transfer.tolerances` (``herm``, ``trace``, ``psd``, ``split``); an
+unknown key or a value that is not a finite, nonnegative float exits 2.
+
 Identical configuration and seed produce byte-identical reports; any command
 that samples requires an explicit ``--seed``.  The SEC_TRANSFER_THREADS
 environment variable caps worker threads inside the sampling loops.
@@ -17,7 +21,7 @@ import argparse
 import json
 import sys
 
-from . import formats, verify
+from . import formats, tolerances, verify
 from .classify import classify_flow, passive_max_active_product, thermal_product
 from .errors import NumericalInvariantError, ValidationError
 from .optimize import (
@@ -28,35 +32,9 @@ from .optimize import (
     optimal_diagonal_unitary,
 )
 from .qubits import max_transfer_2q, plane_scan
-from .states import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, decompose
-from .transfer import SPLIT_TOL, analyze, transfer_direct
+from .states import decompose
+from .transfer import analyze, transfer_direct
 from .unitaries import sample_haar
-
-DEFAULT_TOLERANCES = {
-    "herm": HERMITICITY_TOL,
-    "trace": TRACE_TOL,
-    "psd": PSD_TOL,
-    "split": SPLIT_TOL,
-}
-
-TOLERANCE_KEYS = tuple(DEFAULT_TOLERANCES)
-
-
-def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ValidationError(f"--tolerance expects KEY=VAL, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        if key not in TOLERANCE_KEYS:
-            raise ValidationError(
-                f"unknown tolerance key {key!r}; valid keys: {', '.join(TOLERANCE_KEYS)}"
-            )
-        try:
-            tolerances[key] = float(raw)
-        except ValueError:
-            raise ValidationError(f"tolerance {key!r} needs a float, got {raw!r}") from None
-    return tolerances
 
 
 def _parse_probs(raw: str | None) -> list[float] | None:
@@ -68,10 +46,10 @@ def _parse_probs(raw: str | None) -> list[float] | None:
         raise ValidationError(f"expected comma-separated floats, got {raw!r}") from None
 
 
-def _load_state(args: argparse.Namespace, tolerances: dict, require_state: bool = True):
+def _load_state(args: argparse.Namespace, tol: dict, require_state: bool = True):
     if args.input is None:
         raise ValidationError(f"command {args.command!r} requires --input")
-    h_a, h_b, spec, state = formats.load_problem(args.input, tolerances)
+    h_a, h_b, spec, state = formats.load_problem(args.input, tol)
     if require_state and state is None:
         raise ValidationError("problem file carries no state")
     return h_a, h_b, spec, state
@@ -86,12 +64,12 @@ def _write_report(args: argparse.Namespace, payload: dict) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
-    tolerances = _parse_tolerances(args.tolerance)
+    tol = tolerances.parse(args.tolerance)
 
     if args.command == "decompose":
-        _, _, spec, state = _load_state(args, tolerances)
+        _, _, spec, state = _load_state(args, tol)
         decomp = decompose(state, spec)
-        decomp.validate(trace_tol=tolerances["trace"])
+        decomp.validate(trace_tol=tol["trace"])
         payload = {
             "p_E": {formats.fraction_key(e): p for e, p in sorted(decomp.p_E.items())},
             "blocks": {
@@ -109,19 +87,19 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "analyze":
-        _, _, spec, state = _load_state(args, tolerances)
+        _, _, spec, state = _load_state(args, tol)
         if args.unitary is not None:
             u = formats.sec_unitary_from_json(formats.read_json(args.unitary), spec)
         elif args.seed is not None:
             u = sample_haar(spec, args.seed)
         else:
             raise ValidationError("analyze needs --unitary FILE or --seed N")
-        report = analyze(state, u, args.target, split_tol=tolerances["split"])
+        report = analyze(state, u, args.target, split_tol=tol["split"])
         _write_report(args, formats.transfer_report_to_json(report))
         return 0
 
     if args.command == "optimize":
-        _, _, spec, state = _load_state(args, tolerances)
+        _, _, spec, state = _load_state(args, tol)
         if args.method == "exact":
             result = maximize_transfer_exact(state, spec, args.target)
         elif args.method == "diagonal":
@@ -141,7 +119,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "classify":
         probs_a = _parse_probs(args.probs_a)
         probs_b = _parse_probs(args.probs_b)
-        h_a, h_b, spec, state = _load_state(args, tolerances, require_state=False)
+        h_a, h_b, spec, state = _load_state(args, tol, require_state=False)
         constructors = [
             args.beta_a is not None or args.beta_b is not None,
             probs_a is not None or probs_b is not None,
@@ -228,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--tolerance",
             action="append",
             metavar="KEY=VAL",
-            help=f"override a tolerance ({', '.join(TOLERANCE_KEYS)})",
+            help=f"override a tolerance ({', '.join(tolerances.DEFAULTS)})",
         )
         if target:
             cmd.add_argument("--target", choices=("A", "B"), required=True)

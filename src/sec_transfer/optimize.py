@@ -33,11 +33,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import tolerances
 from .errors import BlockMismatch, LengthMismatch, ValidationError
 from .spectra import JointSpectrum, check_system
 from .states import BipartiteState, StateDecomposition, decompose
 from .transfer import batch_transfers, transfer_direct
-from .unitaries import SAMPLE_CHUNK, SecUnitary, sample_haar_blocks, unitary_from_batch
+from .unitaries import SAMPLE_CHUNK, SecUnitary, sample_haar_blocks
 
 THREADS_ENV = "SEC_TRANSFER_THREADS"
 
@@ -73,9 +74,10 @@ def _rearrange(probs, energies, largest_at_lowest: bool) -> tuple[list[int], np.
             f"{len(probs)} probabilities paired with {len(energies)} energies"
         )
     # tolerate the same slack that state admission grants the spectrum
-    if np.any(probs < -1e-10):
+    if np.any(probs < -tolerances.PSD):
         raise ValidationError(
-            "probabilities must be nonnegative (slack 1e-10 for admitted states)"
+            "probabilities must be nonnegative "
+            f"(slack {tolerances.PSD:g} for admitted states)"
         )
     positions = sorted(range(len(probs)), key=lambda m: (energies[m], m))
     if largest_at_lowest:
@@ -206,7 +208,9 @@ def monte_carlo_max(
         results = [evaluate(chunk) for chunk in chunks]
     _, best_index = max(results, key=lambda vi: (vi[0], -vi[1]))
     best_batch = sample_haar_blocks(spec, seed, 1, start=best_index)
-    unitary = unitary_from_batch(best_batch, 0, spec)
+    unitary = SecUnitary(
+        {energy: stack[0] for energy, stack in best_batch.items()}, spec, validate=False
+    )
     return OptimizationResult(
         value=transfer_direct(state, unitary, target),
         unitary=unitary,
@@ -216,7 +220,7 @@ def monte_carlo_max(
 
 
 def check_coherence_bound(
-    state: BipartiteState, spec: JointSpectrum, target: str, tol: float = 1e-12
+    state: BipartiteState, spec: JointSpectrum, target: str, tol: float = tolerances.TRANSFER_NOISE
 ) -> tuple[float, float, bool]:
     """Optimal transfer of the state vs. of its dephased (diagonal) version.
 

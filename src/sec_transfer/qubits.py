@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances
 from .errors import NotTwoQubit, Unphysical, ValidationError
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum, check_system
 from .states import BipartiteState
@@ -72,17 +73,17 @@ class TwoQubitParams:
             raise ValidationError(
                 f"two-qubit parameters must be finite, got {probs} and alpha={self.alpha}"
             )
-        if min(probs) < -1e-12:
+        if min(probs) < -tolerances.QUBIT_DOMAIN:
             raise ValidationError(f"populations must be nonnegative, got {probs}")
         total = sum(probs)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > tolerances.TRACE:
             raise ValidationError(
-                f"populations must sum to 1 within 1e-12, got {total!r}"
+                f"populations must sum to 1 within {tolerances.TRACE:g}, got {total!r}"
             )
-        if abs(self.alpha) ** 2 > self.p01 * self.p10 + 1e-12:
+        if abs(self.alpha) ** 2 > self.p01 * self.p10 + tolerances.POPULATION_BOUND:
             raise ValidationError(
                 "coherence too large: |alpha|^2 must not exceed p01*p10 "
-                "(slack 1e-12)"
+                f"(slack {tolerances.POPULATION_BOUND:g})"
             )
 
     def to_state(self) -> BipartiteState:
@@ -282,16 +283,17 @@ class BellDiagParams:
                 )
         return out
 
-    def is_physical(self, tol: float = 1e-12) -> bool:
+    def is_physical(self, tol: float = tolerances.QUBIT_DOMAIN) -> bool:
         return bool(self.bell_eigenvalues().min() >= -tol)
 
 
 def bell_diagonal_state(c: BellDiagParams) -> BipartiteState:
     """Two-qubit state (I + c_x XX + c_y YY + c_z ZZ)/4; requires physicality."""
     lams = c.bell_eigenvalues()
-    if lams.min() < -1e-12:
+    if lams.min() < -tolerances.QUBIT_DOMAIN:
         raise Unphysical(
-            f"Bell eigenvalues {lams.ravel().tolist()} dip below -1e-12; "
+            f"Bell eigenvalues {lams.ravel().tolist()} dip below "
+            f"-{tolerances.QUBIT_DOMAIN:g}; "
             "correlations lie outside the physical tetrahedron"
         )
     mat = 0.25 * (
@@ -315,7 +317,7 @@ def bell_correlations(state: BipartiteState) -> BellDiagParams:
     )
 
 
-def _require_in_scope(c: BellDiagParams, tol: float = 1e-12) -> None:
+def _require_in_scope(c: BellDiagParams, tol: float = tolerances.QUBIT_DOMAIN) -> None:
     if abs(c.c_x - c.c_y) > tol:
         raise Unphysical(
             f"closed form needs c_x = c_y within {tol:g}, got "
@@ -361,7 +363,7 @@ def max_transfer_vs_concurrence(concurrence: float) -> float:
     only; away from it the optimum is not a function of the concurrence
     alone.
     """
-    if not -1e-12 <= concurrence <= 1.0 + 1e-12:
+    if not -tolerances.QUBIT_DOMAIN <= concurrence <= 1.0 + tolerances.QUBIT_DOMAIN:
         raise ValidationError(f"concurrence must lie in [0, 1], got {concurrence!r}")
     return 0.25 * (1.0 + min(1.0, max(0.0, concurrence)))
 
@@ -403,7 +405,7 @@ def plane_scan(resolution: int = 201) -> PlaneScan:
     xs = np.linspace(0.0, 1.0, resolution)
     zs = np.linspace(-1.0, 1.0, resolution)
     grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
-    keep = grid_z <= 1.0 - 2.0 * grid_x + 1e-12
+    keep = grid_z <= 1.0 - 2.0 * grid_x + tolerances.QUBIT_DOMAIN
     idx_x, idx_z = np.nonzero(keep)
     c_x = grid_x[keep]
     c_z = grid_z[keep]

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import tolerances
 from .errors import (
     DegenerateSpectrum,
     RationalSnapError,
@@ -81,7 +82,7 @@ def _convergents(value: Fraction):
 
 def snap_to_rational(
     value: float,
-    rel_tol: float = 1e-9,
+    rel_tol: float = tolerances.SNAP_REL,
     max_denominator: int = 10**6,
 ) -> Fraction:
     """Snap a float to the unique simple rational within ``rel_tol``.
@@ -152,7 +153,7 @@ class Hamiltonian:
         cls,
         values: Iterable[float],
         labels: Sequence[str] | None = None,
-        rel_tol: float = 1e-9,
+        rel_tol: float = tolerances.SNAP_REL,
     ) -> "Hamiltonian":
         """Build from floats by snapping each to an exact rational."""
         energies = tuple(snap_to_rational(float(v), rel_tol=rel_tol) for v in values)

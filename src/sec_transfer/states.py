@@ -13,8 +13,8 @@ Conventions
 * Coherence block ``(E, E')`` holds the rectangular matrix of amplitudes
   between member ``i`` of block E (row) and member ``j`` of block E'
   (column); the ``(E, E)`` blocks carry an exactly zero diagonal.
-* Entries below ``ZERO_TOL`` in magnitude are stored as exact zeros and
-  all-zero coherence blocks are dropped.
+* Entries below ``tolerances.ZERO`` in magnitude are stored as exact zeros
+  and all-zero coherence blocks are dropped.
 """
 
 from __future__ import annotations
@@ -24,21 +24,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAState, ValidationError, ZeroBlock
+from . import tolerances
+from .errors import DimensionMismatch, NotAState, ValidationError
 from .spectra import JointSpectrum, check_system
-
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
-ZERO_TOL = 1e-15
 
 
 class BipartiteState:
     """Dense Hermitian, unit-trace, positive-semidefinite complex matrix.
 
-    Validation tolerances admit states produced by double-precision
-    evolution: hermiticity and trace to 1e-12 (max abs), eigenvalues above
-    -1e-10.  Instances are value types; the stored matrix is read-only.
+    Validation admits states produced by double-precision evolution, with
+    the ``herm``, ``trace`` and ``psd`` bounds of :mod:`sec_transfer.tolerances`
+    by default.  Instances are value types; the stored matrix is read-only.
     """
 
     def __init__(
@@ -46,9 +42,9 @@ class BipartiteState:
         matrix,
         dims: tuple[int, int],
         validate: bool = True,
-        herm_tol: float = HERMITICITY_TOL,
-        trace_tol: float = TRACE_TOL,
-        psd_tol: float = PSD_TOL,
+        herm_tol: float = tolerances.HERMITICITY,
+        trace_tol: float = tolerances.TRACE,
+        psd_tol: float = tolerances.PSD,
     ):
         mat = np.array(matrix, dtype=complex)
         dims = (int(dims[0]), int(dims[1]))
@@ -135,21 +131,6 @@ class DiagBlock:
         return float(self.probs.sum())
 
 
-@dataclass(frozen=True)
-class ELocalDensity:
-    """Normalized populations of one side of a block (a diagonal state).
-
-    The probabilities sit in member order; ``energies`` lists the matching
-    local levels of the requested system as floats.
-    """
-
-    energy: Fraction
-    system: str
-    levels: tuple[int, ...]
-    energies: np.ndarray
-    probs: np.ndarray
-
-
 class StateDecomposition:
     """Exact split of a state into diagonal blocks and coherence blocks."""
 
@@ -205,7 +186,7 @@ class StateDecomposition:
         """The dephased state: diagonal part only."""
         return self.reassemble(True, False, False)
 
-    def validate(self, trace_tol: float = TRACE_TOL) -> None:
+    def validate(self, trace_tol: float = tolerances.TRACE) -> None:
         """Check the structural invariants; raises ValidationError on failure."""
         total = sum(block.p_E for block in self.diag_blocks.values())
         if abs(total - 1.0) > trace_tol:
@@ -222,17 +203,18 @@ class StateDecomposition:
                 probs = self.diag_blocks[e1].probs
                 bound = np.outer(probs, probs)
                 # 2x2 principal minors of a positive matrix
-                if np.any(np.abs(alpha) ** 2 > bound + 1e-12):
+                if np.any(np.abs(alpha) ** 2 > bound + tolerances.POPULATION_BOUND):
                     raise ValidationError(
                         f"coherence magnitudes in block E={e1} exceed the "
-                        "population bound |alpha_ij|^2 <= p_i p_j (slack 1e-12)"
+                        "population bound |alpha_ij|^2 <= p_i p_j "
+                        f"(slack {tolerances.POPULATION_BOUND:g})"
                     )
 
 
 def decompose(
     state: BipartiteState,
     spec: JointSpectrum,
-    zero_tol: float = ZERO_TOL,
+    zero_tol: float = tolerances.ZERO,
 ) -> StateDecomposition:
     """Split a state into diagonal blocks and coherence blocks.
 
@@ -266,49 +248,6 @@ def decompose(
                 alpha.setflags(write=False)
                 coh_blocks[(b1.energy, b2.energy)] = alpha
     return StateDecomposition(spec, diag_blocks, coh_blocks)
-
-
-def e_local_reduced(decomp: StateDecomposition, energy, system: str) -> ELocalDensity:
-    """Normalized one-sided populations of a block.
-
-    The returned probabilities are identical for both systems (the two sides
-    of a block are paired level by level); what changes is which local level,
-    and hence which energy, each entry belongs to.
-    """
-    check_system(system)
-    spec = decomp.spectrum
-    block = spec.block(energy)
-    diag = decomp.diag_blocks[block.energy]
-    p_total = diag.p_E
-    if p_total == 0.0:
-        raise ZeroBlock(
-            f"block E={block.energy} has zero probability; its normalized state is undefined"
-        )
-    levels = tuple(a for a, _ in block.members) if system == "A" else tuple(
-        b for _, b in block.members
-    )
-    return ELocalDensity(
-        energy=block.energy,
-        system=system,
-        levels=levels,
-        energies=spec.local_energies_float(block.energy, system),
-        probs=diag.probs / p_total,
-    )
-
-
-def dephase_local(state: BipartiteState, system: str) -> BipartiteState:
-    """Remove all matrix elements connecting different local levels of one side.
-
-    Local populations are untouched, so the map is idempotent and trace
-    preserving; for nondegenerate spectra this is exactly dephasing in the
-    local energy eigenbasis.
-    """
-    check_system(system)
-    da, db = state.dims
-    idx = np.arange(da * db)
-    local = idx // db if system == "A" else idx % db
-    keep = local[:, None] == local[None, :]
-    return BipartiteState(np.where(keep, state.matrix, 0.0), state.dims, validate=False)
 
 
 def local_energy(state: BipartiteState, spec: JointSpectrum, system: str) -> float:

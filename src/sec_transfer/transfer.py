@@ -28,12 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import tolerances
 from .errors import BlockMismatch, NumericalInvariantError
 from .spectra import check_system
 from .states import BipartiteState, StateDecomposition, decompose, local_energy
 from .unitaries import SecUnitary, evolve
 
-SPLIT_TOL = 1e-12
 ENERGY_UNIT = "hbar*omega"
 
 
@@ -168,7 +168,7 @@ def analyze(
     state: BipartiteState,
     u: SecUnitary,
     target: str,
-    split_tol: float = SPLIT_TOL,
+    split_tol: float = tolerances.SPLIT,
 ) -> TransferReport:
     """Bundle direct, diagonal, and coherent transfers into one report.
 

@@ -27,12 +27,11 @@ from typing import Mapping
 
 import numpy as np
 
+from . import tolerances
 from .errors import BlockMismatch, DimensionMismatch, NotUnitary
 from .spectra import JointSpectrum
 from .states import BipartiteState
 
-UNITARITY_TOL = 1e-12
-COHERENCE_CAPABLE_TOL = 1e-14
 SAMPLE_CHUNK = 4096
 
 
@@ -62,10 +61,10 @@ class SecUnitary:
                 )
             if validate:
                 defect = np.abs(mat.conj().T @ mat - np.eye(d)).max()
-                if defect > UNITARITY_TOL:
+                if defect > tolerances.UNITARITY:
                     raise NotUnitary(
                         f"block E={energy} fails unitarity: max |U^dagger U - I| = "
-                        f"{defect:.3e} exceeds {UNITARITY_TOL:g}"
+                        f"{defect:.3e} exceeds {tolerances.UNITARITY:g}"
                     )
             mat.setflags(write=False)
             stored[energy] = mat
@@ -79,10 +78,6 @@ class SecUnitary:
             spectrum,
             validate=False,
         )
-
-    def coefficient(self, energy, i: int, j: int) -> complex:
-        """Amplitude taking member ``i`` of a block onto member ``j``."""
-        return complex(self.blocks[self.spectrum.block(energy).energy][j, i])
 
     def __repr__(self) -> str:
         return f"SecUnitary(blocks={len(self.blocks)}, dims={self.spectrum.dims})"
@@ -170,16 +165,7 @@ def sample_haar(spec: JointSpectrum, seed: int) -> SecUnitary:
     )
 
 
-def unitary_from_batch(
-    batch: dict[Fraction, np.ndarray], index: int, spec: JointSpectrum
-) -> SecUnitary:
-    """Pick sample ``index`` out of a stack produced by :func:`sample_haar_blocks`."""
-    return SecUnitary(
-        {energy: stack[index] for energy, stack in batch.items()}, spec, validate=False
-    )
-
-
-def is_potentially_coherent(u: SecUnitary, tol: float = COHERENCE_CAPABLE_TOL) -> bool:
+def is_potentially_coherent(u: SecUnitary, tol: float = tolerances.COHERENCE_CAPABLE) -> bool:
     """Whether the unitary can move coherence into populations at all.
 
     True iff some block maps two different members onto a common member with

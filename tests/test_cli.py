@@ -353,6 +353,40 @@ def test_tolerance_override_accepts_loose_trace(tmp_path, rng):
     )
 
 
+def _problem_with_matrix(tmp_path, matrix) -> str:
+    spec = ladder_spectrum(2, 2)
+    path = tmp_path / "state.json"
+    formats.dump_json(
+        {
+            "h_a": formats.hamiltonian_to_json(spec.h_a),
+            "h_b": formats.hamiltonian_to_json(spec.h_b),
+            "state": {
+                "dims": [2, 2],
+                "re": np.real(matrix).tolist(),
+                "im": np.imag(matrix).tolist(),
+            },
+        },
+        path,
+    )
+    return str(path)
+
+
+def test_tolerance_override_reaches_the_hermiticity_check(tmp_path, rng, capsys):
+    matrix = random_state((2, 2), rng).matrix.copy()
+    matrix[0, 1] += 1e-8
+    path = _problem_with_matrix(tmp_path, matrix)
+    assert main(["decompose", "--input", path]) == 2
+    assert "not Hermitian" in capsys.readouterr().err
+    assert main(["decompose", "--input", path, "--tolerance", "herm=1e-6"]) == 0
+
+
+def test_tolerance_override_reaches_the_psd_check(tmp_path, capsys):
+    path = _problem_with_matrix(tmp_path, np.diag([0.4 + 1e-6, 0.3, 0.3, -1e-6]))
+    assert main(["decompose", "--input", path]) == 2
+    assert "not positive semidefinite" in capsys.readouterr().err
+    assert main(["decompose", "--input", path, "--tolerance", "psd=1e-5"]) == 0
+
+
 def test_unknown_tolerance_key(problem_file):
     assert (
         main(["decompose", "--input", str(problem_file), "--tolerance", "zzz=1"]) == 2

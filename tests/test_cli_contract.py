@@ -186,6 +186,19 @@ def test_bad_tolerance_exits_2_before_any_subcommand_runs(argv, capsys):
     assert _exit_code(argv + ["--tolerance", "psd=abc"], capsys) == 2
 
 
+@pytest.mark.parametrize(
+    "override", ["split=nan", "psd=-1", "herm=inf"], ids=["split-nan", "psd-negative", "herm-inf"]
+)
+def test_tolerance_refuses_non_finite_and_negative_values(tmp_path, capsys, override):
+    problem = _write(tmp_path, _problem(state=_state()))
+    argv = ["analyze", "--input", problem, "--target", "A", "--seed", "3"]
+    assert main(argv + ["--tolerance", override]) == 2
+    err = capsys.readouterr().err
+    # the message matters: a negative psd bound also exits 2, by rejecting the valid state
+    key = override.partition("=")[0]
+    assert err.startswith(f"validation error: tolerance {key!r} ") and err.count("\n") == 1
+
+
 def test_stdout_report_bytes_equal_output_file_bytes(tmp_path, capfd):
     params = _write(tmp_path, formats.two_qubit_params_to_json(max_coherence_params()))
     out = tmp_path / "report.json"

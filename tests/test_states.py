@@ -11,8 +11,6 @@ from sec_transfer import (
     NotAState,
     ZeroBlock,
     decompose,
-    dephase_local,
-    e_local_reduced,
     local_energy,
     partial_trace,
 )
@@ -83,49 +81,6 @@ def test_block_probabilities_sum_to_one(rng):
     assert sum(decomp.p_E.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_e_local_reduced_bell(two_qubit_spec):
-    decomp = decompose(BELL, two_qubit_spec)
-    reduced = e_local_reduced(decomp, 1, "A")
-    np.testing.assert_allclose(reduced.probs, [0.5, 0.5])
-    np.testing.assert_allclose(reduced.energies, [0.0, 1.0])
-    assert reduced.levels == (0, 1)
-
-
-def test_e_local_reduced_thermal_qubits(two_qubit_spec):
-    # oracle: direct Gibbs arithmetic
-    beta_a, beta_b = 2.0, 1.0
-    za = 1 + np.exp(-beta_a)
-    zb = 1 + np.exp(-beta_b)
-    p01 = (1 / za) * (np.exp(-beta_b) / zb)
-    p10 = (np.exp(-beta_a) / za) * (1 / zb)
-    state = thermal_product(two_qubit_spec.h_a, two_qubit_spec.h_b, beta_a, beta_b)
-    reduced = e_local_reduced(decompose(state, two_qubit_spec), 1, "A")
-    np.testing.assert_allclose(
-        reduced.probs, [p01 / (p01 + p10), p10 / (p01 + p10)], atol=1e-15
-    )
-
-
-def test_e_local_reduced_singleton(two_qubit_spec, rng):
-    decomp = decompose(random_state((2, 2), rng), two_qubit_spec)
-    np.testing.assert_allclose(e_local_reduced(decomp, 0, "B").probs, [1.0])
-
-
-def test_e_local_reduced_zero_block(two_qubit_spec):
-    with pytest.raises(ZeroBlock):
-        e_local_reduced(decompose(BELL, two_qubit_spec), 0, "A")
-
-
-def test_dephase_fixes_diagonal_states(two_qubit_spec):
-    state = thermal_product(two_qubit_spec.h_a, two_qubit_spec.h_b, 1.0, 0.5)
-    for system in ("A", "B"):
-        np.testing.assert_array_equal(dephase_local(state, system).matrix, state.matrix)
-
-
-def test_dephase_bell_state():
-    dephased = dephase_local(BELL, "A")
-    np.testing.assert_allclose(dephased.matrix, np.diag([0.0, 0.5, 0.5, 0.0]))
-
-
 def test_dephased_coherence_carries_no_energy(two_qubit_spec):
     # a coherence-only perturbation contributes nothing to either local energy
     mat = BELL.matrix - np.diag(np.diag(BELL.matrix))
@@ -134,16 +89,6 @@ def test_dephased_coherence_carries_no_energy(two_qubit_spec):
         dephased = np.diag(np.where(np.eye(4, dtype=bool), mat, 0.0))
         assert energies @ np.real(np.diag(mat)) == pytest.approx(0.0)
         assert np.abs(dephased).max() == 0.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31), system=st.sampled_from(["A", "B"]))
-def test_dephase_idempotent_and_trace_preserving(seed, system):
-    state = random_state((3, 2), np.random.default_rng(seed))
-    once = dephase_local(state, system)
-    twice = dephase_local(once, system)
-    np.testing.assert_array_equal(once.matrix, twice.matrix)
-    assert once.matrix.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_local_energy_diagonal_two_qubit(two_qubit_spec):
