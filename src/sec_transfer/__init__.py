@@ -36,7 +36,6 @@ from .errors import (
     Unphysical,
     ValidationError,
     UnknownBlock,
-    ZeroBlock,
 )
 from .optimize import (
     OptimizationResult,

@@ -8,7 +8,8 @@ invariant and, where one applies, the offending tolerance.
 
 ``--tolerance KEY=VAL`` overrides one of the four keys of
 :mod:`sec_transfer.tolerances` (``herm``, ``trace``, ``psd``, ``split``); an
-unknown key or a value that is not a finite, nonnegative float exits 2.
+unknown key, a value that is not a finite, nonnegative float, or a key the
+subcommand never reads exits 2.
 
 Identical configuration and seed produce byte-identical reports; any command
 that samples requires an explicit ``--seed``.  The SEC_TRANSFER_THREADS
@@ -35,6 +36,32 @@ from .qubits import max_transfer_2q, plane_scan
 from .states import decompose
 from .transfer import analyze, transfer_direct
 from .unitaries import sample_haar
+
+
+_ADMISSION = ("herm", "trace", "psd")
+# the --tolerance keys each subcommand applies; overriding any other is refused
+_TOLERANCES_READ = {
+    "decompose": _ADMISSION,
+    "analyze": _ADMISSION + ("split",),
+    "optimize": _ADMISSION,
+    "classify": _ADMISSION,
+    "qubit-max": (),
+    "bell-scan": (),
+    "verify": (),
+}
+
+
+def _parse_tolerances(args: argparse.Namespace) -> dict[str, float]:
+    tol = tolerances.parse(args.tolerance)
+    read = _TOLERANCES_READ.get(args.command, ())
+    for pair in args.tolerance or []:
+        key = pair.partition("=")[0]
+        if key not in read:
+            raise ValidationError(
+                f"{args.command} does not use tolerance {key!r}; "
+                f"it reads {', '.join(read) or 'none'}"
+            )
+    return tol
 
 
 def _parse_probs(raw: str | None) -> list[float] | None:
@@ -64,12 +91,13 @@ def _write_report(args: argparse.Namespace, payload: dict) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
-    tol = tolerances.parse(args.tolerance)
+    tol = _parse_tolerances(args)
 
     if args.command == "decompose":
         _, _, spec, state = _load_state(args, tol)
         decomp = decompose(state, spec)
         decomp.validate(trace_tol=tol["trace"])
+        names = [formats.fraction_key(e) for e in spec.energies]
         payload = {
             "p_E": {formats.fraction_key(e): p for e, p in sorted(decomp.p_E.items())},
             "blocks": {
@@ -77,8 +105,7 @@ def run(args: argparse.Namespace) -> int:
                 for e, b in sorted(decomp.diag_blocks.items())
             },
             "coherence_blocks": sorted(
-                f"{formats.fraction_key(e1)}|{formats.fraction_key(e2)}"
-                for e1, e2 in decomp.coh_blocks
+                f"{names[i]}|{names[j]}" for i, j in decomp.coh_blocks.pairs()
             ),
         }
         _write_report(args, payload)

@@ -40,10 +40,6 @@ class NotAState(ValidationError):
     """Matrix fails the density-matrix invariants (hermiticity, trace, positivity)."""
 
 
-class ZeroBlock(ValidationError):
-    """The requested block carries zero probability, so its normalized state is undefined."""
-
-
 class BlockMismatch(ValidationError):
     """Block-diagonal operands are defined over different block structures."""
 

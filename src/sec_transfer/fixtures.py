@@ -67,14 +67,9 @@ def cross_coherent_member(
     d = spec.total_dim
     noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     noise = 0.5 * (noise + noise.conj().T)
-    mask = np.zeros((d, d), dtype=bool)
-    for b1 in spec.blocks:
-        rows = spec.flat_indices(b1.energy)
-        for b2 in spec.blocks:
-            if b1.energy == b2.energy:
-                continue
-            mask[np.ix_(rows, spec.flat_indices(b2.energy))] = True
-    noise = np.where(mask, noise, 0.0)
+    block_of = np.empty(d, dtype=int)
+    block_of[spec.layout.order] = spec.layout.block_of
+    noise = np.where(block_of[:, None] != block_of[None, :], noise, 0.0)
     strength = np.abs(noise).sum(axis=1).max()  # Gershgorin bound on the spectrum
     if strength == 0.0:
         return base

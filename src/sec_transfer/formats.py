@@ -271,24 +271,22 @@ DECOMP_CSV_HEADER = ["E", "p_E", "probs", "chi_same_energy_max", "chi_cross_ener
 
 def decomposition_summary_rows(decomp: StateDecomposition) -> list[list[str]]:
     """One CSV row per block: probability, populations, coherence magnitudes."""
+    peaks = decomp.coherence_peaks()
+    same = np.diagonal(peaks).copy()
+    np.fill_diagonal(peaks, 0.0)
+    cross = np.maximum(peaks.max(axis=0), peaks.max(axis=1))
+    index = decomp.spectrum.layout.index
     rows = []
-    cross_max: dict[Fraction, float] = {}
-    for (e1, e2), alpha in decomp.coh_blocks.items():
-        if e1 != e2:
-            peak = float(np.abs(alpha).max())
-            cross_max[e1] = max(cross_max.get(e1, 0.0), peak)
-            cross_max[e2] = max(cross_max.get(e2, 0.0), peak)
-    useful = decomp.useful_coherence_blocks()
     for energy in sorted(decomp.diag_blocks):
         block = decomp.diag_blocks[energy]
-        same = useful.get(energy)
+        i = index[energy]
         rows.append(
             [
                 fraction_key(energy),
                 repr(block.p_E),
                 ";".join(repr(float(p)) for p in block.probs),
-                repr(float(np.abs(same).max()) if same is not None else 0.0),
-                repr(cross_max.get(energy, 0.0)),
+                repr(float(same[i])),
+                repr(float(cross[i])),
             ]
         )
     return rows

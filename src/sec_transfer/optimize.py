@@ -144,7 +144,14 @@ def maximize_transfer_exact(
     """
     check_system(target)
     decomp = decompose(state, spec)
-    useful = decomp.useful_coherence_blocks()
+    return _block_eigen_optimum(decomp, decomp.useful_coherence_blocks(), target)
+
+
+def _block_eigen_optimum(
+    decomp: StateDecomposition, useful: dict[Fraction, np.ndarray], target: str
+) -> OptimizationResult:
+    """:func:`maximize_transfer_exact` on the populations plus the given coherences."""
+    spec = decomp.spectrum
     blocks: dict[Fraction, np.ndarray] = {}
     value = 0.0
     for block in spec.blocks:
@@ -228,7 +235,8 @@ def check_coherence_bound(
     coherence never worsens the optimally driven energy exchange, because the
     best population-only unitary already realizes rhs on the full state.
     """
-    lhs = maximize_transfer_exact(state, spec, target).value
-    diagonal = decompose(state, spec).diagonal_state()
-    rhs = maximize_transfer_exact(diagonal, spec, target).value
+    check_system(target)
+    decomp = decompose(state, spec)
+    lhs = _block_eigen_optimum(decomp, decomp.useful_coherence_blocks(), target).value
+    rhs = _block_eigen_optimum(decomp, {}, target).value
     return lhs, rhs, lhs >= rhs - tol

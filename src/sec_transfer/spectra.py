@@ -6,7 +6,9 @@ in the product eigenbasis, flattened lexicographically (flat index
 energy E splits the product basis into a block of pairs (a, b) with
 ``eps_a + eps_b == E``, and inside one block the A index determines the B
 index and vice versa.  Every other module works block by block on top of this
-partition.
+partition.  :class:`BlockLayout` holds that partition as one
+permutation of the flat basis into block order, so block-structured arrays
+are contiguous slices of one permuted array.
 
 Energies are exact rationals (``fractions.Fraction``), in units where the
 fundamental quantum of energy is 1, so membership of a pair in a block is an
@@ -177,12 +179,45 @@ class EnergyBlock:
         return len(self.members)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockLayout:
+    """The flat product basis reordered block by block.
+
+    Position ``k`` of the block order holds flat index ``order[k]``; block
+    ``i`` occupies positions ``starts[i] : starts[i] + dims[i]`` with its
+    members in member order, and ``block_of[k]`` is the block at position
+    ``k``.  ``index`` maps each total energy to its block index, so hot
+    loops can address blocks by integer.  The arrays are read-only.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    dims: np.ndarray
+    block_of: np.ndarray
+    index: dict[Fraction, int]
+
+    @classmethod
+    def of(cls, blocks: Sequence[EnergyBlock], dim_b: int) -> "BlockLayout":
+        order = np.array([a * dim_b + b for block in blocks for a, b in block.members], dtype=int)
+        dims = np.array([block.dim for block in blocks], dtype=int)
+        starts = np.concatenate(([0], np.cumsum(dims)[:-1]))
+        block_of = np.repeat(np.arange(len(blocks)), dims)
+        for array in (order, starts, dims, block_of):
+            array.setflags(write=False)
+        return cls(order, starts, dims, block_of, {b.energy: i for i, b in enumerate(blocks)})
+
+    def span(self, i: int) -> slice:
+        """Positions of block ``i`` in the block order."""
+        start = int(self.starts[i])
+        return slice(start, start + int(self.dims[i]))
+
+
 class JointSpectrum:
     """Partition of the product basis into fixed-total-energy blocks.
 
     Immutable after construction; safe for concurrent shared reads.  Holds
-    the two local Hamiltonians plus per-block index and energy caches used by
-    the numerical layers.
+    the two local Hamiltonians, the block layout, and per-block energy
+    caches used by the numerical layers.
     """
 
     def __init__(self, h_a: Hamiltonian, h_b: Hamiltonian, blocks: Sequence[EnergyBlock]):
@@ -194,10 +229,7 @@ class JointSpectrum:
             raise ValidationError("block total energies must be pairwise distinct")
         self._check_partition()
         dim_b = h_b.dim
-        self._flat = {
-            block.energy: np.array([a * dim_b + b for a, b in block.members], dtype=int)
-            for block in self.blocks
-        }
+        self.layout = BlockLayout.of(self.blocks, dim_b)
         self._local_e = {
             (block.energy, "A"): np.array(
                 [float(h_a.energies[a]) for a, _ in block.members], dtype=float
@@ -220,7 +252,7 @@ class JointSpectrum:
             "B": np.tile(eb, h_a.dim),
         }
         # shared caches are handed out directly; freeze them
-        for cache in (self._flat, self._local_e, self._flat_e):
+        for cache in (self._local_e, self._flat_e):
             for array in cache.values():
                 array.setflags(write=False)
 
@@ -268,7 +300,8 @@ class JointSpectrum:
 
     def flat_indices(self, energy) -> np.ndarray:
         """Flat product-basis indices of the block members, in member order."""
-        return self._flat[self.block(energy).energy]
+        layout = self.layout
+        return layout.order[layout.span(layout.index[self.block(energy).energy])]
 
     def local_energies_float(self, energy, system: str) -> np.ndarray:
         """Member-order local energies of one side of a block, as floats."""

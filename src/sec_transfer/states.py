@@ -7,6 +7,18 @@ reassembling the pieces reproduces the input matrix.  Only the same-energy
 coherence blocks can ever influence average energy transfer, which is why the
 decomposition keys them for direct lookup.
 
+Layout
+------
+:func:`decompose` makes one copy of the state, permuted into the block order
+of the spectrum's :class:`~sec_transfer.spectra.BlockLayout`, so that every
+block is a contiguous slice of it.  Which block pairs are nonzero is found
+with ``np.logical_or.reduceat`` over that copy, without visiting the B^2
+pairs of a B-block spectrum one by one.  The populations and the
+same-energy blocks (the ones that move energy) are extracted eagerly, as
+read-only views; a cross-energy block is only sliced when it is looked up,
+and per-pair magnitudes come from ``np.maximum.reduceat``.  The cost is one
+D x D copy plus per-block work on the same-energy blocks.
+
 Conventions
 -----------
 * Row/column index is the lexicographic flattening ``a * dim_b + b``.
@@ -19,6 +31,7 @@ Conventions
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,18 +144,72 @@ class DiagBlock:
         return float(self.probs.sum())
 
 
+class CoherenceBlocks(Mapping):
+    """Read-only mapping ``(E, E') -> coherence block`` over the nonzero pairs.
+
+    Keys come in row-major block order.  Each value is a read-only view into
+    the block-ordered matrix, sliced when it is looked up.
+    """
+
+    def __init__(self, matrix: np.ndarray, spectrum: JointSpectrum, nonzero: np.ndarray):
+        self._matrix = matrix
+        self._spectrum = spectrum
+        self._nonzero = nonzero
+
+    def __getitem__(self, key) -> np.ndarray:
+        layout = self._spectrum.layout
+        try:
+            e1, e2 = key
+            i, j = layout.index[e1], layout.index[e2]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if not self._nonzero[i, j]:
+            raise KeyError(key)
+        return self._matrix[layout.span(i), layout.span(j)]
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The keys as block indices ``(i, j)`` of the spectrum, in key order."""
+        rows, cols = np.nonzero(self._nonzero)
+        return list(zip(rows.tolist(), cols.tolist()))
+
+    def __iter__(self):
+        energies = self._spectrum.energies
+        return ((energies[i], energies[j]) for i, j in self.pairs())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._nonzero))
+
+
 class StateDecomposition:
-    """Exact split of a state into diagonal blocks and coherence blocks."""
+    """Exact split of a state into diagonal blocks and coherence blocks.
+
+    Holds the state's matrix in block order (see
+    :class:`sec_transfer.spectra.BlockLayout`) after thresholding, with its
+    diagonal zeroed; every block is a view into it.  The populations and the
+    same-energy coherence blocks are extracted on construction; a
+    cross-energy block is only sliced when ``coh_blocks`` is asked for it.
+    """
 
     def __init__(
         self,
         spectrum: JointSpectrum,
-        diag_blocks: dict[Fraction, DiagBlock],
-        coh_blocks: dict[tuple[Fraction, Fraction], np.ndarray],
+        matrix: np.ndarray,
+        probs: np.ndarray,
+        nonzero: np.ndarray,
     ):
+        layout = spectrum.layout
         self.spectrum = spectrum
-        self.diag_blocks = diag_blocks
-        self.coh_blocks = coh_blocks
+        self._matrix = matrix
+        self._probs = probs
+        self.diag_blocks = {
+            block.energy: DiagBlock(block.energy, probs[layout.span(i)])
+            for i, block in enumerate(spectrum.blocks)
+        }
+        self.coh_blocks = CoherenceBlocks(matrix, spectrum, nonzero)
+        self._same = {
+            spectrum.blocks[i].energy: matrix[layout.span(i), layout.span(i)]
+            for i in np.flatnonzero(np.diagonal(nonzero)).tolist()
+        }
 
     @property
     def p_E(self) -> dict[Fraction, float]:
@@ -150,7 +217,17 @@ class StateDecomposition:
 
     def useful_coherence_blocks(self) -> dict[Fraction, np.ndarray]:
         """The same-energy coherence blocks, keyed by their total energy."""
-        return {ee[0]: mat for ee, mat in self.coh_blocks.items() if ee[0] == ee[1]}
+        return dict(self._same)
+
+    def coherence_peaks(self) -> np.ndarray:
+        """``peaks[i, j]``: largest magnitude in coherence block (i, j), in block order.
+
+        A vanished block reads 0, and so does the diagonal of a same-energy
+        block.
+        """
+        starts = self.spectrum.layout.starts
+        peaks = np.maximum.reduceat(np.abs(self._matrix), starts, axis=0)
+        return np.maximum.reduceat(peaks, starts, axis=1)
 
     def reassemble(
         self,
@@ -166,21 +243,20 @@ class StateDecomposition:
         unvalidated since e.g. the diagonal part alone is a state by
         construction while arbitrary subsets need not be.
         """
-        spec = self.spectrum
-        out = np.zeros((spec.total_dim, spec.total_dim), dtype=complex)
+        layout = self.spectrum.layout
+        # pieces are added onto zeros rather than copied, so a stored -0.0
+        # entry comes back as +0.0
+        ordered = np.zeros_like(self._matrix)
         if include_diagonal:
-            for energy, block in self.diag_blocks.items():
-                flat = spec.flat_indices(energy)
-                out[flat, flat] = block.probs
-        for (e1, e2), alpha in self.coh_blocks.items():
-            if e1 == e2 and not include_same_energy:
-                continue
-            if e1 != e2 and not include_cross_energy:
-                continue
-            rows = spec.flat_indices(e1)
-            cols = spec.flat_indices(e2)
-            out[np.ix_(rows, cols)] += alpha
-        return BipartiteState(out, spec.dims, validate=False)
+            np.fill_diagonal(ordered, self._probs)
+        if include_same_energy and include_cross_energy:
+            ordered += self._matrix
+        elif include_same_energy or include_cross_energy:
+            same = layout.block_of[:, None] == layout.block_of[None, :]
+            ordered += np.where(same == include_same_energy, self._matrix, 0.0)
+        out = np.empty_like(ordered)
+        out[np.ix_(layout.order, layout.order)] = ordered
+        return BipartiteState(out, self.spectrum.dims, validate=False)
 
     def diagonal_state(self) -> BipartiteState:
         """The dephased state: diagonal part only."""
@@ -193,22 +269,21 @@ class StateDecomposition:
             raise ValidationError(
                 f"block probabilities sum to {total!r}, off by more than {trace_tol:g}"
             )
-        for (e1, e2), alpha in self.coh_blocks.items():
-            if e1 == e2:
-                diag = np.abs(np.diag(alpha))
-                if diag.max(initial=0.0) != 0.0:
-                    raise ValidationError(
-                        f"same-energy coherence block E={e1} has nonzero diagonal"
-                    )
-                probs = self.diag_blocks[e1].probs
-                bound = np.outer(probs, probs)
-                # 2x2 principal minors of a positive matrix
-                if np.any(np.abs(alpha) ** 2 > bound + tolerances.POPULATION_BOUND):
-                    raise ValidationError(
-                        f"coherence magnitudes in block E={e1} exceed the "
-                        "population bound |alpha_ij|^2 <= p_i p_j "
-                        f"(slack {tolerances.POPULATION_BOUND:g})"
-                    )
+        for energy, alpha in self._same.items():
+            diag = np.abs(np.diag(alpha))
+            if diag.max(initial=0.0) != 0.0:
+                raise ValidationError(
+                    f"same-energy coherence block E={energy} has nonzero diagonal"
+                )
+            probs = self.diag_blocks[energy].probs
+            bound = np.outer(probs, probs)
+            # 2x2 principal minors of a positive matrix
+            if np.any(np.abs(alpha) ** 2 > bound + tolerances.POPULATION_BOUND):
+                raise ValidationError(
+                    f"coherence magnitudes in block E={energy} exceed the "
+                    "population bound |alpha_ij|^2 <= p_i p_j "
+                    f"(slack {tolerances.POPULATION_BOUND:g})"
+                )
 
 
 def decompose(
@@ -226,28 +301,18 @@ def decompose(
         raise DimensionMismatch(
             f"state dims {state.dims} do not match spectrum dims {spec.dims}"
         )
-    mat = state.matrix
-    diag_blocks: dict[Fraction, DiagBlock] = {}
-    coh_blocks: dict[tuple[Fraction, Fraction], np.ndarray] = {}
-    flats = {block.energy: spec.flat_indices(block.energy) for block in spec.blocks}
-    for block in spec.blocks:
-        flat = flats[block.energy]
-        probs = np.real(mat[flat, flat]).copy()
-        probs[np.abs(probs) < zero_tol] = 0.0
-        probs.setflags(write=False)
-        diag_blocks[block.energy] = DiagBlock(block.energy, probs)
-    for b1 in spec.blocks:
-        rows = flats[b1.energy]
-        for b2 in spec.blocks:
-            cols = flats[b2.energy]
-            alpha = mat[np.ix_(rows, cols)].copy()
-            if b1.energy == b2.energy:
-                np.fill_diagonal(alpha, 0.0)
-            alpha[np.abs(alpha) < zero_tol] = 0.0
-            if np.any(alpha != 0.0):
-                alpha.setflags(write=False)
-                coh_blocks[(b1.energy, b2.energy)] = alpha
-    return StateDecomposition(spec, diag_blocks, coh_blocks)
+    layout = spec.layout
+    matrix = state.matrix[np.ix_(layout.order, layout.order)]
+    probs = np.real(np.diagonal(matrix)).copy()
+    probs[np.abs(probs) < zero_tol] = 0.0
+    matrix[np.abs(matrix) < zero_tol] = 0.0
+    np.fill_diagonal(matrix, 0.0)
+    nonzero = matrix != 0.0
+    for axis in (0, 1):
+        nonzero = np.logical_or.reduceat(nonzero, layout.starts, axis=axis)
+    matrix.setflags(write=False)
+    probs.setflags(write=False)
+    return StateDecomposition(spec, matrix, probs, nonzero)
 
 
 def local_energy(state: BipartiteState, spec: JointSpectrum, system: str) -> float:

@@ -91,9 +91,10 @@ def to_full_matrix(u: SecUnitary, spec: JointSpectrum) -> np.ndarray:
     """
     if u.spectrum != spec:
         raise BlockMismatch("unitary was built over a different joint spectrum")
+    layout = spec.layout
     full = np.zeros((spec.total_dim, spec.total_dim), dtype=complex)
-    for block in spec.blocks:
-        flat = spec.flat_indices(block.energy)
+    for i, block in enumerate(spec.blocks):
+        flat = layout.order[layout.span(i)]
         full[np.ix_(flat, flat)] = u.blocks[block.energy]
     return full
 

@@ -263,3 +263,33 @@ def test_io_error_exits_2_naming_path_and_reason(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert str(path) in err and reason in err
+
+
+@pytest.mark.parametrize(
+    "case, override",
+    [
+        ("verify", "split=0"),
+        ("qubit-max", "trace=1e-6"),
+        ("bell-scan", "herm=1e-6"),
+        ("decompose", "split=1e-6"),
+        ("optimize", "split=1e-6"),
+        ("classify", "split=1e-6"),
+    ],
+    ids=lambda value: value.partition("=")[0],
+)
+def test_tolerance_a_subcommand_never_reads_is_refused(case, override, tmp_path, capsys):
+    problem = _write(tmp_path, _problem(state=_state()))
+    params = _write(tmp_path, formats.two_qubit_params_to_json(max_coherence_params()), "q.json")
+    argv = {
+        "verify": ["verify"],
+        "qubit-max": ["qubit-max", "--input", params, "--target", "A"],
+        "bell-scan": ["bell-scan", "--resolution", "3", "--output", str(tmp_path / "scan.csv")],
+        "decompose": ["decompose", "--input", problem],
+        "optimize": ["optimize", "--input", problem, "--target", "A"],
+        "classify": ["classify", "--input", problem, "--target", "A"],
+    }[case]
+    assert main(argv + ["--tolerance", override]) == 2
+    err = capsys.readouterr().err
+    key = override.partition("=")[0]
+    assert err.startswith(f"validation error: {case} does not use tolerance {key!r}")
+    assert err.count("\n") == 1

@@ -9,7 +9,6 @@ from sec_transfer import (
     BipartiteState,
     DimensionMismatch,
     NotAState,
-    ZeroBlock,
     decompose,
     local_energy,
     partial_trace,
