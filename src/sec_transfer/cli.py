@@ -2,9 +2,10 @@
 
 Subcommands: ``decompose``, ``analyze``, ``optimize``, ``classify``,
 ``qubit-max``, ``bell-scan``, ``verify``.  Exit codes: 0 on success, 2 on a
-validation error (malformed input, missing field, unphysical data), 3 when a
-numerical invariant fails.  Every failure message names the violated
-invariant and, where one applies, the offending tolerance.
+validation error (malformed or non-UTF-8 input, missing field, unphysical
+data, a request too large for memory), 3 when a numerical invariant fails.
+Every failure message names the violated invariant and, where one applies,
+the offending tolerance.
 
 ``--tolerance KEY=VAL`` overrides one of the four keys of
 :mod:`sec_transfer.tolerances` (``herm``, ``trace``, ``psd``, ``split``); an
@@ -299,6 +300,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"validation error: malformed JSON ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"validation error: the {args.command} request does not fit in memory{detail}",
+              file=sys.stderr)
         return 2
 
 

@@ -404,11 +404,12 @@ def plane_scan(resolution: int = 201) -> PlaneScan:
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
     xs = np.linspace(0.0, 1.0, resolution)
     zs = np.linspace(-1.0, 1.0, resolution)
-    grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
-    keep = grid_z <= 1.0 - 2.0 * grid_x + tolerances.QUBIT_DOMAIN
-    idx_x, idx_z = np.nonzero(keep)
-    c_x = grid_x[keep]
-    c_z = grid_z[keep]
+    # zs is sorted, so each c_x column keeps a prefix of it
+    counts = np.searchsorted(zs, 1.0 - 2.0 * xs + tolerances.QUBIT_DOMAIN, side="right")
+    idx_x = np.repeat(np.arange(resolution), counts)
+    idx_z = np.arange(len(idx_x)) - np.repeat(np.cumsum(counts) - counts, counts)
+    c_x = xs[idx_x]
+    c_z = zs[idx_z]
     concurrence = np.maximum(0.0, c_x - 0.5 * (1.0 + c_z))
     return PlaneScan(
         resolution=resolution,

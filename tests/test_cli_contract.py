@@ -293,3 +293,36 @@ def test_tolerance_a_subcommand_never_reads_is_refused(case, override, tmp_path,
     key = override.partition("=")[0]
     assert err.startswith(f"validation error: {case} does not use tolerance {key!r}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["problem", "unitary", "two-qubit"])
+def test_input_that_is_not_utf8_exits_2_naming_path_and_offset(case, tmp_path, capsys):
+    problem = _write(tmp_path, _problem(state=_state()))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"h_a": "caf\xff"}')
+    argv = {
+        "problem": ["decompose", "--input", str(bad)],
+        "unitary": ["analyze", "--input", problem, "--target", "A", "--unitary", str(bad)],
+        "two-qubit": ["qubit-max", "--input", str(bad), "--target", "A"],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(bad) in err and "0xff at offset 12" in err
+
+
+@pytest.mark.parametrize(
+    "message", ["", "Unable to allocate 3.64 TiB"], ids=["bare", "numpy-detail"]
+)
+def test_request_too_large_for_memory_exits_2(message, tmp_path, capsys, monkeypatch):
+    def too_large(resolution):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(cli, "plane_scan", too_large)
+    out = tmp_path / "scan.csv"
+    assert main(["bell-scan", "--resolution", "1000000", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("validation error: the bell-scan request does not fit in memory")
+    assert message in err
+    assert not out.exists()
