@@ -34,10 +34,10 @@ from .errors import (
     NotPassive,
     ValidationError,
 )
+from .optimize import _best_haar_sample
 from .spectra import Hamiltonian, JointSpectrum, check_system
 from .states import BipartiteState, decompose
-from .transfer import batch_transfers
-from .unitaries import SecUnitary, sample_haar_blocks
+from .unitaries import SecUnitary
 
 DIRECTION_A_FROM_B = "A_from_B"
 DIRECTION_B_FROM_A = "B_from_A"
@@ -59,12 +59,13 @@ class FlowClassification:
     witness: SecUnitary | None = None
 
 
-def is_e_passive(block_probs, block_energies, eq_tol: float = tolerances.PASSIVITY_EQ) -> bool:
+def is_e_passive(block_probs, block_energies) -> bool:
     """Whether populations are non-increasing as the local energy increases.
 
     Equal probabilities never violate passivity; "equal" allows a float slack
-    of ``eq_tol`` so that analytically degenerate populations (for instance
-    both systems at the same temperature) classify cleanly.
+    of ``tolerances.PASSIVITY_EQ`` so that analytically degenerate
+    populations (for instance both systems at the same temperature) classify
+    cleanly.
     """
     probs = np.asarray(block_probs, dtype=float)
     if len(probs) != len(block_energies):
@@ -76,7 +77,7 @@ def is_e_passive(block_probs, block_energies, eq_tol: float = tolerances.PASSIVI
     # all-pairs check: adjacent comparisons would let the slack accumulate
     for low in range(len(ordered)):
         for high in range(low + 1, len(ordered)):
-            if ordered[high] > ordered[low] + eq_tol:
+            if ordered[high] > ordered[low] + tolerances.PASSIVITY_EQ:
                 return False
     return True
 
@@ -114,23 +115,18 @@ def _swap_witness(
     return SecUnitary(blocks, spec, validate=False), failing
 
 
-def classify_flow(
-    state: BipartiteState,
-    spec: JointSpectrum,
-    target: str,
-    coherence_tol: float = tolerances.COHERENCE_ZERO,
-) -> FlowClassification:
+def classify_flow(state: BipartiteState, spec: JointSpectrum, target: str) -> FlowClassification:
     """Decide membership in the one-way-flow class for the given target.
 
     Membership (direction "A_from_B" for target A, "B_from_A" for target B)
     requires every block's target-side populations to be passive and every
-    same-energy coherence block to vanish below ``coherence_tol``.
+    same-energy coherence block to vanish below ``tolerances.COHERENCE_ZERO``.
     """
     check_system(target)
     decomp = decompose(state, spec)
     witness, failing = _swap_witness(spec, decomp, target)
     has_useful = any(
-        np.abs(alpha).max() > coherence_tol
+        np.abs(alpha).max() > tolerances.COHERENCE_ZERO
         for alpha in decomp.useful_coherence_blocks().values()
     )
     member = not failing and not has_useful
@@ -178,16 +174,13 @@ def thermal_product(
 
 
 def passive_max_active_product(
-    probs_a,
-    probs_b,
-    h_a: Hamiltonian,
-    h_b: Hamiltonian,
-    eq_tol: float = tolerances.PASSIVITY_EQ,
+    probs_a, probs_b, h_a: Hamiltonian, h_b: Hamiltonian
 ) -> BipartiteState:
     """Product of a passive A state with a maximally active B state.
 
     ``probs_a`` must be non-increasing and ``probs_b`` non-decreasing along
-    their (increasing) local spectra, both normalized.  Within every block
+    their (increasing) local spectra, up to ``tolerances.PASSIVITY_EQ``, and
+    both normalized within ``tolerances.TRACE``.  Within every block
     the resulting A-side populations decrease with energy, so the product is
     a member of the one-way class for target A: every energy-conserving
     unitary moves energy toward A, out of the inverted B populations.
@@ -205,41 +198,35 @@ def passive_max_active_product(
             raise ValidationError(
                 f"{name} must sum to 1 within {tolerances.TRACE:g}, got {p.sum()!r}"
             )
-    if np.any(pa[1:] > pa[:-1] + eq_tol):
+    eq = tolerances.PASSIVITY_EQ
+    if np.any(pa[1:] > pa[:-1] + eq):
         raise NotPassive(
-            "probs_a must be non-increasing with energy (slack "
-            f"{eq_tol:g}) to be passive"
+            f"probs_a must be non-increasing with energy (slack {eq:g}) to be passive"
         )
-    if np.any(pb[1:] < pb[:-1] - eq_tol):
+    if np.any(pb[1:] < pb[:-1] - eq):
         raise NotMaxActive(
-            "probs_b must be non-decreasing with energy (slack "
-            f"{eq_tol:g}) to be maximally active"
+            f"probs_b must be non-decreasing with energy (slack {eq:g}) to be maximally active"
         )
     return BipartiteState.diagonal(np.kron(pa, pb), (h_a.dim, h_b.dim))
 
 
 def probe_unidirectional(
-    state: BipartiteState,
-    spec: JointSpectrum,
-    target: str,
-    n_samples: int,
-    seed: int,
-    tol: float = tolerances.TRANSFER_NOISE,
+    state: BipartiteState, spec: JointSpectrum, target: str, n_samples: int, seed: int
 ) -> dict:
     """Sampling harness: hunt for a unitary that drains the target system.
 
-    Returns the minimum sampled transfer to the target and whether any sample
-    fell below ``-tol``.  Absence of a violation is evidence only, not a
-    proof of one-way flow.
+    Returns the minimum sampled transfer to the target (the earliest sample
+    on ties) and whether any sample fell below
+    ``-tolerances.TRANSFER_NOISE``.  Samples are searched in chunks, as by
+    :func:`~sec_transfer.optimize.monte_carlo_max`.  Absence of a violation
+    is evidence only, not a proof of one-way flow.
     """
     check_system(target)
     decomp = decompose(state, spec)
-    batch = sample_haar_blocks(spec, seed, n_samples)
-    totals = batch_transfers(decomp, batch, target).total
-    worst = int(np.argmin(totals))
+    worst, index, _ = _best_haar_sample(decomp, target, n_samples, seed, sign=-1)
     return {
-        "min_transfer": float(totals[worst]),
-        "argmin_sample": worst,
-        "violation": bool(totals[worst] < -tol),
+        "min_transfer": worst,
+        "argmin_sample": index,
+        "violation": bool(worst < -tolerances.TRANSFER_NOISE),
         "samples": int(n_samples),
     }

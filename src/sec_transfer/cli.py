@@ -20,7 +20,6 @@ environment variable caps worker threads inside the sampling loops.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import formats, tolerances, verify
@@ -297,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"validation error: {exc.filename!r}: {exc.strerror}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"validation error: malformed JSON ({exc})", file=sys.stderr)
         return 2
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""

@@ -68,7 +68,10 @@ def _reject_constant(token: str):
 
 
 def read_json(path):
-    """Parse a JSON file, rejecting the non-standard NaN and Infinity tokens."""
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity tokens.
+
+    Text that is not UTF-8 or not JSON raises a ValidationError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle, parse_constant=_reject_constant)
@@ -77,6 +80,10 @@ def read_json(path):
             raise ValidationError(
                 f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
                 f"at offset {exc.start})"
+            ) from None
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}: malformed JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"
             ) from None
 
 

@@ -177,6 +177,39 @@ def _block_eigen_optimum(
     )
 
 
+def _best_haar_sample(
+    decomp: StateDecomposition, target: str, n_samples: int, seed: int, sign: int
+) -> tuple[float, int, dict[Fraction, np.ndarray]]:
+    """``(total, index, blocks)`` of the Haar sample with the largest ``sign * total``.
+
+    Samples are drawn and evaluated in chunks of ``SAMPLE_CHUNK``, on
+    SEC_TRANSFER_THREADS threads; ties go to the earliest sample, whatever the
+    schedule.  The winner's blocks are copied so no chunk outlives its turn.
+    """
+    spec = decomp.spectrum
+    # a count below 1 still reaches sample_haar_blocks, which refuses it
+    chunks = [
+        (start, min(SAMPLE_CHUNK, n_samples - start))
+        for start in range(0, max(n_samples, 1), SAMPLE_CHUNK)
+    ]
+
+    def evaluate(chunk: tuple[int, int]) -> tuple[float, int, dict[Fraction, np.ndarray]]:
+        start, count = chunk
+        batch = sample_haar_blocks(spec, seed, count, start=start)
+        totals = batch_transfers(decomp, batch, target).total
+        inner = int(np.argmax(sign * totals))
+        blocks = {energy: stack[inner].copy() for energy, stack in batch.items()}
+        return float(totals[inner]), start + inner, blocks
+
+    workers = thread_count()
+    if workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate, chunks))
+    else:
+        results = [evaluate(chunk) for chunk in chunks]
+    return max(results, key=lambda r: (sign * r[0], -r[1]))
+
+
 def monte_carlo_max(
     state: BipartiteState,
     spec: JointSpectrum,
@@ -195,29 +228,8 @@ def monte_carlo_max(
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     decomp = decompose(state, spec)
-    chunks = [
-        (start, min(SAMPLE_CHUNK, n_samples - start))
-        for start in range(0, n_samples, SAMPLE_CHUNK)
-    ]
-
-    def evaluate(chunk: tuple[int, int]) -> tuple[float, int]:
-        start, count = chunk
-        batch = sample_haar_blocks(spec, seed, count, start=start)
-        totals = batch_transfers(decomp, batch, target).total
-        inner = int(np.argmax(totals))
-        return float(totals[inner]), start + inner
-
-    workers = thread_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, chunks))
-    else:
-        results = [evaluate(chunk) for chunk in chunks]
-    _, best_index = max(results, key=lambda vi: (vi[0], -vi[1]))
-    best_batch = sample_haar_blocks(spec, seed, 1, start=best_index)
-    unitary = SecUnitary(
-        {energy: stack[0] for energy, stack in best_batch.items()}, spec, validate=False
-    )
+    _, _, blocks = _best_haar_sample(decomp, target, n_samples, seed, sign=1)
+    unitary = SecUnitary(blocks, spec, validate=False)
     return OptimizationResult(
         value=transfer_direct(state, unitary, target),
         unitary=unitary,
@@ -227,11 +239,12 @@ def monte_carlo_max(
 
 
 def check_coherence_bound(
-    state: BipartiteState, spec: JointSpectrum, target: str, tol: float = tolerances.TRANSFER_NOISE
+    state: BipartiteState, spec: JointSpectrum, target: str
 ) -> tuple[float, float, bool]:
     """Optimal transfer of the state vs. of its dephased (diagonal) version.
 
-    Returns ``(lhs, rhs, holds)`` where ``holds`` certifies lhs >= rhs - tol:
+    Returns ``(lhs, rhs, holds)`` where ``holds`` certifies
+    lhs >= rhs - ``tolerances.TRANSFER_NOISE``:
     coherence never worsens the optimally driven energy exchange, because the
     best population-only unitary already realizes rhs on the full state.
     """
@@ -239,4 +252,4 @@ def check_coherence_bound(
     decomp = decompose(state, spec)
     lhs = _block_eigen_optimum(decomp, decomp.useful_coherence_blocks(), target).value
     rhs = _block_eigen_optimum(decomp, {}, target).value
-    return lhs, rhs, lhs >= rhs - tol
+    return lhs, rhs, lhs >= rhs - tolerances.TRANSFER_NOISE

@@ -283,8 +283,9 @@ class BellDiagParams:
                 )
         return out
 
-    def is_physical(self, tol: float = tolerances.QUBIT_DOMAIN) -> bool:
-        return bool(self.bell_eigenvalues().min() >= -tol)
+    def is_physical(self) -> bool:
+        """No Bell eigenvalue below ``-tolerances.QUBIT_DOMAIN``."""
+        return bool(self.bell_eigenvalues().min() >= -tolerances.QUBIT_DOMAIN)
 
 
 def bell_diagonal_state(c: BellDiagParams) -> BipartiteState:
@@ -317,7 +318,8 @@ def bell_correlations(state: BipartiteState) -> BellDiagParams:
     )
 
 
-def _require_in_scope(c: BellDiagParams, tol: float = tolerances.QUBIT_DOMAIN) -> None:
+def _require_in_scope(c: BellDiagParams) -> None:
+    tol = tolerances.QUBIT_DOMAIN
     if abs(c.c_x - c.c_y) > tol:
         raise Unphysical(
             f"closed form needs c_x = c_y within {tol:g}, got "
@@ -424,6 +426,21 @@ def plane_scan(resolution: int = 201) -> PlaneScan:
     )
 
 
+def _neighbour_rows(scan: PlaneScan, dx: int, dz: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row of grid point ``(ix + dx, iz + dz)`` for every row, and whether it exists.
+
+    Rows are sorted by ``(x_index, z_index)``, so a binary search on the key
+    ``ix * res + iz`` finds each neighbour; a z index off the grid would
+    alias the next column and is ruled out.  Missing neighbours get any row.
+    """
+    res = scan.resolution
+    keys = scan.x_index * res + scan.z_index
+    iz = scan.z_index + dz
+    wanted = (scan.x_index + dx) * res + iz
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return at, (iz >= 0) & (iz < res) & (keys[at] == wanted)
+
+
 def plane_scan_gradient(scan: PlaneScan) -> dict[str, np.ndarray]:
     """Per-cell finite-difference gradient of the optimal transfer.
 
@@ -436,21 +453,13 @@ def plane_scan_gradient(scan: PlaneScan) -> dict[str, np.ndarray]:
     res = scan.resolution
     step_x = 1.0 / (res - 1)
     step_z = 2.0 / (res - 1)
-    position = {
-        (int(ix), int(iz)): row
-        for row, (ix, iz) in enumerate(zip(scan.x_index, scan.z_index))
-    }
-    rows, vectors = [], []
-    for row, (ix, iz) in enumerate(zip(scan.x_index, scan.z_index)):
-        east = position.get((ix + 1, iz))
-        north = position.get((ix, iz + 1))
-        if east is None or north is None:
-            continue
-        rate_x = (scan.max_transfer[east] - scan.max_transfer[row]) / step_x
-        rate_z = (scan.max_transfer[north] - scan.max_transfer[row]) / step_z
-        rows.append(row)
-        vectors.append((rate_x, rate_x, rate_z))
-    return {"rows": np.array(rows, dtype=int), "gradients": np.array(vectors)}
+    east, has_east = _neighbour_rows(scan, 1, 0)
+    north, has_north = _neighbour_rows(scan, 0, 1)
+    rows = np.flatnonzero(has_east & has_north)
+    value = scan.max_transfer
+    rate_x = (value[east[rows]] - value[rows]) / step_x
+    rate_z = (value[north[rows]] - value[rows]) / step_z
+    return {"rows": rows, "gradients": np.stack([rate_x, rate_x, rate_z], axis=1)}
 
 
 def concurrence_directional_derivative(scan: PlaneScan) -> dict[str, np.ndarray]:
@@ -462,20 +471,10 @@ def concurrence_directional_derivative(scan: PlaneScan) -> dict[str, np.ndarray]
     whose endpoints both lie strictly inside the entangled triangle are
     reported.
     """
-    res = scan.resolution
-    step = 2.0 / (res - 1)  # coordinate displacement of the combined move
-    position = {
-        (int(ix), int(iz)): row
-        for row, (ix, iz) in enumerate(zip(scan.x_index, scan.z_index))
-    }
-    rows, rates = [], []
-    for row, (ix, iz) in enumerate(zip(scan.x_index, scan.z_index)):
-        other = position.get((ix + 2, iz - 1))
-        if other is None:
-            continue
-        if scan.concurrence[row] <= 0.0 or scan.concurrence[other] <= 0.0:
-            continue
-        arclength = step * math.sqrt(3.0)
-        rates.append((scan.max_transfer[other] - scan.max_transfer[row]) / arclength)
-        rows.append(row)
-    return {"rows": np.array(rows, dtype=int), "rates": np.array(rates)}
+    step = 2.0 / (scan.resolution - 1)  # coordinate displacement of the combined move
+    other, has_other = _neighbour_rows(scan, 2, -1)
+    entangled = scan.concurrence > 0.0
+    rows = np.flatnonzero(has_other & entangled & entangled[other])
+    arclength = step * math.sqrt(3.0)
+    rates = (scan.max_transfer[other[rows]] - scan.max_transfer[rows]) / arclength
+    return {"rows": rows, "rates": rates}

@@ -34,6 +34,7 @@ from .errors import (
 )
 
 SYSTEMS = ("A", "B")
+MAX_DENOMINATOR = 10**6  # the largest denominator snap_to_rational returns
 
 
 def check_system(system: str) -> str:
@@ -82,15 +83,12 @@ def _convergents(value: Fraction):
         yield Fraction(h_cur, k_cur)
 
 
-def snap_to_rational(
-    value: float,
-    rel_tol: float = tolerances.SNAP_REL,
-    max_denominator: int = 10**6,
-) -> Fraction:
+def snap_to_rational(value: float, rel_tol: float = tolerances.SNAP_REL) -> Fraction:
     """Snap a float to the unique simple rational within ``rel_tol``.
 
-    Walks the continued-fraction convergents of ``value`` and returns the
-    first one within ``rel_tol * max(1, |value|)``.  The result is accepted
+    Walks the continued-fraction convergents of ``value``, up to denominator
+    ``MAX_DENOMINATOR``, and returns the first one within
+    ``rel_tol * max(1, |value|)``.  The result is accepted
     only when the tolerance ball cannot contain a second rational of equal
     or lower denominator (two rationals with denominators up to ``q`` are at
     least ``1/q**2`` apart); otherwise the call is ambiguous and raises
@@ -100,7 +98,7 @@ def snap_to_rational(
         raise RationalSnapError(f"cannot snap non-finite value {value!r}")
     tol = rel_tol * max(1.0, abs(value))
     for candidate in _convergents(Fraction(float(value))):
-        if candidate.denominator > max_denominator:
+        if candidate.denominator > MAX_DENOMINATOR:
             break
         if abs(float(candidate) - value) <= tol:
             qc = candidate.denominator
@@ -111,7 +109,7 @@ def snap_to_rational(
                 )
             return candidate
     raise RationalSnapError(
-        f"no rational with denominator <= {max_denominator} lies within "
+        f"no rational with denominator <= {MAX_DENOMINATOR} lies within "
         f"relative tolerance {rel_tol:g} of {value!r}"
     )
 
@@ -152,13 +150,13 @@ class Hamiltonian:
 
     @classmethod
     def from_floats(
-        cls,
-        values: Iterable[float],
-        labels: Sequence[str] | None = None,
-        rel_tol: float = tolerances.SNAP_REL,
+        cls, values: Iterable[float], labels: Sequence[str] | None = None
     ) -> "Hamiltonian":
-        """Build from floats by snapping each to an exact rational."""
-        energies = tuple(snap_to_rational(float(v), rel_tol=rel_tol) for v in values)
+        """Build from floats by snapping each to an exact rational.
+
+        Each value is snapped within the relative window ``tolerances.SNAP_REL``.
+        """
+        energies = tuple(snap_to_rational(float(v)) for v in values)
         return cls(energies, tuple(labels) if labels is not None else None)
 
 

@@ -286,16 +286,13 @@ class StateDecomposition:
                 )
 
 
-def decompose(
-    state: BipartiteState,
-    spec: JointSpectrum,
-    zero_tol: float = tolerances.ZERO,
-) -> StateDecomposition:
+def decompose(state: BipartiteState, spec: JointSpectrum) -> StateDecomposition:
     """Split a state into diagonal blocks and coherence blocks.
 
-    Entries below ``zero_tol`` in magnitude become exact zeros; coherence
-    blocks that vanish entirely are not stored.  The split is lossless:
-    reassembling reproduces the input within ``zero_tol`` per entry.
+    Entries below ``tolerances.ZERO`` in magnitude become exact zeros;
+    coherence blocks that vanish entirely are not stored.  The split is
+    lossless: reassembling reproduces the input within ``tolerances.ZERO``
+    per entry.
     """
     if state.dims != spec.dims:
         raise DimensionMismatch(
@@ -304,8 +301,8 @@ def decompose(
     layout = spec.layout
     matrix = state.matrix[np.ix_(layout.order, layout.order)]
     probs = np.real(np.diagonal(matrix)).copy()
-    probs[np.abs(probs) < zero_tol] = 0.0
-    matrix[np.abs(matrix) < zero_tol] = 0.0
+    probs[np.abs(probs) < tolerances.ZERO] = 0.0
+    matrix[np.abs(matrix) < tolerances.ZERO] = 0.0
     np.fill_diagonal(matrix, 0.0)
     nonzero = matrix != 0.0
     for axis in (0, 1):

@@ -10,7 +10,9 @@ keys are the entries of ``DEFAULTS``:
 
 Their default values also serve, without override, every other probability
 sum (``TRACE``) and the sign check on populations the optimizers rearrange
-(``PSD``).  The other values are fixed.  The thresholds of individual
+(``PSD``).  The other values are fixed: no function takes a parameter that
+overrides one, except the snapping window ``SNAP_REL``, which
+``snap_to_rational`` also takes as ``rel_tol``.  The thresholds of individual
 ``verify`` properties live with those properties, not here.
 """
 

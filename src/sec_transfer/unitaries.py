@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tolerances
-from .errors import BlockMismatch, DimensionMismatch, NotUnitary
+from .errors import BlockMismatch, DimensionMismatch, NotUnitary, ValidationError
 from .spectra import JointSpectrum
 from .states import BipartiteState
 
@@ -151,7 +151,7 @@ def sample_haar_blocks(
     index is the same for a given seed no matter the requested range.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValidationError("count must be >= 1")
     return {
         block.energy: _haar_slice(seed, block.energy, block.dim, start, count)
         for block in spec.blocks
@@ -166,11 +166,12 @@ def sample_haar(spec: JointSpectrum, seed: int) -> SecUnitary:
     )
 
 
-def is_potentially_coherent(u: SecUnitary, tol: float = tolerances.COHERENCE_CAPABLE) -> bool:
+def is_potentially_coherent(u: SecUnitary) -> bool:
     """Whether the unitary can move coherence into populations at all.
 
     True iff some block maps two different members onto a common member with
-    jointly nonzero amplitude (product magnitude above ``tol``).  Block
+    jointly nonzero amplitude (product magnitude above
+    ``tolerances.COHERENCE_CAPABLE``).  Block
     permutation unitaries fail this test, and for them the coherent part of
     any energy transfer vanishes identically.
     """
@@ -178,6 +179,6 @@ def is_potentially_coherent(u: SecUnitary, tol: float = tolerances.COHERENCE_CAP
         if mat.shape[0] < 2:
             continue
         mags = np.sort(np.abs(mat), axis=1)
-        if np.any(mags[:, -1] * mags[:, -2] > tol):
+        if np.any(mags[:, -1] * mags[:, -2] > tolerances.COHERENCE_CAPABLE):
             return True
     return False

@@ -326,3 +326,20 @@ def test_request_too_large_for_memory_exits_2(message, tmp_path, capsys, monkeyp
     assert err.startswith("validation error: the bell-scan request does not fit in memory")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["problem", "unitary", "two-qubit"])
+def test_malformed_json_exits_2_naming_path_and_position(case, tmp_path, capsys):
+    problem = _write(tmp_path, _problem(state=_state()))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"h_a":\n  [1, 2,]}', encoding="utf-8")
+    argv = {
+        "problem": ["decompose", "--input", str(bad)],
+        "unitary": ["analyze", "--input", problem, "--target", "A", "--unitary", str(bad)],
+        "two-qubit": ["qubit-max", "--input", str(bad), "--target", "A"],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"validation error: {bad}: malformed JSON (")
+    assert "at line 2, column 9" in err

@@ -187,3 +187,11 @@ def test_full_matrix_rejects_foreign_spectrum(two_qubit_spec, qutrit_qubit_spec)
     u = SecUnitary.identity(two_qubit_spec)
     with pytest.raises(BlockMismatch):
         to_full_matrix(u, qutrit_qubit_spec)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_count_below_one_is_validation_error(two_qubit_spec, count):
+    from sec_transfer import ValidationError
+
+    with pytest.raises(ValidationError, match="count must be >= 1"):
+        sample_haar_blocks(two_qubit_spec, 1, count)
