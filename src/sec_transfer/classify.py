@@ -74,29 +74,30 @@ def is_e_passive(block_probs, block_energies) -> bool:
         )
     order = sorted(range(len(probs)), key=lambda m: block_energies[m])
     ordered = probs[order]
-    # all-pairs check: adjacent comparisons would let the slack accumulate
-    for low in range(len(ordered)):
-        for high in range(low + 1, len(ordered)):
-            if ordered[high] > ordered[low] + tolerances.PASSIVITY_EQ:
-                return False
-    return True
+    # each level against the smallest population below it, not only its
+    # neighbour, so the slack cannot accumulate; fmin skips NaN entries,
+    # which (as in any comparison) never violate passivity
+    lowest_below = np.fmin.accumulate(ordered)[:-1]
+    return not np.any(ordered[1:] > lowest_below + tolerances.PASSIVITY_EQ)
 
 
 def _swap_witness(
     spec: JointSpectrum, decomp, target: str
 ) -> tuple[SecUnitary | None, list[Fraction]]:
     """Failing blocks plus the best single-block two-level swap witness."""
+    layout = spec.layout
+    all_energies = spec.ordered_local_energies(target)
     failing: list[Fraction] = []
     best_gain = 0.0
-    best: tuple[Fraction, int, int] | None = None
-    for block in spec.blocks:
-        probs = decomp.diag_blocks[block.energy].probs
-        energies = spec.local_energies_float(block.energy, target)
+    best: tuple[int, int, int] | None = None
+    for i, energy in enumerate(spec.energies):
+        span, d = layout.span(i), int(layout.dims[i])
+        probs, energies = decomp.probs[span], all_energies[span]
         if is_e_passive(probs, energies):
             continue
-        failing.append(block.energy)
-        for low in range(block.dim):
-            for high in range(block.dim):
+        failing.append(energy)
+        for low in range(d):
+            for high in range(d):
                 if energies[high] <= energies[low]:
                     continue
                 # swapping members (low, high) changes the target energy by
@@ -104,14 +105,14 @@ def _swap_witness(
                 gain = (probs[high] - probs[low]) * (energies[high] - energies[low])
                 if gain > best_gain:
                     best_gain = gain
-                    best = (block.energy, low, high)
+                    best = (i, low, high)
     if best is None:
         return None, failing
-    energy, low, high = best
-    blocks = {b.energy: np.eye(b.dim, dtype=complex) for b in spec.blocks}
-    swap = np.eye(spec.block(energy).dim, dtype=complex)
+    i, low, high = best
+    blocks = dict(SecUnitary.identity(spec).blocks)
+    swap = np.eye(int(layout.dims[i]), dtype=complex)
     swap[[low, high]] = swap[[high, low]]
-    blocks[energy] = swap
+    blocks[spec.energies[i]] = swap
     return SecUnitary(blocks, spec, validate=False), failing
 
 

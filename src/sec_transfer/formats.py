@@ -2,8 +2,8 @@
 
 Schemas
 -------
-Hamiltonian        ``{"energies": [[num, den], ...], "labels": [...]}``
-                   (labels optional).
+Hamiltonian        ``{"energies": [[num, den], ...], "labels": ["...", ...]}``
+                   (labels optional; when given, one string per level).
 State              ``{"dims": [dA, dB], "re": [[...]], "im": [[...]]}``.
 Block unitary      ``{"blocks": {"<E as p/q>": {"re": [[...]], "im": [[...]]}}}``.
 Transfer report    ``{"target", "total", "diagonal", "coherent", "eta",
@@ -117,8 +117,12 @@ def hamiltonian_from_json(data: dict) -> Hamiltonian:
         if entry[1] == 0:
             raise ValidationError(f"Hamiltonian energy {entry!r} has a zero denominator")
         parsed.append(Fraction(entry[0], entry[1]))
-    labels = data.get("labels")
-    return Hamiltonian(tuple(parsed), tuple(labels) if labels is not None else None)
+    if "labels" not in data:
+        return Hamiltonian(tuple(parsed))
+    labels = data["labels"]
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise ValidationError(f"Hamiltonian labels must be an array of strings, got {labels!r}")
+    return Hamiltonian(tuple(parsed), tuple(labels))
 
 
 def _matrix_to_json(matrix: np.ndarray) -> dict:
@@ -293,11 +297,8 @@ def decomposition_summary_rows(decomp: StateDecomposition) -> list[list[str]]:
     same = np.diagonal(peaks).copy()
     np.fill_diagonal(peaks, 0.0)
     cross = np.maximum(peaks.max(axis=0), peaks.max(axis=1))
-    index = decomp.spectrum.layout.index
     rows = []
-    for energy in sorted(decomp.diag_blocks):
-        block = decomp.diag_blocks[energy]
-        i = index[energy]
+    for i, (energy, block) in enumerate(decomp.diag_blocks.items()):
         rows.append(
             [
                 fraction_key(energy),

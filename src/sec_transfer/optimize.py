@@ -58,8 +58,13 @@ class OptimizationResult:
 
 
 def thread_count() -> int:
-    """Worker cap for sampling loops, from the SEC_TRANSFER_THREADS env var."""
-    raw = os.environ.get(THREADS_ENV, "1")
+    """Worker cap for sampling loops, from the SEC_TRANSFER_THREADS env var.
+
+    Unset or empty means one thread, and so does any value below 1.
+    """
+    raw = os.environ.get(THREADS_ENV, "")
+    if not raw.strip():
+        return 1
     try:
         n = int(raw)
     except ValueError:
@@ -119,15 +124,15 @@ def optimal_diagonal_unitary(
     check_system(target)
     if spec != decomp.spectrum:
         raise BlockMismatch("decomposition was built over a different joint spectrum")
+    layout = spec.layout
+    all_energies = spec.ordered_local_energies(target)
     blocks: dict[Fraction, np.ndarray] = {}
-    for block in spec.blocks:
-        probs = decomp.diag_blocks[block.energy].probs
-        energies = spec.local_energies_float(block.energy, target)
-        perm, _ = max_active_rearrange(probs, energies)
-        mat = np.zeros((block.dim, block.dim), dtype=complex)
-        for dest, src in enumerate(perm):
-            mat[dest, src] = 1.0
-        blocks[block.energy] = mat
+    for i, energy in enumerate(spec.energies):
+        span = layout.span(i)
+        perm, _ = max_active_rearrange(decomp.probs[span], all_energies[span])
+        mat = np.zeros((len(perm), len(perm)), dtype=complex)
+        mat[np.arange(len(perm)), perm] = 1.0
+        blocks[energy] = mat
     return SecUnitary(blocks, spec, validate=False)
 
 
@@ -152,24 +157,26 @@ def _block_eigen_optimum(
 ) -> OptimizationResult:
     """:func:`maximize_transfer_exact` on the populations plus the given coherences."""
     spec = decomp.spectrum
+    layout = spec.layout
+    all_energies = spec.ordered_local_energies(target)
     blocks: dict[Fraction, np.ndarray] = {}
     value = 0.0
-    for block in spec.blocks:
-        probs = decomp.diag_blocks[block.energy].probs
-        energies = spec.local_energies_float(block.energy, target)
+    for i, energy in enumerate(spec.energies):
+        span, d = layout.span(i), int(layout.dims[i])
+        probs, energies = decomp.probs[span], all_energies[span]
         restricted = np.diag(probs.astype(complex))
-        alpha = useful.get(block.energy)
+        alpha = useful.get(energy)
         if alpha is not None:
             restricted = restricted + alpha
         eigenvalues, vectors = np.linalg.eigh(restricted)
-        eig_order = sorted(range(block.dim), key=lambda k: (-eigenvalues[k], k))
-        pos_order = sorted(range(block.dim), key=lambda m: (-energies[m], m))
-        mat = np.zeros((block.dim, block.dim), dtype=complex)
+        eig_order = sorted(range(d), key=lambda k: (-eigenvalues[k], k))
+        pos_order = sorted(range(d), key=lambda m: (-energies[m], m))
+        mat = np.zeros((d, d), dtype=complex)
         for eig_idx, pos in zip(eig_order, pos_order):
             mat[pos, :] = vectors[:, eig_idx].conj()
             value += eigenvalues[eig_idx] * energies[pos]
         value -= float(energies @ probs)
-        blocks[block.energy] = mat
+        blocks[energy] = mat
     return OptimizationResult(
         value=float(value),
         unitary=SecUnitary(blocks, spec, validate=False),

@@ -6,9 +6,12 @@ in the product eigenbasis, flattened lexicographically (flat index
 energy E splits the product basis into a block of pairs (a, b) with
 ``eps_a + eps_b == E``, and inside one block the A index determines the B
 index and vice versa.  Every other module works block by block on top of this
-partition.  :class:`BlockLayout` holds that partition as one
-permutation of the flat basis into block order, so block-structured arrays
-are contiguous slices of one permuted array.
+partition, which :class:`JointSpectrum` builds from the two Hamiltonians
+alone, so equal Hamiltonians always give the same blocks in the same order.
+:class:`BlockLayout` holds that partition as one permutation of the flat
+basis into block order, so block-structured arrays are contiguous slices of
+one permuted array, and per-block loops address block ``i`` by
+``layout.span(i)``.
 
 Energies are exact rationals (``fractions.Fraction``), in units where the
 fundamental quantum of energy is 1, so membership of a pair in a block is an
@@ -213,69 +216,34 @@ class BlockLayout:
 class JointSpectrum:
     """Partition of the product basis into fixed-total-energy blocks.
 
-    Immutable after construction; safe for concurrent shared reads.  Holds
-    the two local Hamiltonians, the block layout, and per-block energy
-    caches used by the numerical layers.
+    Built from the two local Hamiltonians alone: the product basis is grouped
+    by exact total energy, blocks sorted by increasing total energy, members
+    by increasing local-A energy.  Immutable after construction; safe for
+    concurrent shared reads.
     """
 
-    def __init__(self, h_a: Hamiltonian, h_b: Hamiltonian, blocks: Sequence[EnergyBlock]):
+    def __init__(self, h_a: Hamiltonian, h_b: Hamiltonian):
         self.h_a = h_a
         self.h_b = h_b
-        self.blocks = tuple(blocks)
-        self._by_energy = {block.energy: block for block in self.blocks}
-        if len(self._by_energy) != len(self.blocks):
-            raise ValidationError("block total energies must be pairwise distinct")
-        self._check_partition()
-        dim_b = h_b.dim
-        self.layout = BlockLayout.of(self.blocks, dim_b)
-        self._local_e = {
-            (block.energy, "A"): np.array(
-                [float(h_a.energies[a]) for a, _ in block.members], dtype=float
-            )
-            for block in self.blocks
-        }
-        self._local_e.update(
-            {
-                (block.energy, "B"): np.array(
-                    [float(h_b.energies[b]) for _, b in block.members], dtype=float
-                )
-                for block in self.blocks
-            }
+        groups: dict[Fraction, list[tuple[int, int]]] = {}
+        for a, ea in enumerate(h_a.energies):
+            for b, eb in enumerate(h_b.energies):
+                groups.setdefault(ea + eb, []).append((a, b))
+        # the A index runs outermost, so members are already in local-A order
+        self.blocks = tuple(
+            EnergyBlock(energy, tuple(members)) for energy, members in sorted(groups.items())
         )
-        ea = h_a.energies_float()
-        eb = h_b.energies_float()
+        self.energies = tuple(block.energy for block in self.blocks)
+        self.layout = BlockLayout.of(self.blocks, h_b.dim)
         # local energy carried by each flat product-basis index
         self._flat_e = {
-            "A": np.repeat(ea, dim_b),
-            "B": np.tile(eb, h_a.dim),
+            "A": np.repeat(h_a.energies_float(), h_b.dim),
+            "B": np.tile(h_b.energies_float(), h_a.dim),
         }
+        self._ordered_e = {side: e[self.layout.order] for side, e in self._flat_e.items()}
         # shared caches are handed out directly; freeze them
-        for cache in (self._local_e, self._flat_e):
-            for array in cache.values():
-                array.setflags(write=False)
-
-    def _check_partition(self):
-        seen: set[tuple[int, int]] = set()
-        for block in self.blocks:
-            a_seen: set[int] = set()
-            b_seen: set[int] = set()
-            for a, b in block.members:
-                if (a, b) in seen:
-                    raise ValidationError(f"pair {(a, b)} appears in more than one block")
-                seen.add((a, b))
-                if a in a_seen or b in b_seen:
-                    raise ValidationError(
-                        f"block E={block.energy} repeats a local index; the A/B "
-                        "pairing inside a block must be a bijection"
-                    )
-                a_seen.add(a)
-                b_seen.add(b)
-                if self.h_a.energies[a] + self.h_b.energies[b] != block.energy:
-                    raise ValidationError(
-                        f"member {(a, b)} does not sum to block energy {block.energy}"
-                    )
-        if len(seen) != self.total_dim:
-            raise ValidationError("blocks do not cover the full product basis")
+        for array in (*self._flat_e.values(), *self._ordered_e.values()):
+            array.setflags(write=False)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -285,31 +253,36 @@ class JointSpectrum:
     def total_dim(self) -> int:
         return self.h_a.dim * self.h_b.dim
 
-    @property
-    def energies(self) -> tuple[Fraction, ...]:
-        return tuple(block.energy for block in self.blocks)
-
-    def block(self, energy) -> EnergyBlock:
+    def _index(self, energy) -> int:
         key = as_fraction(energy)
         try:
-            return self._by_energy[key]
+            return self.layout.index[key]
         except KeyError:
             raise UnknownBlock(f"no block with total energy {key}") from None
 
+    def block(self, energy) -> EnergyBlock:
+        return self.blocks[self._index(energy)]
+
     def flat_indices(self, energy) -> np.ndarray:
         """Flat product-basis indices of the block members, in member order."""
-        layout = self.layout
-        return layout.order[layout.span(layout.index[self.block(energy).energy])]
+        return self.layout.order[self.layout.span(self._index(energy))]
 
     def local_energies_float(self, energy, system: str) -> np.ndarray:
         """Member-order local energies of one side of a block, as floats."""
-        check_system(system)
-        return self._local_e[(self.block(energy).energy, system)]
+        return self.ordered_local_energies(system)[self.layout.span(self._index(energy))]
 
     def flat_local_energies(self, system: str) -> np.ndarray:
         """Local energy carried by every flat product-basis index."""
         check_system(system)
         return self._flat_e[system]
+
+    def ordered_local_energies(self, system: str) -> np.ndarray:
+        """Local energy of one side at every position of the block order.
+
+        Block ``i`` reads ``ordered_local_energies(system)[layout.span(i)]``.
+        """
+        check_system(system)
+        return self._ordered_e[system]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointSpectrum):
@@ -322,21 +295,8 @@ class JointSpectrum:
 
 
 def build_joint_spectrum(h_a: Hamiltonian, h_b: Hamiltonian) -> JointSpectrum:
-    """Group the product basis by exact total energy.
-
-    Blocks come back sorted by increasing total energy, members sorted by
-    increasing local-A energy.  Degenerate local spectra are rejected by the
-    ``Hamiltonian`` constructor itself.
-    """
-    groups: dict[Fraction, list[tuple[int, int]]] = {}
-    for a, ea in enumerate(h_a.energies):
-        for b, eb in enumerate(h_b.energies):
-            groups.setdefault(ea + eb, []).append((a, b))
-    blocks = [
-        EnergyBlock(energy, tuple(sorted(members, key=lambda ab: ab[0])))
-        for energy, members in sorted(groups.items())
-    ]
-    return JointSpectrum(h_a, h_b, blocks)
+    """The joint spectrum of two local Hamiltonians; see :class:`JointSpectrum`."""
+    return JointSpectrum(h_a, h_b)
 
 
 def e_local_energies(spec: JointSpectrum, energy, system: str) -> list[Fraction]:

@@ -185,9 +185,12 @@ class StateDecomposition:
 
     Holds the state's matrix in block order (see
     :class:`sec_transfer.spectra.BlockLayout`) after thresholding, with its
-    diagonal zeroed; every block is a view into it.  The populations and the
-    same-energy coherence blocks are extracted on construction; a
-    cross-energy block is only sliced when ``coh_blocks`` is asked for it.
+    diagonal zeroed; every block is a view into it.  ``probs`` holds the
+    populations in the same block order, so block ``i`` reads
+    ``probs[layout.span(i)]``, and ``diag_blocks`` holds those slices keyed
+    by energy, in block order.  The same-energy coherence blocks are
+    extracted on construction; a cross-energy block is only sliced when
+    ``coh_blocks`` is asked for it.
     """
 
     def __init__(
@@ -200,14 +203,14 @@ class StateDecomposition:
         layout = spectrum.layout
         self.spectrum = spectrum
         self._matrix = matrix
-        self._probs = probs
+        self.probs = probs
         self.diag_blocks = {
-            block.energy: DiagBlock(block.energy, probs[layout.span(i)])
-            for i, block in enumerate(spectrum.blocks)
+            energy: DiagBlock(energy, probs[layout.span(i)])
+            for i, energy in enumerate(spectrum.energies)
         }
         self.coh_blocks = CoherenceBlocks(matrix, spectrum, nonzero)
         self._same = {
-            spectrum.blocks[i].energy: matrix[layout.span(i), layout.span(i)]
+            spectrum.energies[i]: matrix[layout.span(i), layout.span(i)]
             for i in np.flatnonzero(np.diagonal(nonzero)).tolist()
         }
 
@@ -248,7 +251,7 @@ class StateDecomposition:
         # entry comes back as +0.0
         ordered = np.zeros_like(self._matrix)
         if include_diagonal:
-            np.fill_diagonal(ordered, self._probs)
+            np.fill_diagonal(ordered, self.probs)
         if include_same_energy and include_cross_energy:
             ordered += self._matrix
         elif include_same_energy or include_cross_energy:

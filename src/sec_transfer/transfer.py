@@ -99,28 +99,33 @@ def batch_transfers(
     if len(counts) != 1:
         raise BlockMismatch("all block sample stacks must have the same length")
     n = counts.pop()
-    side, h_target = (0, spec.h_a) if target == "A" else (1, spec.h_b)
+    h_target = spec.h_a if target == "A" else spec.h_b
+    layout = spec.layout
+    # target-side local level at every position of the block order
+    levels = layout.order // spec.h_b.dim if target == "A" else layout.order % spec.h_b.dim
+    all_energies = spec.ordered_local_energies(target)
     useful = decomp.useful_coherence_blocks()
     diagonal = np.zeros(n)
     per_block: dict[Fraction, np.ndarray] = {}
     eta = np.zeros((n, h_target.dim))
-    for block in spec.blocks:
-        stack = block_samples[block.energy]
-        if stack.shape[1:] != (block.dim, block.dim):
+    for i, energy in enumerate(spec.energies):
+        span, d = layout.span(i), int(layout.dims[i])
+        stack = block_samples[energy]
+        if stack.shape[1:] != (d, d):
             raise BlockMismatch(
-                f"sample stack for E={block.energy} has shape {stack.shape[1:]}, "
-                f"expected {(block.dim, block.dim)}"
+                f"sample stack for E={energy} has shape {stack.shape[1:]}, "
+                f"expected {(d, d)}"
             )
-        probs = decomp.diag_blocks[block.energy].probs
-        energies = spec.local_energies_float(block.energy, target)
+        probs = decomp.probs[span]
         weights = np.abs(stack) ** 2
-        per_block[block.energy] = (weights @ probs - probs) @ energies
-        diagonal += per_block[block.energy]
-        alpha = useful.get(block.energy)
+        change = (weights @ probs - probs) @ all_energies[span]
+        per_block[energy] = change
+        diagonal += change
+        alpha = useful.get(energy)
         if alpha is not None:
             gained = np.einsum("nki,ij,nkj->nk", stack, alpha, stack.conj()).real
             # within a block each target level appears once
-            eta[:, [member[side] for member in block.members]] += gained
+            eta[:, levels[span]] += gained
     coherent = np.zeros(n)
     for level, energy in enumerate(h_target.energies_float()):
         coherent += eta[:, level] * energy

@@ -44,17 +44,18 @@ class SecUnitary:
         spectrum: JointSpectrum,
         validate: bool = True,
     ):
-        expected = set(spectrum.energies)
-        got = set(blocks)
-        if got != expected:
+        try:
+            given = [blocks[energy] for energy in spectrum.energies]
+        except KeyError:
+            given = None
+        if given is None or len(blocks) != len(given):
             raise BlockMismatch(
-                f"unitary blocks {sorted(map(str, got))} do not match spectrum "
-                f"blocks {sorted(map(str, expected))}"
+                f"unitary blocks {sorted(map(str, blocks))} do not match spectrum "
+                f"blocks {sorted(map(str, spectrum.energies))}"
             )
         stored: dict[Fraction, np.ndarray] = {}
-        for energy in spectrum.energies:
-            mat = np.array(blocks[energy], dtype=complex)
-            d = spectrum.block(energy).dim
+        for energy, d, raw in zip(spectrum.energies, spectrum.layout.dims.tolist(), given):
+            mat = np.array(raw, dtype=complex)
             if mat.shape != (d, d):
                 raise BlockMismatch(
                     f"block E={energy} has shape {mat.shape}, expected {(d, d)}"
@@ -93,9 +94,9 @@ def to_full_matrix(u: SecUnitary, spec: JointSpectrum) -> np.ndarray:
         raise BlockMismatch("unitary was built over a different joint spectrum")
     layout = spec.layout
     full = np.zeros((spec.total_dim, spec.total_dim), dtype=complex)
-    for i, block in enumerate(spec.blocks):
+    for i, energy in enumerate(spec.energies):
         flat = layout.order[layout.span(i)]
-        full[np.ix_(flat, flat)] = u.blocks[block.energy]
+        full[np.ix_(flat, flat)] = u.blocks[energy]
     return full
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import fixtures, qubits, tolerances
 from .classify import classify_flow, thermal_product
+from .errors import ValidationError
 from .fixtures import DIMENSION_CLASSES, ladder_spectrum, max_coherence_params, random_state
 from .optimize import (
     check_coherence_bound,
@@ -404,6 +405,9 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Every property at ``FAST``; the properties seed numpy, so ``seed`` must be >= 0."""
+    if seed < 0:
+        raise ValidationError(f"the verify seed must be nonnegative, got {seed}")
     return [check(seed, FAST) for check in ALL_CHECKS]
 
 

@@ -19,6 +19,7 @@ from sec_transfer import (
     thermal_product,
     transfer_direct,
 )
+from sec_transfer import tolerances
 from sec_transfer.fixtures import (
     cross_coherent_member,
     ladder_spectrum,
@@ -34,6 +35,54 @@ def test_is_e_passive_basics():
     assert is_e_passive([0.9, 0.1], [0, 1])
     assert not is_e_passive([0.1, 0.9], [0, 1])
     assert is_e_passive([0.25, 0.25, 0.25], [0, 1, 2])
+
+
+def _all_pairs_passive(block_probs, block_energies) -> bool:
+    """The former all-pairs loop, kept as the reference for the running minimum."""
+    probs = np.asarray(block_probs, dtype=float)
+    order = sorted(range(len(probs)), key=lambda m: block_energies[m])
+    ordered = probs[order]
+    for low in range(len(ordered)):
+        for high in range(low + 1, len(ordered)):
+            if ordered[high] > ordered[low] + tolerances.PASSIVITY_EQ:
+                return False
+    return True
+
+
+def _passivity_inputs():
+    rng = np.random.default_rng(20240801)
+    eq = tolerances.PASSIVITY_EQ
+    cases = []
+    for d in (2, 3, 5, 8):
+        for _ in range(40):
+            energies = rng.permutation(d).tolist()
+            cases.append((rng.dirichlet(np.ones(d)), energies))
+            # passive up to ties, then nudged by fractions of the slack
+            probs = np.sort(rng.dirichlet(np.ones(d)))[::-1].copy()
+            probs[rng.integers(d)] = probs[0]
+            cases.append((probs + rng.choice([-2, -1, 0, 0.5, 1, 2], d) * eq, list(range(d))))
+            nan = rng.dirichlet(np.ones(d))
+            nan[rng.choice(d, size=rng.integers(1, d + 1), replace=False)] = np.nan
+            cases.append((nan, energies))
+    base = 0.3
+    for delta in (-2 * eq, -eq, 0.0, 0.5 * eq, eq, 1.5 * eq, 2 * eq):
+        cases.append(([base, base + delta], [0, 1]))
+        cases.append(([base + delta, base], [1, 0]))
+    # slack creeping up level by level, and NaN around a violation
+    cases.append(([base + k * 0.6 * eq for k in range(4)], [0, 1, 2, 3]))
+    cases.append(([np.nan, 0.1, np.nan, 0.2], [0, 1, 2, 3]))
+    cases.append(([0.2, np.nan, 0.1], [0, 1, 2]))
+    cases.append(([np.nan, np.nan], [0, 1]))
+    return cases
+
+
+def test_is_e_passive_matches_the_all_pairs_loop():
+    verdicts = []
+    for probs, energies in _passivity_inputs():
+        verdict = is_e_passive(probs, energies)
+        assert verdict == _all_pairs_passive(probs, energies), (probs, energies)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_is_e_passive_tolerates_float_ties():

@@ -17,6 +17,7 @@ from sec_transfer import (
     TwoQubitParams,
     ValidationError,
     formats,
+    verify,
 )
 from sec_transfer import cli
 from sec_transfer.cli import main
@@ -64,6 +65,21 @@ def test_energy_must_be_an_integer_pair(energy, tmp_path, capsys):
     assert _exit_code(argv, capsys) == 2
     with pytest.raises(ValidationError):
         formats.hamiltonian_from_json({"energies": [[0, 1], energy]})
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [5, "ge", [None, True], ["g", 1], None, ["g"]],
+    ids=["number", "string", "null-and-bool", "mixed", "null", "too-few"],
+)
+def test_labels_must_be_an_array_of_strings(labels, tmp_path, capsys):
+    h_a = {**TWO_LEVEL, "labels": labels}
+    path = _write(tmp_path, _problem(h_a=h_a))
+    argv = ["classify", "--input", path, "--target", "A", "--beta-a", "2", "--beta-b", "1"]
+    assert _exit_code(argv, capsys) == 2
+    with pytest.raises(ValidationError, match="labels"):
+        formats.hamiltonian_from_json(h_a)
+    assert formats.hamiltonian_from_json({**TWO_LEVEL, "labels": ["g", "e"]}).labels == ("g", "e")
 
 
 @pytest.mark.parametrize(
@@ -343,3 +359,14 @@ def test_malformed_json_exits_2_naming_path_and_position(case, tmp_path, capsys)
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"validation error: {bad}: malformed JSON (")
     assert "at line 2, column 9" in err
+
+
+def test_verify_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert _exit_code(["verify", "--seed", "-3", "--output", str(out)], capsys) == 2
+    assert not out.exists()
+    with pytest.raises(ValidationError, match="nonnegative"):
+        verify.run_all(-3)
+    # the sampling seeds of the other subcommands stay free of sign
+    path = _write(tmp_path, _problem(state=_state()))
+    assert _exit_code(["analyze", "--input", path, "--target", "A", "--seed", "-3"], capsys) == 0

@@ -79,3 +79,21 @@ def test_probe_refuses_an_empty_sample_count(rng):
     state = random_state((2, 2), rng)
     with pytest.raises(ValidationError, match="count must be >= 1"):
         probe_unidirectional(state, spec, "A", 0, seed=1)
+
+
+def test_an_empty_thread_variable_counts_as_unset(rng, monkeypatch):
+    spec = ladder_spectrum(3, 2)
+    state = random_state((3, 2), rng)
+    n = SAMPLE_CHUNK + 3
+    monkeypatch.delenv("SEC_TRANSFER_THREADS", raising=False)
+    unset = (
+        monte_carlo_max(state, spec, "A", n, seed=4),
+        probe_unidirectional(state, spec, "A", n, seed=4),
+    )
+    monkeypatch.setenv("SEC_TRANSFER_THREADS", "")
+    assert optimize.thread_count() == 1
+    result = monte_carlo_max(state, spec, "A", n, seed=4)
+    assert result.value == unset[0].value
+    for energy in spec.energies:
+        assert result.unitary.blocks[energy].tobytes() == unset[0].unitary.blocks[energy].tobytes()
+    assert probe_unidirectional(state, spec, "A", n, seed=4) == unset[1]
