@@ -16,7 +16,6 @@ from .classify import (
     gibbs_probabilities,
     is_e_passive,
     passive_max_active_product,
-    probe_unidirectional,
     thermal_product,
 )
 from .errors import (

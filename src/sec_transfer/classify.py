@@ -1,16 +1,22 @@
-"""Membership in the one-way energy-flow class, and its constructor families.
+"""The one-way energy-flow class, decided exactly, and its constructor families.
 
-A state belongs to the class certified for target A when, in every
-total-energy block, the A-side populations are passive (non-increasing with
-the local energy) and the same-energy coherences vanish.  For such states no
-energy-conserving unitary can extract energy from A: every transfer to A is
-nonnegative.  Cross-energy coherences are harmless and explicitly allowed.
+A state belongs to the class for target A when, in every total-energy block,
+the A-side populations are passive (non-increasing with the local energy)
+and the same-energy coherences vanish; cross-energy coherences are allowed.
+These are exactly the states that no energy-conserving unitary can drain:
 
-The test is one-sided by design.  States outside the class are reported as
-non-members, never as "bidirectional": the class is not known to exhaust all
-one-way states, and :func:`probe_unidirectional` exposes a sampling harness
-for hunting counterexamples without drawing any conclusion from their
-absence.
+* An SEC unitary commutes with ``H_A + H_B``, so ``dE_A = -dE_B`` and
+  ``min_U dE_target = -max_U dE_other``, which
+  :func:`~sec_transfer.optimize.maximize_transfer_exact` computes exactly.
+* Per block, von Neumann's trace inequality bounds ``tr(U rho_E U^dag H)``
+  by ``sum_k lambda_k h_k`` (both sorted decreasingly).  The identity
+  attains it iff ``rho_E`` commutes with the other side's block energies,
+  which are distinct, and is ordered with them: no same-energy coherence,
+  and populations falling with the target's energy.
+
+So the minimum transfer is zero for members and negative otherwise.
+:func:`classify_flow` reports the rule's verdict, that minimum and, when
+passivity fails, a two-level swap witness that drains the target.
 
 Two families of members are provided as constructors: products of thermal
 states (the colder system only absorbs heat), and products of a passive
@@ -34,7 +40,7 @@ from .errors import (
     NotPassive,
     ValidationError,
 )
-from .optimize import _best_haar_sample
+from .optimize import _block_eigen_optimum
 from .spectra import Hamiltonian, JointSpectrum, check_system
 from .states import BipartiteState, decompose
 from .unitaries import SecUnitary
@@ -46,9 +52,16 @@ DIRECTION_NONE = "none"
 
 @dataclass
 class FlowClassification:
-    """Outcome of the one-way-flow membership test for one target system.
+    """Outcome of the one-way-flow decision for one target system.
 
     ``direction`` is the certified flow (energy into the target) or "none".
+    ``min_transfer`` is the exact minimum transfer to the target over all
+    SEC unitaries, zero up to rounding for members (an exact zero reads
+    ``0.0``, never ``-0.0``): the verdict's margin.  Near the boundary it
+    and the ``tolerances.COHERENCE_ZERO`` rule can disagree, as it is
+    quadratic in a small same-energy coherence: a 3x3 thermal member
+    (inverse temperatures 2 and 1) plus a coherence of 1e-6 gives -7.5e-12,
+    and one of 1e-9 gives 0.0, while ``direction`` is "none".
     When per-block passivity fails, ``witness`` holds a unitary, active on a
     single failing block, that strictly lowers the target's energy.
     """
@@ -56,6 +69,7 @@ class FlowClassification:
     direction: str
     failing_blocks: list[Fraction]
     has_useful_coherence: bool
+    min_transfer: float
     witness: SecUnitary | None = None
 
 
@@ -126,10 +140,13 @@ def classify_flow(state: BipartiteState, spec: JointSpectrum, target: str) -> Fl
     check_system(target)
     decomp = decompose(state, spec)
     witness, failing = _swap_witness(spec, decomp, target)
+    useful = decomp.useful_coherence_blocks()
     has_useful = any(
-        np.abs(alpha).max() > tolerances.COHERENCE_ZERO
-        for alpha in decomp.useful_coherence_blocks().values()
+        np.abs(alpha).max() > tolerances.COHERENCE_ZERO for alpha in useful.values()
     )
+    other = "B" if target == "A" else "A"
+    # 0.0 - x rather than -x, so an exact zero reads 0.0 and never -0.0
+    min_transfer = 0.0 - _block_eigen_optimum(decomp, useful, other).value
     member = not failing and not has_useful
     if member:
         direction = DIRECTION_A_FROM_B if target == "A" else DIRECTION_B_FROM_A
@@ -139,6 +156,7 @@ def classify_flow(state: BipartiteState, spec: JointSpectrum, target: str) -> Fl
         direction=direction,
         failing_blocks=failing,
         has_useful_coherence=has_useful,
+        min_transfer=min_transfer,
         witness=witness,
     )
 
@@ -210,24 +228,3 @@ def passive_max_active_product(
         )
     return BipartiteState.diagonal(np.kron(pa, pb), (h_a.dim, h_b.dim))
 
-
-def probe_unidirectional(
-    state: BipartiteState, spec: JointSpectrum, target: str, n_samples: int, seed: int
-) -> dict:
-    """Sampling harness: hunt for a unitary that drains the target system.
-
-    Returns the minimum sampled transfer to the target (the earliest sample
-    on ties) and whether any sample fell below
-    ``-tolerances.TRANSFER_NOISE``.  Samples are searched in chunks, as by
-    :func:`~sec_transfer.optimize.monte_carlo_max`.  Absence of a violation
-    is evidence only, not a proof of one-way flow.
-    """
-    check_system(target)
-    decomp = decompose(state, spec)
-    worst, index, _ = _best_haar_sample(decomp, target, n_samples, seed, sign=-1)
-    return {
-        "min_transfer": worst,
-        "argmin_sample": index,
-        "violation": bool(worst < -tolerances.TRANSFER_NOISE),
-        "samples": int(n_samples),
-    }

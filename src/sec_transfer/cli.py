@@ -14,7 +14,7 @@ subcommand never reads exits 2.
 
 Identical configuration and seed produce byte-identical reports; any command
 that samples requires an explicit ``--seed``.  The SEC_TRANSFER_THREADS
-environment variable caps worker threads inside the sampling loops.
+environment variable caps worker threads inside the Monte-Carlo search.
 """
 
 from __future__ import annotations

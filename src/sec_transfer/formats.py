@@ -12,7 +12,8 @@ Transfer report    ``{"target", "total", "diagonal", "coherent", "eta",
 Optimization       ``{"value", "method", "samples", "unitary"}`` with the
                    unitary inline or referenced by path.
 Flow class         ``{"direction", "failing_blocks", "has_useful_coherence",
-                   "witness"}``.
+                   "min_transfer", "witness"}``, ``min_transfer`` the exact
+                   minimum transfer to the target (zero for members).
 Problem file       ``{"h_a": <Hamiltonian>, "h_b": <Hamiltonian>,
                    "state": <State>}`` (state optional for constructor runs).
 
@@ -231,6 +232,7 @@ def flow_classification_to_json(result: FlowClassification) -> dict:
         "direction": result.direction,
         "failing_blocks": [fraction_key(e) for e in result.failing_blocks],
         "has_useful_coherence": result.has_useful_coherence,
+        "min_transfer": result.min_transfer,
         "witness": None if result.witness is None else sec_unitary_to_json(result.witness),
     }
 

@@ -21,7 +21,8 @@ per-block problems:
   up to float noise, never exceed the exact optimizer.
 
 Minimizing for one side is maximizing for the other: total energy is
-conserved, so the two transfers are opposite.
+conserved, so the two transfers are opposite.  This is how
+:func:`sec_transfer.classify.classify_flow` gets the exact minimum transfer.
 """
 
 from __future__ import annotations
@@ -184,39 +185,6 @@ def _block_eigen_optimum(
     )
 
 
-def _best_haar_sample(
-    decomp: StateDecomposition, target: str, n_samples: int, seed: int, sign: int
-) -> tuple[float, int, dict[Fraction, np.ndarray]]:
-    """``(total, index, blocks)`` of the Haar sample with the largest ``sign * total``.
-
-    Samples are drawn and evaluated in chunks of ``SAMPLE_CHUNK``, on
-    SEC_TRANSFER_THREADS threads; ties go to the earliest sample, whatever the
-    schedule.  The winner's blocks are copied so no chunk outlives its turn.
-    """
-    spec = decomp.spectrum
-    # a count below 1 still reaches sample_haar_blocks, which refuses it
-    chunks = [
-        (start, min(SAMPLE_CHUNK, n_samples - start))
-        for start in range(0, max(n_samples, 1), SAMPLE_CHUNK)
-    ]
-
-    def evaluate(chunk: tuple[int, int]) -> tuple[float, int, dict[Fraction, np.ndarray]]:
-        start, count = chunk
-        batch = sample_haar_blocks(spec, seed, count, start=start)
-        totals = batch_transfers(decomp, batch, target).total
-        inner = int(np.argmax(sign * totals))
-        blocks = {energy: stack[inner].copy() for energy, stack in batch.items()}
-        return float(totals[inner]), start + inner, blocks
-
-    workers = thread_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, chunks))
-    else:
-        results = [evaluate(chunk) for chunk in chunks]
-    return max(results, key=lambda r: (sign * r[0], -r[1]))
-
-
 def monte_carlo_max(
     state: BipartiteState,
     spec: JointSpectrum,
@@ -226,16 +194,36 @@ def monte_carlo_max(
 ) -> OptimizationResult:
     """Best transfer over ``n_samples`` Haar-random unitaries.
 
-    Deterministic for a given seed (ties resolve to the earliest sample); the
-    reported value is re-evaluated through dense evolution of the argmax
-    unitary.  Chunks of samples may be evaluated on several threads when
-    SEC_TRANSFER_THREADS is set; the result does not depend on the schedule.
+    Samples are drawn and evaluated in chunks of ``SAMPLE_CHUNK``, on
+    SEC_TRANSFER_THREADS threads; ties go to the earliest sample, whatever the
+    schedule, so the result is deterministic for a given seed.  The winner's
+    blocks are copied so no chunk outlives its turn, and the reported value
+    is re-evaluated through dense evolution of that unitary.
     """
     check_system(target)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     decomp = decompose(state, spec)
-    _, _, blocks = _best_haar_sample(decomp, target, n_samples, seed, sign=1)
+    chunks = [
+        (start, min(SAMPLE_CHUNK, n_samples - start))
+        for start in range(0, n_samples, SAMPLE_CHUNK)
+    ]
+
+    def evaluate(chunk: tuple[int, int]) -> tuple[float, int, dict[Fraction, np.ndarray]]:
+        start, count = chunk
+        batch = sample_haar_blocks(spec, seed, count, start=start)
+        totals = batch_transfers(decomp, batch, target).total
+        inner = int(np.argmax(totals))
+        blocks = {energy: stack[inner].copy() for energy, stack in batch.items()}
+        return float(totals[inner]), start + inner, blocks
+
+    workers = thread_count()
+    if workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate, chunks))
+    else:
+        results = [evaluate(chunk) for chunk in chunks]
+    _, _, blocks = max(results, key=lambda r: (r[0], -r[1]))
     unitary = SecUnitary(blocks, spec, validate=False)
     return OptimizationResult(
         value=transfer_direct(state, unitary, target),

@@ -122,7 +122,8 @@ class Hamiltonian:
     """Nondegenerate local spectrum with exact-comparison semantics.
 
     ``energies`` must be strictly increasing exact rationals (at least two
-    levels).  ``labels`` optionally names the basis states.
+    levels).  ``labels`` optionally names the basis states: a sequence of
+    strings, one per level (a bare string is refused, not split).
     """
 
     energies: tuple[Fraction, ...]
@@ -139,7 +140,9 @@ class Hamiltonian:
             if lo > hi:
                 raise ValidationError("energies must be strictly increasing")
         if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+            labels = tuple(self.labels)
+            if isinstance(self.labels, str) or not all(isinstance(x, str) for x in labels):
+                raise ValidationError(f"labels must be a sequence of strings, got {self.labels!r}")
             if len(labels) != len(energies):
                 raise ValidationError("labels must match energies in length")
             object.__setattr__(self, "labels", labels)
@@ -160,7 +163,7 @@ class Hamiltonian:
         Each value is snapped within the relative window ``tolerances.SNAP_REL``.
         """
         energies = tuple(snap_to_rational(float(v)) for v in values)
-        return cls(energies, tuple(labels) if labels is not None else None)
+        return cls(energies, labels)
 
 
 @dataclass(frozen=True)

@@ -209,9 +209,11 @@ class StateDecomposition:
             for i, energy in enumerate(spectrum.energies)
         }
         self.coh_blocks = CoherenceBlocks(matrix, spectrum, nonzero)
+        # block indices of the same-energy blocks, in the order of _same
+        self._same_index = np.flatnonzero(np.diagonal(nonzero)).tolist()
         self._same = {
             spectrum.energies[i]: matrix[layout.span(i), layout.span(i)]
-            for i in np.flatnonzero(np.diagonal(nonzero)).tolist()
+            for i in self._same_index
         }
 
     @property
@@ -272,13 +274,15 @@ class StateDecomposition:
             raise ValidationError(
                 f"block probabilities sum to {total!r}, off by more than {trace_tol:g}"
             )
-        for energy, alpha in self._same.items():
+        layout = self.spectrum.layout
+        for i, alpha in zip(self._same_index, self._same.values()):
+            energy = self.spectrum.energies[i]
             diag = np.abs(np.diag(alpha))
             if diag.max(initial=0.0) != 0.0:
                 raise ValidationError(
                     f"same-energy coherence block E={energy} has nonzero diagonal"
                 )
-            probs = self.diag_blocks[energy].probs
+            probs = self.probs[layout.span(i)]
             bound = np.outer(probs, probs)
             # 2x2 principal minors of a positive matrix
             if np.any(np.abs(alpha) ** 2 > bound + tolerances.POPULATION_BOUND):

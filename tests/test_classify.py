@@ -15,7 +15,6 @@ from sec_transfer import (
     is_e_passive,
     is_potentially_coherent,
     passive_max_active_product,
-    probe_unidirectional,
     thermal_product,
     transfer_direct,
 )
@@ -256,16 +255,3 @@ def test_witness_works_with_coherences_present(rng):
     label = classify_flow(state, spec, "A")
     assert label.witness is not None
     assert transfer_direct(state, label.witness, "A") < 0.0
-
-
-def test_probe_unidirectional_finds_violations(rng):
-    spec = ladder_spectrum(2, 2)
-    inverted = BipartiteState.diagonal([0.2, 0.1, 0.45, 0.25], (2, 2))
-    probe = probe_unidirectional(inverted, spec, "A", n_samples=500, seed=1)
-    assert probe["violation"]
-    assert probe["min_transfer"] < 0
-
-    member = thermal_product(spec.h_a, spec.h_b, 2.0, 1.0)
-    probe = probe_unidirectional(member, spec, "A", n_samples=500, seed=1)
-    assert not probe["violation"]
-    assert probe["min_transfer"] >= -1e-12

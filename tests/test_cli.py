@@ -432,3 +432,44 @@ def test_verify_gate_fails_when_the_split_breaks(tmp_path, capsys, monkeypatch):
     assert any(line.startswith("transfer split ") and "  FAIL  " in line for line in table)
     rows = {check["name"]: check["passed"] for check in read_json(out)["checks"]}
     assert rows["transfer split"] is False
+
+
+def _classify(args, tmp_path, name):
+    out = tmp_path / name
+    assert main(["classify", *args, "--target", "A", "--output", str(out)]) == 0
+    return out
+
+
+def test_classify_reports_are_byte_identical(problem_file, stateless_problem_file, tmp_path):
+    for args in (
+        ["--input", str(problem_file)],
+        ["--input", str(stateless_problem_file), "--beta-a", "2", "--beta-b", "1"],
+    ):
+        first = _classify(args, tmp_path, "first.json")
+        second = _classify(args, tmp_path, "second.json")
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_classify_reports_zero_min_transfer_for_a_thermal_member(
+    stateless_problem_file, tmp_path
+):
+    args = ["--input", str(stateless_problem_file), "--beta-a", "2", "--beta-b", "1"]
+    out = _classify(args, tmp_path, "label.json")
+    payload = read_json(out)
+    assert payload["direction"] == "A_from_B"
+    assert np.isfinite(payload["min_transfer"])
+    assert payload["min_transfer"] == 0.0
+    assert '"min_transfer": 0.0,' in out.read_text(encoding="utf-8")
+
+
+def test_classify_min_transfer_is_minus_the_optimum_for_the_other_side(
+    problem_file, tmp_path
+):
+    payload = read_json(_classify(["--input", str(problem_file)], tmp_path, "label.json"))
+    best = tmp_path / "best.json"
+    assert main(["optimize", "--input", str(problem_file), "--target", "B",
+                 "--output", str(best)]) == 0
+    assert payload["direction"] == "none"
+    assert np.isfinite(payload["min_transfer"])
+    assert payload["min_transfer"] < 0.0
+    assert abs(payload["min_transfer"] + read_json(best)["value"]) <= 1e-12

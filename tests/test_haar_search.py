@@ -1,7 +1,7 @@
-"""The one chunked Haar-sample search behind monte_carlo_max and probe_unidirectional.
+"""The chunked Haar-sample search of monte_carlo_max.
 
-Each search must return what a single unchunked pass over all samples
-returns: the extreme total, the earliest sample on ties, and that sample's
+The search must return what a single unchunked pass over all samples
+returns: the largest total, the earliest sample on ties, and that sample's
 exact blocks, whatever the thread count.
 """
 
@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 from sec_transfer import (
-    ValidationError,
     decompose,
     monte_carlo_max,
     optimize,
-    probe_unidirectional,
     transfer_direct,
 )
 from sec_transfer.fixtures import ladder_spectrum, random_state
@@ -34,17 +32,6 @@ def threads(request, monkeypatch):
         monkeypatch.delenv("SEC_TRANSFER_THREADS", raising=False)
     else:
         monkeypatch.setenv("SEC_TRANSFER_THREADS", request.param)
-
-
-@pytest.mark.parametrize("n", COUNTS)
-def test_probe_matches_one_pass(n, threads, rng):
-    spec = ladder_spectrum(3, 2)
-    state = random_state((3, 2), rng)
-    _, totals = _one_pass(state, spec, n, 5)
-    probe = probe_unidirectional(state, spec, "A", n, seed=5)
-    assert probe["argmin_sample"] == int(np.argmin(totals))
-    assert probe["min_transfer"] == float(totals.min())
-    assert probe["samples"] == n
 
 
 @pytest.mark.parametrize("n", COUNTS)
@@ -74,26 +61,15 @@ def test_monte_carlo_draws_nothing_after_the_search(rng, monkeypatch):
     assert drawn == [(0, SAMPLE_CHUNK), (SAMPLE_CHUNK, 10)]
 
 
-def test_probe_refuses_an_empty_sample_count(rng):
-    spec = ladder_spectrum(2, 2)
-    state = random_state((2, 2), rng)
-    with pytest.raises(ValidationError, match="count must be >= 1"):
-        probe_unidirectional(state, spec, "A", 0, seed=1)
-
-
 def test_an_empty_thread_variable_counts_as_unset(rng, monkeypatch):
     spec = ladder_spectrum(3, 2)
     state = random_state((3, 2), rng)
     n = SAMPLE_CHUNK + 3
     monkeypatch.delenv("SEC_TRANSFER_THREADS", raising=False)
-    unset = (
-        monte_carlo_max(state, spec, "A", n, seed=4),
-        probe_unidirectional(state, spec, "A", n, seed=4),
-    )
+    unset = monte_carlo_max(state, spec, "A", n, seed=4)
     monkeypatch.setenv("SEC_TRANSFER_THREADS", "")
     assert optimize.thread_count() == 1
     result = monte_carlo_max(state, spec, "A", n, seed=4)
-    assert result.value == unset[0].value
+    assert result.value == unset.value
     for energy in spec.energies:
-        assert result.unitary.blocks[energy].tobytes() == unset[0].unitary.blocks[energy].tobytes()
-    assert probe_unidirectional(state, spec, "A", n, seed=4) == unset[1]
+        assert result.unitary.blocks[energy].tobytes() == unset.unitary.blocks[energy].tobytes()

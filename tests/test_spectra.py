@@ -181,3 +181,25 @@ def test_flat_local_energies_lexicographic():
 @pytest.fixture
 def qutrit_qubit_spec():
     return spectrum([0, 1, 2], [0, 1])
+
+
+@pytest.mark.parametrize(
+    "labels", ["ge", (None, True), ("g", 1), [b"g", b"e"]],
+    ids=["bare-string", "null-and-bool", "mixed", "bytes"],
+)
+@pytest.mark.parametrize("build", ["exact", "from-floats"])
+def test_labels_are_strings_never_coerced(labels, build):
+    with pytest.raises(ValidationError, match="labels"):
+        if build == "exact":
+            Hamiltonian((0, 1), labels=labels)
+        else:
+            Hamiltonian.from_floats([0.0, 1.0], labels=labels)
+
+
+@pytest.mark.parametrize("build", ["exact", "from-floats"])
+def test_labels_given_as_strings_are_kept_as_a_tuple(build):
+    if build == "exact":
+        h = Hamiltonian((0, 1), labels=["g", "e"])
+    else:
+        h = Hamiltonian.from_floats([0.0, 1.0], labels=["g", "e"])
+    assert h.labels == ("g", "e")

@@ -18,6 +18,7 @@ from sec_transfer import (
     partial_trace,
 )
 from sec_transfer.fixtures import (
+    DIMENSION_CLASSES,
     ladder_spectrum,
     random_state,
     zero_cross_coherences,
@@ -252,3 +253,18 @@ def test_batched_matches_scalar_paths(rng):
         assert results.total[i] == pytest.approx(
             transfer_direct(state, u, "A"), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("dims", DIMENSION_CLASSES, ids=lambda d: f"{d[0]}x{d[1]}")
+@pytest.mark.parametrize("target", ["A", "B"])
+def test_diagonal_part_of_a_stack_reads_only_the_populations(dims, target, rng):
+    # the registry's diagonal-optimal property evaluates the dephased state
+    # to skip the coherent part; the diagonal part must keep its bits
+    spec = ladder_spectrum(*dims)
+    batch = sample_haar_blocks(spec, 11, 300)
+    for _ in range(5):
+        decomp = decompose(random_state(dims, rng), spec)
+        dephased = decompose(decomp.diagonal_state(), spec)
+        assert not dephased.useful_coherence_blocks()
+        full = batch_transfers(decomp, batch, target).diagonal
+        assert batch_transfers(dephased, batch, target).diagonal.tobytes() == full.tobytes()
