@@ -57,7 +57,10 @@ class FlowClassification:
     ``direction`` is the certified flow (energy into the target) or "none".
     ``min_transfer`` is the exact minimum transfer to the target over all
     SEC unitaries, zero up to rounding for members (an exact zero reads
-    ``0.0``, never ``-0.0``): the verdict's margin.  Near the boundary it
+    ``0.0``, never ``-0.0``): the verdict's margin.  No tolerance is applied
+    to it; read a member's value against 1e-12, the loss ``verify``'s
+    one-way-flow row allows a member (the 8x8 thermal ladder member prints
+    ``3.469446951953614e-18``).  Near the boundary it
     and the ``tolerances.COHERENCE_ZERO`` rule can disagree, as it is
     quadratic in a small same-energy coherence: a 3x3 thermal member
     (inverse temperatures 2 and 1) plus a coherence of 1e-6 gives -7.5e-12,

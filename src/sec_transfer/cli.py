@@ -13,29 +13,59 @@ unknown key, a value that is not a finite, nonnegative float, or a key the
 subcommand never reads exits 2.
 
 Identical configuration and seed produce byte-identical reports; any command
-that samples requires an explicit ``--seed``.  The SEC_TRANSFER_THREADS
+that samples requires an explicit ``--seed``.  ``--help`` and ``qubit-max``
+run without importing numpy: this module imports only numpy-free modules, and
+the layers the other subcommands call are bound here when one of them runs.  The SEC_TRANSFER_THREADS
 environment variable caps worker threads inside the Monte-Carlo search.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
-from . import formats, tolerances, verify
-from .classify import classify_flow, passive_max_active_product, thermal_product
+from . import tolerances
 from .errors import NumericalInvariantError, ValidationError
-from .optimize import (
-    METHOD_DIAGONAL,
-    OptimizationResult,
-    maximize_transfer_exact,
-    monte_carlo_max,
-    optimal_diagonal_unitary,
-)
-from .qubits import max_transfer_2q, plane_scan
-from .states import decompose
-from .transfer import analyze, transfer_direct
-from .unitaries import sample_haar
+from .jsonio import dump_json, format_json, read_json, two_qubit_params_from_json
+from .twoqubit import max_transfer_2q
+
+# Every name run() calls for a subcommand that needs numpy, with its home
+# module.  They are bound as globals here only when such a subcommand runs or
+# something reads them from this module (to wrap or replace one, say), so
+# --help and qubit-max never import numpy.  Binding keeps a name already bound.
+_NUMPY_LAYERS = {
+    "formats": "formats",
+    "verify": "verify",
+    "classify_flow": "classify",
+    "passive_max_active_product": "classify",
+    "thermal_product": "classify",
+    "METHOD_DIAGONAL": "optimize",
+    "OptimizationResult": "optimize",
+    "maximize_transfer_exact": "optimize",
+    "monte_carlo_max": "optimize",
+    "optimal_diagonal_unitary": "optimize",
+    "plane_scan": "qubits",
+    "decompose": "states",
+    "analyze": "transfer",
+    "transfer_direct": "transfer",
+    "sample_haar": "unitaries",
+}
+
+
+def _bind_numpy_layers() -> None:
+    scope = globals()
+    for name, module in _NUMPY_LAYERS.items():
+        if name not in scope:
+            home = importlib.import_module(f".{module}", __package__)
+            scope[name] = home if name == module else getattr(home, name)
+
+
+def __getattr__(name: str):
+    if name not in _NUMPY_LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_numpy_layers()
+    return globals()[name]
 
 
 _ADMISSION = ("herm", "trace", "psd")
@@ -82,16 +112,37 @@ def _load_state(args: argparse.Namespace, tol: dict, require_state: bool = True)
     return h_a, h_b, spec, state
 
 
-def _write_report(args: argparse.Namespace, payload: dict) -> None:
+def _write_report(args: argparse.Namespace, payload: dict, dump) -> None:
+    """The report on stdout, or through ``dump`` into ``--output``."""
     if args.output is None:
-        print(formats.format_json(payload))
+        print(format_json(payload))
     else:
-        formats.dump_json(payload, args.output)
+        dump(payload, args.output)
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
     tol = _parse_tolerances(args)
+
+    if args.command == "qubit-max":
+        if args.input is None:
+            raise ValidationError("qubit-max requires --input with two-qubit parameters")
+        params = two_qubit_params_from_json(read_json(args.input))
+        optimum = max_transfer_2q(params, args.target, optimize_alpha=not args.fixed_alpha)
+        payload = {
+            "target": args.target,
+            "value": optimum.value,
+            "r_star": optimum.r_star,
+            "phi_star": optimum.phi_star,
+            "alpha_star_re": optimum.alpha_star.real,
+            "alpha_star_im": optimum.alpha_star.imag,
+            "alpha_optimized": not args.fixed_alpha,
+        }
+        _write_report(args, payload, dump_json)
+        return 0
+
+    # every other subcommand needs the numpy layers
+    _bind_numpy_layers()
 
     if args.command == "decompose":
         _, _, spec, state = _load_state(args, tol)
@@ -108,7 +159,7 @@ def run(args: argparse.Namespace) -> int:
                 f"{names[i]}|{names[j]}" for i, j in decomp.coh_blocks.pairs()
             ),
         }
-        _write_report(args, payload)
+        _write_report(args, payload, formats.dump_json)
         if args.csv is not None:
             formats.write_decomposition_csv(decomp, args.csv)
         return 0
@@ -116,13 +167,13 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "analyze":
         _, _, spec, state = _load_state(args, tol)
         if args.unitary is not None:
-            u = formats.sec_unitary_from_json(formats.read_json(args.unitary), spec)
+            u = formats.sec_unitary_from_json(read_json(args.unitary), spec)
         elif args.seed is not None:
             u = sample_haar(spec, args.seed)
         else:
             raise ValidationError("analyze needs --unitary FILE or --seed N")
         report = analyze(state, u, args.target, split_tol=tol["split"])
-        _write_report(args, formats.transfer_report_to_json(report))
+        _write_report(args, formats.transfer_report_to_json(report), formats.dump_json)
         return 0
 
     if args.command == "optimize":
@@ -140,7 +191,7 @@ def run(args: argparse.Namespace) -> int:
             result = monte_carlo_max(state, spec, args.target, args.samples, args.seed)
         else:
             raise ValidationError(f"unknown optimize method {args.method!r}")
-        _write_report(args, formats.optimization_result_to_json(result))
+        _write_report(args, formats.optimization_result_to_json(result), formats.dump_json)
         return 0
 
     if args.command == "classify":
@@ -168,24 +219,7 @@ def run(args: argparse.Namespace) -> int:
                 "classify needs a state in the problem file or constructor flags"
             )
         label = classify_flow(state, spec, args.target)
-        _write_report(args, formats.flow_classification_to_json(label))
-        return 0
-
-    if args.command == "qubit-max":
-        if args.input is None:
-            raise ValidationError("qubit-max requires --input with two-qubit parameters")
-        params = formats.two_qubit_params_from_json(formats.read_json(args.input))
-        optimum = max_transfer_2q(params, args.target, optimize_alpha=not args.fixed_alpha)
-        payload = {
-            "target": args.target,
-            "value": optimum.value,
-            "r_star": optimum.r_star,
-            "phi_star": optimum.phi_star,
-            "alpha_star_re": optimum.alpha_star.real,
-            "alpha_star_im": optimum.alpha_star.imag,
-            "alpha_optimized": not args.fixed_alpha,
-        }
-        _write_report(args, payload)
+        _write_report(args, formats.flow_classification_to_json(label), formats.dump_json)
         return 0
 
     if args.command == "bell-scan":
@@ -278,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="run the property registry at fast strength")
     common(verify_cmd, seed=True)
-    verify_cmd.set_defaults(seed=verify.DEFAULT_SEED)
+    verify_cmd.set_defaults(seed=tolerances.DEFAULT_SEED)
 
     return parser
 

@@ -13,7 +13,9 @@ Optimization       ``{"value", "method", "samples", "unitary"}`` with the
                    unitary inline or referenced by path.
 Flow class         ``{"direction", "failing_blocks", "has_useful_coherence",
                    "min_transfer", "witness"}``, ``min_transfer`` the exact
-                   minimum transfer to the target (zero for members).
+                   minimum transfer to the target (zero for members up to
+                   rounding: compare against 1e-12, the loss ``verify``
+                   allows a member; no tolerance is applied to it).
 Problem file       ``{"h_a": <Hamiltonian>, "h_b": <Hamiltonian>,
                    "state": <State>}`` (state optional for constructor runs).
 
@@ -29,14 +31,22 @@ stays ``-0.0``) is formatted once and rows are written in fixed-size chunks.
 from __future__ import annotations
 
 import csv
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalInvariantError, ValidationError
-from .qubits import PlaneScan, TwoQubitParams
+from .errors import ValidationError
+# the numpy-free JSON helpers, importable from here as before
+from .jsonio import (
+    _number,
+    _require,
+    dump_json,
+    format_json,
+    read_json,
+    two_qubit_params_from_json,
+    two_qubit_params_to_json,
+)
+from .qubits import PlaneScan
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState, StateDecomposition
 from .transfer import TransferReport
@@ -45,47 +55,8 @@ from .classify import FlowClassification
 from .unitaries import SecUnitary
 
 
-def _require(mapping: dict, key: str, context: str):
-    if not isinstance(mapping, dict):
-        raise ValidationError(f"{context} must be a JSON object")
-    if key not in mapping:
-        raise ValidationError(f"{context} is missing required key {key!r}")
-    return mapping[key]
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(value, context: str) -> float:
-    """A JSON number as a float; strings, bools and nulls are rejected."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{context} must be a number, got {value!r}")
-    return float(value)
-
-
-def _reject_constant(token: str):
-    raise ValidationError(f"non-finite JSON value {token} is not allowed")
-
-
-def read_json(path):
-    """Parse a JSON file, rejecting the non-standard NaN and Infinity tokens.
-
-    Text that is not UTF-8 or not JSON raises a ValidationError naming the file.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle, parse_constant=_reject_constant)
-        except UnicodeDecodeError as exc:
-            # json.load decodes the whole file at once, so exc.start is a file offset
-            raise ValidationError(
-                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
-                f"at offset {exc.start})"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: malformed JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"
-            ) from None
 
 
 def fraction_to_json(value: Fraction) -> list[int]:
@@ -237,27 +208,6 @@ def flow_classification_to_json(result: FlowClassification) -> dict:
     }
 
 
-def two_qubit_params_to_json(params: TwoQubitParams) -> dict:
-    return {
-        "p00": params.p00,
-        "p01": params.p01,
-        "p10": params.p10,
-        "p11": params.p11,
-        "alpha_re": params.alpha.real,
-        "alpha_im": params.alpha.imag,
-    }
-
-
-def two_qubit_params_from_json(data: dict) -> TwoQubitParams:
-    context = "two-qubit params JSON"
-    probs = [
-        _number(_require(data, key, context), f"{context} {key!r}")
-        for key in ("p00", "p01", "p10", "p11")
-    ]
-    alpha = [_number(data.get(key, 0.0), f"{context} {key!r}") for key in ("alpha_re", "alpha_im")]
-    return TwoQubitParams(*probs, alpha=complex(*alpha))
-
-
 def load_problem(
     path, tolerances: dict | None = None
 ) -> tuple[Hamiltonian, Hamiltonian, JointSpectrum, BipartiteState | None]:
@@ -275,19 +225,6 @@ def load_problem(
                 f"Hamiltonian dims {spec.dims}"
             )
     return h_a, h_b, spec, state
-
-
-def format_json(payload: dict) -> str:
-    """A report's text: sorted keys, indent 2; non-finite values are refused."""
-    try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalInvariantError(f"report holds a non-finite value ({exc})") from None
-
-
-def dump_json(payload: dict, path) -> None:
-    """Write a report deterministically, the same bytes stdout would get."""
-    Path(path).write_text(format_json(payload) + "\n", encoding="utf-8")
 
 
 DECOMP_CSV_HEADER = ["E", "p_E", "probs", "chi_same_energy_max", "chi_cross_energy_max"]

@@ -35,15 +35,9 @@ from .errors import (
     UnknownBlock,
     ValidationError,
 )
+from .twoqubit import SYSTEMS, check_system
 
-SYSTEMS = ("A", "B")
 MAX_DENOMINATOR = 10**6  # the largest denominator snap_to_rational returns
-
-
-def check_system(system: str) -> str:
-    if system not in SYSTEMS:
-        raise ValidationError(f"system must be 'A' or 'B', got {system!r}")
-    return system
 
 
 def as_fraction(value) -> Fraction:

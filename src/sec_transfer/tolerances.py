@@ -14,6 +14,8 @@ sum (``TRACE``) and the sign check on populations the optimizers rearrange
 overrides one, except the snapping window ``SNAP_REL``, which
 ``snap_to_rational`` also takes as ``rel_tol``.  The thresholds of individual
 ``verify`` properties live with those properties, not here.
+``DEFAULT_SEED``, the seed ``verify`` runs when given none, is kept here so
+the command line can name it without importing the registry and numpy.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ TRANSFER_NOISE = 1e-12
 QUBIT_DOMAIN = 1e-12
 # relative window in which a float is snapped to a rational energy
 SNAP_REL = 1e-9
+
+DEFAULT_SEED = 20240801
 
 DEFAULTS = {"herm": HERMITICITY, "trace": TRACE, "psd": PSD, "split": SPLIT}
 

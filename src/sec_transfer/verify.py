@@ -34,9 +34,9 @@ from .optimize import (
 )
 from .states import decompose, partial_trace
 from .transfer import batch_transfers, transfer_coherent, transfer_diagonal, transfer_direct
+from .tolerances import DEFAULT_SEED
 from .unitaries import is_potentially_coherent, sample_haar_blocks, to_full_matrix
 
-DEFAULT_SEED = 20240801
 STATISTICAL_SEED = 987654
 FAST, FULL = "fast", "full"
 
