@@ -124,25 +124,37 @@ def _matrix_from_json(data: dict, context: str) -> np.ndarray:
     im = _real_array(data, "im", context)
     if re.shape != im.shape:
         raise ValidationError(f"{context}: re/im shapes differ ({re.shape} vs {im.shape})")
-    return re + 1j * im
+    # the bits of re + 1j * im, signed zeros included, in one complex buffer
+    matrix = 1j * im
+    matrix += re
+    return matrix
 
 
 def state_to_json(state: BipartiteState) -> dict:
     return {"dims": list(state.dims), **_matrix_to_json(state.matrix)}
 
 
-def state_from_json(data: dict, tolerances: dict | None = None) -> BipartiteState:
+def _state_matrix(data: dict) -> tuple[np.ndarray, tuple[int, int]]:
+    """A state JSON object's complex matrix and checked dims, not yet admitted."""
     dims = _require(data, "dims", "state JSON")
     if not (
         isinstance(dims, list) and len(dims) == 2 and all(_is_int(d) and d > 0 for d in dims)
     ):
         raise ValidationError(f"state JSON dims must be two positive integers, got {dims!r}")
-    matrix = _matrix_from_json(data, "state JSON")
+    return _matrix_from_json(data, "state JSON"), (dims[0], dims[1])
+
+
+def _admission_bounds(tolerances: dict | None) -> dict:
+    """``BipartiteState`` keyword arguments for the admission keys overridden."""
     tolerances = tolerances or {}
-    kwargs = {
+    return {
         f"{key}_tol": tolerances[key] for key in ("herm", "trace", "psd") if key in tolerances
     }
-    return BipartiteState(matrix, (dims[0], dims[1]), **kwargs)
+
+
+def state_from_json(data: dict, tolerances: dict | None = None) -> BipartiteState:
+    matrix, dims = _state_matrix(data)
+    return BipartiteState(matrix, dims, **_admission_bounds(tolerances))
 
 
 def sec_unitary_to_json(u: SecUnitary) -> dict:
@@ -211,19 +223,28 @@ def flow_classification_to_json(result: FlowClassification) -> dict:
 def load_problem(
     path, tolerances: dict | None = None
 ) -> tuple[Hamiltonian, Hamiltonian, JointSpectrum, BipartiteState | None]:
-    """Read a problem file: both Hamiltonians plus an optional state."""
+    """Read a problem file: both Hamiltonians plus an optional state.
+
+    The parsed JSON tree is released before the state is admitted: for a
+    D x D state it holds 2 D^2 Python floats, several times the complex
+    matrix, and admission's work buffers would otherwise stack on it.
+    """
     data = read_json(path)
     h_a = hamiltonian_from_json(_require(data, "h_a", "problem file"))
     h_b = hamiltonian_from_json(_require(data, "h_b", "problem file"))
     spec = build_joint_spectrum(h_a, h_b)
-    state = None
-    if data.get("state") is not None:
-        state = state_from_json(data["state"], tolerances)
-        if state.dims != spec.dims:
-            raise ValidationError(
-                f"problem file state dims {state.dims} do not match "
-                f"Hamiltonian dims {spec.dims}"
-            )
+    state_json = data.pop("state", None)
+    del data
+    if state_json is None:
+        return h_a, h_b, spec, None
+    matrix, dims = _state_matrix(state_json)
+    del state_json
+    state = BipartiteState(matrix, dims, **_admission_bounds(tolerances))
+    if state.dims != spec.dims:
+        raise ValidationError(
+            f"problem file state dims {state.dims} do not match "
+            f"Hamiltonian dims {spec.dims}"
+        )
     return h_a, h_b, spec, state
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from sec_transfer import (
 )
 from sec_transfer.fixtures import ladder_spectrum, max_coherence_params, random_state
 from sec_transfer import formats
+from sec_transfer.cli import main
 
 
 def test_hamiltonian_roundtrip():
@@ -148,3 +150,87 @@ def test_problem_file_dims_must_match(tmp_path, rng):
     )
     with pytest.raises(ValidationError):
         formats.load_problem(path)
+
+
+NEGATIVE_ZERO_PROBLEM = (
+    '{"h_a": {"energies": [[0, 1], [1, 1]]}, "h_b": {"energies": [[0, 1], [1, 1]]}, '
+    '"state": {"dims": [2, 2], '
+    '"re": [[0.25, -0.0, -0.0, -0.0], [-0.0, 0.375, 0.125, -0.0], '
+    '[-0.0, 0.125, 0.375, 0.0], [-0.0, -0.0, 0.0, -0.0]], '
+    '"im": [[-0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0625, 0.0], '
+    '[-0.0, 0.0625, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0]]}}'
+)
+
+NEGATIVE_ZERO_REPORT = """{
+  "blocks": {
+    "0": [
+      0.25
+    ],
+    "1": [
+      0.375,
+      0.375
+    ],
+    "2": [
+      0.0
+    ]
+  },
+  "coherence_blocks": [
+    "1|1"
+  ],
+  "p_E": {
+    "0": 0.25,
+    "1": 0.75,
+    "2": 0.0
+  }
+}
+"""
+
+NEGATIVE_ZERO_CSV = (
+    "E,p_E,probs,chi_same_energy_max,chi_cross_energy_max\r\n"
+    "0,0.25,0.25,0.0,0.0\r\n"
+    "1,0.75,0.375;0.375,0.13975424859373686,0.0\r\n"
+    "2,0.0,0.0,0.0,0.0\r\n"
+)
+
+
+def test_negative_zero_entries_keep_their_bits_and_report_bytes(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(NEGATIVE_ZERO_PROBLEM, encoding="utf-8")
+    payload = json.loads(NEGATIVE_ZERO_PROBLEM)["state"]
+    expected = np.array(payload["re"]) + 1j * np.array(payload["im"])
+    state = formats.load_problem(path)[3]
+    np.testing.assert_array_equal(state.matrix.view(np.int64), expected.view(np.int64))
+    report, table = tmp_path / "report.json", tmp_path / "report.csv"
+    args = ["decompose", "--input", str(path), "--output", str(report), "--csv", str(table)]
+    assert main(args) == 0
+    assert report.read_bytes() == NEGATIVE_ZERO_REPORT.encode()
+    assert table.read_bytes() == NEGATIVE_ZERO_CSV.encode()
+
+
+def test_load_problem_releases_the_parsed_json_before_admission(tmp_path, monkeypatch):
+    spec = ladder_spectrum(16, 16)
+    path = tmp_path / "problem.json"
+    formats.dump_json(
+        {
+            "h_a": formats.hamiltonian_to_json(spec.h_a),
+            "h_b": formats.hamiltonian_to_json(spec.h_b),
+            "state": formats.state_to_json(random_state((16, 16), np.random.default_rng(3))),
+        },
+        path,
+    )
+    admit = formats.BipartiteState
+    at_admission = []
+
+    def watched(*args, **kwargs):
+        at_admission.append(tracemalloc.get_traced_memory()[0])
+        return admit(*args, **kwargs)
+
+    monkeypatch.setattr(formats, "BipartiteState", watched)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        formats.load_problem(path)
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = np.dtype(complex).itemsize * 256**2
+    assert at_admission[0] - before <= 1.5 * matrix_bytes

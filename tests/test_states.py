@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from sec_transfer import (
     local_energy,
     partial_trace,
 )
+from sec_transfer import formats, tolerances
+from sec_transfer.cli import main
 from sec_transfer.classify import thermal_product
 from sec_transfer.fixtures import ladder_spectrum, random_state
 
@@ -148,3 +151,114 @@ def test_partial_trace_of_product(rng):
 
 def test_partial_trace_bell():
     np.testing.assert_allclose(partial_trace(BELL.matrix, (2, 2), "A"), np.eye(2) / 2)
+
+
+PSD = tolerances.PSD
+
+
+def _state_with_lowest(d, lowest, rng):
+    """Hermitian unit-trace matrix with eigenvalues ``lowest`` and positive rest."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rest = rng.uniform(0.5, 1.5, d - 1)
+    weights = np.concatenate(([lowest], rest * (1.0 - lowest) / rest.sum()))
+    rho = (q * weights) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _assert_admission_matches_eigvalsh(rho, dims, psd_tol, monkeypatch):
+    """Admit ``rho`` as the lowest eigenvalue decides; return the eigvalsh calls made."""
+    lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    if lowest >= -psd_tol:
+        BipartiteState(rho, dims, psd_tol=psd_tol)
+    else:
+        with pytest.raises(NotAState) as excinfo:
+            BipartiteState(rho, dims, psd_tol=psd_tol)
+        assert str(excinfo.value) == (
+            f"not positive semidefinite: lowest eigenvalue {lowest:.3e} below -{psd_tol:g}"
+        )
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "side, lowest",
+    [
+        (side, lowest)
+        for side in (8, 16)
+        for lowest in (
+            -PSD * (1 - 1e-3),
+            -PSD * (1 + 1e-3),
+            -PSD / 2 * (1 - 1e-3),
+            -PSD / 2 * (1 + 1e-3),
+            0.0,
+            -1.5 * PSD,
+        )
+    ]
+    + [(32, 0.0)],
+)
+def test_admission_decides_as_the_lowest_eigenvalue(side, lowest, monkeypatch):
+    d = side * side
+    rho = _state_with_lowest(d, lowest, np.random.default_rng([d, 7]))
+    calls = _assert_admission_matches_eigvalsh(rho, (side, side), PSD, monkeypatch)
+    if lowest == 0.0:
+        assert calls == 0, "the Cholesky certificate should admit this state"
+
+
+def _pure_state(seed):
+    """A random rank-1 density matrix over 4 x 4 levels; a basis state for ``None``."""
+    if seed is None:
+        psi = np.eye(16)[5].astype(complex)
+    else:
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, None])
+def test_zero_psd_tolerance_on_a_pure_state_is_decided_by_eigvalsh(seed, monkeypatch):
+    calls = _assert_admission_matches_eigvalsh(_pure_state(seed), (4, 4), 0.0, monkeypatch)
+    assert calls == 1
+
+
+@pytest.mark.parametrize("psd_tol", [0.4, 0.6, 1e6, 1e300, sys.float_info.max])
+def test_large_psd_tolerance_admits_as_the_lowest_eigenvalue(psd_tol, monkeypatch):
+    rho = np.diag([0.75, 0.5, 0.25, -0.5]).astype(complex)
+    rho[0, 1] = rho[1, 0] = 0.125
+    _assert_admission_matches_eigvalsh(rho, (2, 2), psd_tol, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [0, None])
+def test_zero_psd_tolerance_on_a_pure_state_file(tmp_path, capsys, seed):
+    """``--tolerance psd=0`` reaches admission; the lowest eigenvalue decides."""
+    spec = ladder_spectrum(4, 4)
+    state = {"dims": [4, 4], **formats._matrix_to_json(_pure_state(seed))}
+    path = tmp_path / "pure.json"
+    formats.dump_json(
+        {
+            "h_a": formats.hamiltonian_to_json(spec.h_a),
+            "h_b": formats.hamiltonian_to_json(spec.h_b),
+            "state": state,
+        },
+        path,
+    )
+    rho = np.array(state["re"]) + 1j * np.array(state["im"])
+    lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    code = main(["decompose", "--input", str(path), "--tolerance", "psd=0"])
+    err = capsys.readouterr().err
+    if lowest >= 0:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err == (
+            f"validation error: not positive semidefinite: lowest eigenvalue {lowest:.3e} "
+            "below -0\n"
+        )
