@@ -181,8 +181,8 @@ def run(args: argparse.Namespace) -> int:
         if args.method == "exact":
             result = maximize_transfer_exact(state, spec, args.target)
         elif args.method == "diagonal":
-            decomp = decompose(state, spec)
-            unitary = optimal_diagonal_unitary(decomp, spec, args.target)
+            # the decomposition's copy of the state is freed before the dense reference
+            unitary = optimal_diagonal_unitary(decompose(state, spec), spec, args.target)
             value = transfer_direct(state, unitary, args.target)
             result = OptimizationResult(value, unitary, METHOD_DIAGONAL)
         elif args.method == "monte-carlo":
@@ -329,7 +329,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        print(f"validation error: {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        # an error on stdout (a closed pipe, say) carries no file name
+        where = "" if exc.filename is None else f"{exc.filename!r}: "
+        print(f"validation error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""

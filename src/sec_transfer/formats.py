@@ -23,6 +23,14 @@ Floats are serialized with Python's shortest round-trip representation, so
 every emitted value parses back to the exact double and identical inputs
 produce byte-identical files.
 
+A problem file is walked rather than parsed whole: json's own decoder reads
+each key and value of the problem and state objects, and the state's ``re``
+and ``im`` arrays one row at a time, each row checked all-float and copied
+into a float64 buffer.  A D = 1024 state thus never exists as 2 D^2 Python
+floats (about 64 MB against the 16 MB complex matrix).  Text the walk does
+not take (integer entries, duplicate keys, any syntax error, ...) is parsed
+again by ``read_json``, so its errors and values are those of ``json.load``.
+
 The Bell-plane scan CSV takes few distinct values per column, so each
 distinct value of a scan column (told apart by its bit pattern, so ``-0.0``
 stays ``-0.0``) is formatted once and rows are written in fixed-size chunks.
@@ -31,6 +39,8 @@ stays ``-0.0``) is formatted once and rows are written in fixed-size chunks.
 from __future__ import annotations
 
 import csv
+import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +49,7 @@ from .errors import ValidationError
 # the numpy-free JSON helpers, importable from here as before
 from .jsonio import (
     _number,
+    _reject_constant,
     _require,
     dump_json,
     format_json,
@@ -48,7 +59,7 @@ from .jsonio import (
 )
 from .qubits import PlaneScan
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
-from .states import BipartiteState, StateDecomposition
+from .states import BipartiteState, StateDecomposition, _Handover
 from .transfer import TransferReport
 from .optimize import OptimizationResult
 from .classify import FlowClassification
@@ -104,12 +115,32 @@ def _matrix_to_json(matrix: np.ndarray) -> dict:
     }
 
 
+def _holds_bool(raw, ndim: int) -> bool:
+    """Whether a rectangular nested list of depth ``ndim`` holds a JSON boolean."""
+    leaves = raw
+    for _ in range(ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    return ndim > 0 and bool in set(map(type, leaves))
+
+
 def _real_array(data: dict, key: str, context: str) -> np.ndarray:
-    """A rectangular array of JSON numbers; no per-entry Python loop."""
+    """A rectangular array of JSON numbers; no per-entry Python loop.
+
+    numpy would read ``true``/``false`` as 1/0, so booleans are refused by
+    name.  The problem-file walk hands over a checked float64 array instead
+    of nested lists; it passes through unchanged.
+    """
+    raw = _require(data, key, context)
     try:
-        values = np.asarray(_require(data, key, context))
+        values = np.asarray(raw)
     except ValueError:
         raise ValidationError(f"{context}: {key!r} is not a rectangular array") from None
+    if values.dtype.kind == "b" or (
+        values.dtype.kind in "iuf" and isinstance(raw, list) and _holds_bool(raw, values.ndim)
+    ):
+        raise ValidationError(
+            f"{context}: {key!r} holds JSON booleans (true/false), which are not numbers"
+        )
     if values.dtype.kind not in "iuf":
         raise ValidationError(
             f"{context}: {key!r} must hold only numbers (got numpy dtype {values.dtype})"
@@ -154,7 +185,7 @@ def _admission_bounds(tolerances: dict | None) -> dict:
 
 def state_from_json(data: dict, tolerances: dict | None = None) -> BipartiteState:
     matrix, dims = _state_matrix(data)
-    return BipartiteState(matrix, dims, **_admission_bounds(tolerances))
+    return BipartiteState(_Handover(matrix), dims, **_admission_bounds(tolerances))
 
 
 def sec_unitary_to_json(u: SecUnitary) -> dict:
@@ -220,16 +251,131 @@ def flow_classification_to_json(result: FlowClassification) -> dict:
     }
 
 
+# json's own scanner decides every token of the problem-file walk
+_DECODE = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
+_SKIP = json.decoder.WHITESPACE.match
+_FLOATS = {float}
+
+
+class _Unwalkable(Exception):
+    """Problem-file text the walk leaves to :func:`read_json`."""
+
+
+def _walk_object(text: str, at: int, member) -> tuple[dict, int]:
+    """The JSON object opening at ``text[at]`` and the index after it.
+
+    ``member(key, at)`` decodes the value starting at ``at`` and returns it
+    with the index after it.  A duplicate key is not walked.
+    """
+    if not text.startswith("{", at):
+        raise _Unwalkable
+    members = {}
+    at = _SKIP(text, at + 1).end()
+    if text.startswith("}", at):
+        return members, at + 1
+    while True:
+        if not text.startswith('"', at):
+            raise _Unwalkable
+        key, at = _DECODE(text, at)
+        at = _SKIP(text, at).end()
+        if not text.startswith(":", at) or key in members:
+            raise _Unwalkable
+        members[key], at = member(key, _SKIP(text, at + 1).end())
+        at = _SKIP(text, at).end()
+        if text.startswith("}", at):
+            return members, at + 1
+        if not text.startswith(",", at):
+            raise _Unwalkable
+        at = _SKIP(text, at + 1).end()
+
+
+def _walk_rows(text: str, at: int) -> tuple[np.ndarray, int]:
+    """A square array of all-float rows, as float64, one row decoded at a time.
+
+    Only one row's Python floats are alive at once.  The buffer is allocated
+    from the first row's length, once the text is long enough to hold that
+    many rows (each entry takes at least one character), so it is never more
+    than eight bytes per character of text.
+    """
+    if not text.startswith("[", at):
+        raise _Unwalkable
+    at = _SKIP(text, at + 1).end()
+    rows = None
+    filled = 0
+    while True:
+        row, at = _DECODE(text, at)
+        if type(row) is not list or set(map(type, row)) != _FLOATS:
+            raise _Unwalkable
+        if rows is None:
+            if len(row) ** 2 > len(text):
+                raise _Unwalkable
+            rows = np.empty((len(row), len(row)))
+        if filled == len(rows) or len(row) != len(rows):
+            raise _Unwalkable
+        rows[filled] = row
+        filled += 1
+        at = _SKIP(text, at).end()
+        if text.startswith("]", at):
+            break
+        if not text.startswith(",", at):
+            raise _Unwalkable
+        at = _SKIP(text, at + 1).end()
+    if filled != len(rows):
+        raise _Unwalkable
+    return rows, at + 1
+
+
+def _walk_problem(text: str) -> dict:
+    """``json.loads(text)``, with the state's ``re`` and ``im`` as float64 arrays.
+
+    Raises :class:`_Unwalkable` (or json's own error) on any text it does
+    not take: not an object, a duplicate key in the problem or state
+    object, a ``re``/``im`` that is not a square array of floats, or text
+    after the object.
+    """
+
+    def state_member(key: str, at: int):
+        return _walk_rows(text, at) if key in ("re", "im") else _DECODE(text, at)
+
+    def member(key: str, at: int):
+        if key == "state" and text.startswith("{", at):
+            return _walk_object(text, at, state_member)
+        return _DECODE(text, at)
+
+    data, at = _walk_object(text, _SKIP(text, 0).end(), member)
+    if _SKIP(text, at).end() != len(text):
+        raise _Unwalkable
+    return data
+
+
+def _read_problem(path) -> dict:
+    """A problem file's JSON, its state arrays read row by row where possible.
+
+    Any text the walk does not take is parsed again by :func:`read_json`,
+    so every rejection, message and line/column report is read_json's.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return _walk_problem(handle.read())
+    except (_Unwalkable, ValueError, ValidationError, RecursionError):
+        pass  # leaving the handler frees the text before read_json reads it again
+    return read_json(path)
+
+
 def load_problem(
     path, tolerances: dict | None = None
 ) -> tuple[Hamiltonian, Hamiltonian, JointSpectrum, BipartiteState | None]:
     """Read a problem file: both Hamiltonians plus an optional state.
 
-    The parsed JSON tree is released before the state is admitted: for a
-    D x D state it holds 2 D^2 Python floats, several times the complex
-    matrix, and admission's work buffers would otherwise stack on it.
+    The state's ``re`` and ``im`` arrays are decoded one row at a time into
+    float64 buffers, so the 2 D^2 Python floats of a whole parsed tree (four
+    times the complex matrix) never exist at once; text that is not a plain
+    problem object with square all-float arrays goes through
+    :func:`read_json` as a whole.  The file's text is released before the
+    matrix is built, the float buffers before the state is admitted, and
+    the admitted state keeps the freshly built matrix without a copy.
     """
-    data = read_json(path)
+    data = _read_problem(path)
     h_a = hamiltonian_from_json(_require(data, "h_a", "problem file"))
     h_b = hamiltonian_from_json(_require(data, "h_b", "problem file"))
     spec = build_joint_spectrum(h_a, h_b)
@@ -239,7 +385,7 @@ def load_problem(
         return h_a, h_b, spec, None
     matrix, dims = _state_matrix(state_json)
     del state_json
-    state = BipartiteState(matrix, dims, **_admission_bounds(tolerances))
+    state = BipartiteState(_Handover(matrix), dims, **_admission_bounds(tolerances))
     if state.dims != spec.dims:
         raise ValidationError(
             f"problem file state dims {state.dims} do not match "

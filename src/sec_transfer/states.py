@@ -55,6 +55,21 @@ from .errors import DimensionMismatch, NotAState, ValidationError
 from .spectra import JointSpectrum, check_system
 
 
+class _Handover:
+    """A fresh complex matrix handed to :class:`BipartiteState` to keep as is.
+
+    The JSON readers build the state's matrix themselves and never use it
+    again, so they pass it in this wrapper and admission skips the D x D
+    copy.  Any other matrix is copied, so a caller's array never becomes a
+    state's read-only matrix.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+
 class BipartiteState:
     """Dense Hermitian, unit-trace, positive-semidefinite complex matrix.
 
@@ -84,7 +99,10 @@ class BipartiteState:
         trace_tol: float = tolerances.TRACE,
         psd_tol: float = tolerances.PSD,
     ):
-        mat = np.array(matrix, dtype=complex)
+        if isinstance(matrix, _Handover):
+            mat = np.asarray(matrix.matrix, dtype=complex)
+        else:
+            mat = np.array(matrix, dtype=complex)
         dims = (int(dims[0]), int(dims[1]))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"state matrix must be square, got shape {mat.shape}")

@@ -180,10 +180,11 @@ def analyze(
     Raises :class:`NumericalInvariantError` if the three quantities fail to
     satisfy ``total = diagonal + coherent`` within ``split_tol``; that bound
     holding is exactly what makes the block-wise paths trustworthy.
+    The dense reference runs first, so its D x D work buffers are gone
+    before the decomposition's copy of the state is made.
     """
-    decomp = decompose(state, u.spectrum)
     total = transfer_direct(state, u, target)
-    split = _split(decomp, u, target)
+    split = _split(decompose(state, u.spectrum), u, target)
     residual = abs(total - split.diagonal - split.coherent)
     if residual > split_tol:
         raise NumericalInvariantError(

@@ -5,7 +5,10 @@ uncaught exception.  Every failing run must print exactly one line on
 stderr.
 """
 
+import errno
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -99,12 +102,28 @@ def test_state_dims_must_be_two_positive_integers(dims, tmp_path, capsys):
         ("im", [[0, "x", 0, 0]] + [[0] * 4] * 3),
         ("im", [[0, True, 0, 0]] + [[0] * 4] * 3),
         ("im", [[0, None, 0, 0]] + [[0] * 4] * 3),
+        ("re", [[True, 0, 0, 0], [0, False, 0, 0], [0, 0, False, 0], [0, 0, 0, False]]),
     ],
-    ids=["ragged", "numeric-string", "string", "bool", "null"],
+    ids=["ragged", "numeric-string", "string", "bool", "null", "bool-coerces-to-a-state"],
 )
 def test_state_entries_must_be_a_rectangular_array_of_numbers(field, value, tmp_path, capsys):
     path = _write(tmp_path, _problem(state=_state(**{field: value})))
     assert _exit_code(["decompose", "--input", path], capsys) == 2
+
+
+def test_json_booleans_are_refused_by_name_in_states_and_unitary_blocks(tmp_path, capsys):
+    # read as 1/0, each of these would be a valid state or block unitary
+    coerced = [[True, 0, 0, 0], [0, False, 0, 0], [0, 0, False, 0], [0, 0, 0, False]]
+    problem = _write(tmp_path, _problem(state=_state(re=coerced)))
+    assert main(["decompose", "--input", problem]) == 2
+    assert "'re' holds JSON booleans" in capsys.readouterr().err
+    unitary = {"blocks": {e: {"re": [[1.0]], "im": [[0.0]]} for e in ("0", "2")}}
+    unitary["blocks"]["1"] = {"re": [[1.0, 0.0], [0.0, True]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    path = _write(tmp_path, unitary, "u.json")
+    problem = _write(tmp_path, _problem(state=_state()))
+    argv = ["analyze", "--input", problem, "--target", "A", "--unitary", path]
+    assert main(argv) == 2
+    assert "unitary block 1: 're' holds JSON booleans" in capsys.readouterr().err
 
 
 def test_nan_off_diagonal_is_rejected(tmp_path, capsys):
@@ -279,6 +298,20 @@ def test_io_error_exits_2_naming_path_and_reason(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert str(path) in err and reason in err
+
+
+def test_error_writing_stdout_exits_2_without_a_file_name(tmp_path, capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def flush(self):
+            pass
+
+    problem = _write(tmp_path, _problem(state=_state()))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["decompose", "--input", problem]) == 2
+    assert capsys.readouterr().err == f"validation error: {os.strerror(errno.EPIPE)}\n"
 
 
 @pytest.mark.parametrize(

@@ -234,3 +234,248 @@ def test_load_problem_releases_the_parsed_json_before_admission(tmp_path, monkey
         tracemalloc.stop()
     matrix_bytes = np.dtype(complex).itemsize * 256**2
     assert at_admission[0] - before <= 1.5 * matrix_bytes
+
+
+# The problem-file walk against read_json: every text gives the same Hamiltonians
+# and state bits, or the same exception and message.  ``walks`` pins which texts the
+# walk takes itself rather than handing to read_json.
+
+_ROW0 = "[0.25, -0.0, -0.0, -0.0]"
+
+
+def _swap(old: str, new: str, count: int = 1) -> str:
+    assert old in NEGATIVE_ZERO_PROBLEM
+    return NEGATIVE_ZERO_PROBLEM.replace(old, new, count)
+
+
+def _redumped(transform, **dumps) -> str:
+    return json.dumps(transform(json.loads(NEGATIVE_ZERO_PROBLEM)), **dumps)
+
+
+def _with_state(**fields) -> str:
+    def transform(data):
+        data["state"].update(fields)
+        return data
+
+    return _redumped(transform)
+
+
+def _reordered(data):
+    state = data["state"]
+    return {
+        "state": {"im": state["im"], "dims": state["dims"], "re": state["re"]},
+        "h_b": data["h_b"],
+        "h_a": data["h_a"],
+    }
+
+
+_CONTRACT_ROWS = {
+    "ragged": ("re", [[0.25, 0, 0, 0], [0, 0.25, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]),
+    "numeric-string": ("re", [["0.25", 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]),
+    "string": ("im", [[0, "x", 0, 0]] + [[0] * 4] * 3),
+    "bool": ("im", [[0, True, 0, 0]] + [[0] * 4] * 3),
+    "null": ("im", [[0, None, 0, 0]] + [[0] * 4] * 3),
+    "bool-coerces-to-a-state": (
+        "re", [[True, 0.0, 0.0, 0.0], [0.0, False, 0.0, 0.0], [0.0, 0.0, False, 0.0],
+               [0.0, 0.0, 0.0, False]]
+    ),
+    "float-bool-row": ("re", [[1.0, 0.0, 0.0, 0.0]] + [[False, 0.0, 0.0, 0.0]] * 3),
+}
+
+WALK_CASES = {
+    # (text, taken by the walk)
+    "plain": (NEGATIVE_ZERO_PROBLEM, True),
+    **{
+        f"lax-{token}": (_swap(_ROW0, f"[0.25, {token}, -0.0, -0.0]"), False)
+        for token in ("1.", ".5", "+1", "01", "NaN", "Infinity", "-Infinity", "1e", "0x1")
+    },
+    "exponents": (
+        _swap("0.25", "2.5e-1").replace("0.375", "375E-3").replace("0.0625", "6.25e-2")
+        .replace("0.125", "12.5e-2").replace("-0.0", "-0e0"),
+        True,
+    ),
+    "overflow": (_swap(_ROW0, "[0.25, 1e400, -0.0, -0.0]"), True),
+    "underflow-to-zero": (_swap(_ROW0, "[0.25, -1e-400, -0.0, -0.0]"), True),
+    "integer-entries": (_swap("-0.0", "0", -1), False),
+    "one-integer": (_swap("0.25", "1", 1), False),
+    "compact": (NEGATIVE_ZERO_PROBLEM.replace(", ", ",").replace(": ", ":"), True),
+    "spread": (NEGATIVE_ZERO_PROBLEM.replace(", ", " ,\n\t ").replace(": ", "\r\n:\t"), True),
+    "brackets-padded": (NEGATIVE_ZERO_PROBLEM.replace("[", "[ \n").replace("]", "\t]"), True),
+    "indent-2": (_redumped(lambda d: d, indent=2), True),
+    "indent-tab": (_redumped(lambda d: d, indent="\t"), True),
+    "crlf": (_redumped(lambda d: d, indent=1).replace("\n", "\r\n"), True),
+    "outer-whitespace": ("\n \t" + NEGATIVE_ZERO_PROBLEM + " \r\n\n", True),
+    "bom": ("\ufeff" + NEGATIVE_ZERO_PROBLEM, False),
+    "reordered": (_redumped(_reordered), True),
+    "extra-keys": (
+        _swap('"state": {', '"note": {"a": [1, 2.5, null]}, "state": {"comment": "x", '), True
+    ),
+    "escaped-keys": (_swap('"re"', '"\\u0072e"').replace('"state"', '"st\\u0061te"'), True),
+    "duplicate-top-key": (_swap('"state"', '"h_b": {"energies": [[0, 1], [2, 1]]}, "state"'),
+                          False),
+    "duplicate-state-key": (_swap('"dims": [2, 2], ', '"dims": [2, 2], "re": [[1.0]], '), False),
+    "duplicate-dims": (_swap('"dims": [2, 2], ', '"dims": [4, 1], "dims": [2, 2], '), False),
+    "duplicate-inside-hamiltonian": (
+        _swap('"h_a": {"energies"', '"h_a": {"energies": [[5, 1]], "energies"'), True
+    ),
+    "no-state": (_redumped(lambda d: {"h_a": d["h_a"], "h_b": d["h_b"]}), True),
+    "state-null": (_redumped(lambda d: {**d, "state": None}), True),
+    "state-number": (_redumped(lambda d: {**d, "state": 5}), True),
+    "state-array": (_redumped(lambda d: {**d, "state": [1.0]}), True),
+    "state-empty": (_redumped(lambda d: {**d, "state": {}}), True),
+    "no-h_a": (_redumped(lambda d: {"h_b": d["h_b"], "state": d["state"]}), True),
+    "missing-im": (_redumped(lambda d: {**d, "state": {"dims": [2, 2], "re": d["state"]["re"]}}),
+                   True),
+    "empty-object": ("{}", True),
+    "empty-rows": (_with_state(re=[]), False),
+    "empty-row": (_with_state(re=[[]]), False),
+    "non-square": (_with_state(re=[[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]), False),
+    "too-many-rows": (_with_state(re=[[0.5, 0.0]] * 3), False),
+    "re-1x1": (_with_state(re=[[1.0]]), True),
+    "shapes-differ": (_with_state(re=[[0.5, 0.0], [0.0, 0.5]], im=[[0.0]]), True),
+    "flat-row": (_with_state(re=[0.25, 0.0, 0.0, 0.0]), False),
+    # a square buffer for this row would take 80 GB; the file is 0.4 MB
+    "one-long-row": (_with_state(re=[[0.0] * 100_000]), False),
+    "deeper": (_with_state(re=[[[0.25]]]), False),
+    "re-number": (_with_state(re=1.0), False),
+    "re-null": (_with_state(re=None), False),
+    "unit-trace-but-negative": (
+        _with_state(re=[[1.5, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0]]),
+        True,
+    ),
+    **{
+        f"contract-{name}": (_with_state(**{key: rows}), False)
+        for name, (key, rows) in _CONTRACT_ROWS.items()
+    },
+    **{
+        f"contract-dims-{name}": (_with_state(dims=dims), True)
+        for name, dims in {
+            "scalar": 4, "one-entry": [4], "string": [2, "2"], "float": [2.0, 2],
+            "zero": [0, 4], "three-entries": [2, 2, 1], "null": None, "mismatch": [4, 1],
+        }.items()
+    },
+    "contract-nan-off-diagonal": (_swap('"im": [[-0.0, -0.0', '"im": [[-0.0, NaN'), False),
+    "contract-energy-float": (_swap("[1, 1]]}, ", "[1.5, 2]]}, "), True),
+    "contract-labels": (_swap('"h_b": {', '"h_b": {"labels": ["g", 1], '), True),
+    "contract-not-an-object": ("[1, 2]", False),
+    "contract-malformed": ('{"h_a":\n  [1, 2,]}', False),
+    "truncated": (NEGATIVE_ZERO_PROBLEM[:-30], False),
+    "trailing-comma": (_swap("-0.0]]}}", "-0.0],]}}"), False),
+    "trailing-text": (NEGATIVE_ZERO_PROBLEM + " x", False),
+    "trailing-object": (NEGATIVE_ZERO_PROBLEM + "{}", False),
+    "trailing-bracket": (NEGATIVE_ZERO_PROBLEM + "]", False),
+    "missing-colon": (_swap('"dims": ', '"dims" '), False),
+    "missing-comma": (_swap('"dims": [2, 2], ', '"dims": [2, 2] '), False),
+    "number-key": (_swap('{"h_a"', '{1: 2, "h_a"'), False),
+}
+
+
+def _load_outcome(path):
+    try:
+        h_a, h_b, spec, state = formats.load_problem(path)
+    except Exception as exc:  # the outcome under test includes the exception
+        return type(exc), str(exc)
+    if state is None:
+        return h_a, h_b, spec, None
+    return h_a, h_b, spec, state.dims, state.matrix.tobytes()
+
+
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_problem_walk_matches_read_json(case, tmp_path, monkeypatch):
+    text, walks = WALK_CASES[case]
+    path = tmp_path / "problem.json"
+    path.write_bytes(text.encode("utf-8"))
+    walked = _load_outcome(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_read_problem", formats.read_json)
+        parsed = _load_outcome(path)
+    assert walked == parsed
+    try:
+        formats._walk_problem(path.read_text(encoding="utf-8"))
+    except (formats._Unwalkable, ValueError, ValidationError):
+        taken = False
+    else:
+        taken = True
+    assert taken is walks
+
+
+def test_problem_walk_matches_read_json_on_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_bytes(NEGATIVE_ZERO_PROBLEM.encode().replace(b"0.375", b"0.3\xff5", 1))
+    with pytest.raises(ValidationError) as walked:
+        formats.load_problem(path)
+    with pytest.raises(ValidationError) as parsed:
+        formats.read_json(path)
+    assert str(walked.value) == str(parsed.value)
+
+
+def test_problem_walk_returns_float64_rows_and_the_rest_as_json(tmp_path):
+    text = WALK_CASES["extra-keys"][0]
+    data = formats._walk_problem(text)
+    reference = json.loads(text)
+    for key in ("re", "im"):
+        rows = data["state"].pop(key)
+        assert rows.dtype == np.float64 and rows.shape == (4, 4)
+        expected = np.array(reference["state"].pop(key))
+        np.testing.assert_array_equal(rows.view(np.int64), expected.view(np.int64))
+    assert data == reference
+    assert list(data) == list(reference) and list(data["state"]) == list(reference["state"])
+
+
+def test_load_problem_state_keeps_the_matrix_it_was_handed(tmp_path, monkeypatch):
+    path = tmp_path / "problem.json"
+    path.write_text(NEGATIVE_ZERO_PROBLEM, encoding="utf-8")
+    admit = formats.BipartiteState
+    handed = []
+
+    def watched(matrix, *args, **kwargs):
+        handed.append(matrix.matrix)
+        return admit(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(formats, "BipartiteState", watched)
+    state = formats.load_problem(path)[3]
+    assert state.matrix is handed[0] and not state.matrix.flags.writeable
+    # a caller's own array is still copied, and stays writable
+    mine = np.array(json.loads(NEGATIVE_ZERO_PROBLEM)["state"]["re"], dtype=complex)
+    kept = admit(mine, (2, 2))
+    assert not np.shares_memory(kept.matrix, mine) and mine.flags.writeable
+
+
+def _band_state(d: int) -> np.ndarray:
+    """A D x D state whose JSON text is short: 1/D on the diagonal, +-1/(4D) beside it."""
+    rho = np.eye(d) / d
+    beside = np.where(np.arange(d - 1) % 2 == 0, 0.25, -0.25) / d
+    rho[np.arange(d - 1), np.arange(1, d)] = beside
+    rho[np.arange(1, d), np.arange(d - 1)] = beside
+    return rho
+
+
+def test_load_problem_peak_memory_has_no_float_tree(tmp_path):
+    """The traced peak across the whole load stays within its three phases.
+
+    Reading holds the file's bytes and its text (2 x text), the walk the text
+    and two float64 buffers (text + matrix), and admission the complex matrix
+    and two D x D work buffers (3 x matrix).  Parsing the whole file instead
+    holds 2 D^2 Python floats, over 4 x matrix on their own.
+    """
+    spec = ladder_spectrum(16, 16)
+    rho = _band_state(256)
+    path = tmp_path / "problem.json"
+    payload = {
+        "h_a": formats.hamiltonian_to_json(spec.h_a),
+        "h_b": formats.hamiltonian_to_json(spec.h_b),
+        "state": {"dims": [16, 16], "re": rho.tolist(), "im": np.zeros_like(rho).tolist()},
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    text_bytes = path.stat().st_size
+    matrix_bytes = np.dtype(complex).itemsize * 256**2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        formats.load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    phases = max(2 * text_bytes, text_bytes + matrix_bytes, 3 * matrix_bytes)
+    assert peak <= 1.25 * phases
