@@ -54,7 +54,6 @@ _HOMES = {
         "maximize_transfer_exact",
         "monte_carlo_max",
         "optimal_diagonal_unitary",
-        "passive_rearrange",
     ),
     "qubits": (
         "BellDiagParams",

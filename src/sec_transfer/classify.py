@@ -214,6 +214,9 @@ def passive_max_active_product(
     if len(pb) != h_b.dim:
         raise LengthMismatch(f"probs_b has {len(pb)} entries for {h_b.dim} levels")
     for name, p in (("probs_a", pa), ("probs_b", pb)):
+        # NaN passes every comparison below, so refuse it by name first
+        if not np.isfinite(p).all():
+            raise ValidationError(f"{name} must be finite, got {p.tolist()!r}")
         if np.any(p < 0):
             raise ValidationError(f"{name} must be nonnegative")
         if abs(p.sum() - 1.0) > tolerances.TRACE:

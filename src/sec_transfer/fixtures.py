@@ -133,9 +133,9 @@ def random_suite(
 
 def zero_cross_coherences(state: BipartiteState, spec: JointSpectrum) -> BipartiteState:
     """Drop every coherence block connecting different total energies."""
-    return decompose(state, spec).reassemble(True, True, False)
+    return decompose(state, spec).reassemble(True, False)
 
 
 def zero_same_coherences(state: BipartiteState, spec: JointSpectrum) -> BipartiteState:
     """Drop every same-energy coherence block."""
-    return decompose(state, spec).reassemble(True, False, True)
+    return decompose(state, spec).reassemble(False, True)

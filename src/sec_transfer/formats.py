@@ -79,6 +79,7 @@ def fraction_key(value: Fraction) -> str:
 
 
 def hamiltonian_to_json(h: Hamiltonian) -> dict:
+    """The inverse of :func:`hamiltonian_from_json`, which the tests check through it."""
     payload = {"energies": [fraction_to_json(e) for e in h.energies]}
     if h.labels is not None:
         payload["labels"] = list(h.labels)
@@ -87,6 +88,10 @@ def hamiltonian_to_json(h: Hamiltonian) -> dict:
 
 def hamiltonian_from_json(data: dict) -> Hamiltonian:
     energies = _require(data, "energies", "Hamiltonian JSON")
+    if not isinstance(energies, list):
+        raise ValidationError(
+            f"Hamiltonian energies must be an array, got {type(energies).__name__}"
+        )
     parsed = []
     for entry in energies:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -162,6 +167,7 @@ def _matrix_from_json(data: dict, context: str) -> np.ndarray:
 
 
 def state_to_json(state: BipartiteState) -> dict:
+    """The inverse of :func:`load_problem`'s state reader, which the tests check through it."""
     return {"dims": list(state.dims), **_matrix_to_json(state.matrix)}
 
 
@@ -173,19 +179,6 @@ def _state_matrix(data: dict) -> tuple[np.ndarray, tuple[int, int]]:
     ):
         raise ValidationError(f"state JSON dims must be two positive integers, got {dims!r}")
     return _matrix_from_json(data, "state JSON"), (dims[0], dims[1])
-
-
-def _admission_bounds(tolerances: dict | None) -> dict:
-    """``BipartiteState`` keyword arguments for the admission keys overridden."""
-    tolerances = tolerances or {}
-    return {
-        f"{key}_tol": tolerances[key] for key in ("herm", "trace", "psd") if key in tolerances
-    }
-
-
-def state_from_json(data: dict, tolerances: dict | None = None) -> BipartiteState:
-    matrix, dims = _state_matrix(data)
-    return BipartiteState(_Handover(matrix), dims, **_admission_bounds(tolerances))
 
 
 def sec_unitary_to_json(u: SecUnitary) -> dict:
@@ -385,7 +378,9 @@ def load_problem(
         return h_a, h_b, spec, None
     matrix, dims = _state_matrix(state_json)
     del state_json
-    state = BipartiteState(_Handover(matrix), dims, **_admission_bounds(tolerances))
+    admission = ("herm", "trace", "psd")
+    bounds = {f"{key}_tol": value for key, value in (tolerances or {}).items() if key in admission}
+    state = BipartiteState(_Handover(matrix), dims, **bounds)
     if state.dims != spec.dims:
         raise ValidationError(
             f"problem file state dims {state.dims} do not match "

@@ -30,7 +30,10 @@ def _number(value, context: str) -> float:
     """A JSON number as a float; strings, bools and nulls are rejected."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{context} is an integer too large for a double") from None
 
 
 def _reject_constant(token: str):
@@ -40,7 +43,9 @@ def _reject_constant(token: str):
 def read_json(path):
     """Parse a JSON file, rejecting the non-standard NaN and Infinity tokens.
 
-    Text that is not UTF-8 or not JSON raises a ValidationError naming the file.
+    Text that is not UTF-8 or not JSON, nested too deeply, or holding an
+    integer literal longer than Python converts raises a ValidationError
+    naming the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -55,6 +60,12 @@ def read_json(path):
             raise ValidationError(
                 f"{path}: malformed JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"
             ) from None
+        except ValueError as exc:
+            # int() refuses a literal over sys.get_int_max_str_digits() digits
+            detail = str(exc).partition(";")[0]
+            raise ValidationError(f"{path}: JSON number too long to read ({detail})") from None
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply to read") from None
 
 
 def format_json(payload: dict) -> str:
@@ -71,6 +82,7 @@ def dump_json(payload: dict, path) -> None:
 
 
 def two_qubit_params_to_json(params: TwoQubitParams) -> dict:
+    """The inverse of :func:`two_qubit_params_from_json`, which the tests check through it."""
     return {
         "p00": params.p00,
         "p01": params.p01,

@@ -73,7 +73,14 @@ def thread_count() -> int:
     return max(1, n)
 
 
-def _rearrange(probs, energies, largest_at_lowest: bool) -> tuple[list[int], np.ndarray]:
+def max_active_rearrange(probs, energies) -> tuple[list[int], np.ndarray]:
+    """Pair the largest probability with the largest energy.
+
+    Returns ``(perm, rearranged)`` with ``rearranged[m] = probs[perm[m]]``;
+    the rearranged vector is the maximum-energy ordering of the given
+    populations.  Ties keep index order, so an input that is already
+    maximally active over increasing energies maps to the identity.
+    """
     probs = np.asarray(probs, dtype=float)
     if len(probs) != len(energies):
         raise LengthMismatch(
@@ -86,30 +93,11 @@ def _rearrange(probs, energies, largest_at_lowest: bool) -> tuple[list[int], np.
             f"(slack {tolerances.PSD:g} for admitted states)"
         )
     positions = sorted(range(len(probs)), key=lambda m: (energies[m], m))
-    if largest_at_lowest:
-        order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
-    else:
-        order = sorted(range(len(probs)), key=lambda i: (probs[i], i))
+    order = sorted(range(len(probs)), key=lambda i: (probs[i], i))
     perm = [0] * len(probs)
     for pos, src in zip(positions, order):
         perm[pos] = src
     return perm, probs[perm]
-
-
-def passive_rearrange(probs, energies) -> tuple[list[int], np.ndarray]:
-    """Pair the largest probability with the smallest energy.
-
-    Returns ``(perm, rearranged)`` with ``rearranged[m] = probs[perm[m]]``;
-    the rearranged vector is the minimum-energy ordering of the given
-    populations.  Ties keep the original order, so an already passive input
-    maps to the identity permutation.
-    """
-    return _rearrange(probs, energies, largest_at_lowest=True)
-
-
-def max_active_rearrange(probs, energies) -> tuple[list[int], np.ndarray]:
-    """Mirror of :func:`passive_rearrange`: largest probability at the top."""
-    return _rearrange(probs, energies, largest_at_lowest=False)
 
 
 def optimal_diagonal_unitary(

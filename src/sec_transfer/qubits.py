@@ -175,7 +175,10 @@ def bell_diagonal_state(c: BellDiagParams) -> BipartiteState:
 
 
 def bell_correlations(state: BipartiteState) -> BellDiagParams:
-    """Read the correlation coordinates c_i = Tr((sigma_i x sigma_i) rho)."""
+    """Read the correlation coordinates c_i = Tr((sigma_i x sigma_i) rho).
+
+    The inverse of :func:`bell_diagonal_state`, which the tests check through it.
+    """
     if state.dims != (2, 2):
         raise NotTwoQubit(f"expected dims (2, 2), got {state.dims}")
     mat = state.matrix

@@ -22,6 +22,7 @@ tolerance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -133,6 +134,10 @@ class Hamiltonian:
                 raise DegenerateSpectrum(f"repeated energy {lo} in local spectrum")
             if lo > hi:
                 raise ValidationError("energies must be strictly increasing")
+        try:
+            float(max(energies[-1], -energies[0]))  # the largest magnitude
+        except OverflowError:
+            raise ValidationError("Hamiltonian energies must lie within double range") from None
         if self.labels is not None:
             labels = tuple(self.labels)
             if isinstance(self.labels, str) or not all(isinstance(x, str) for x in labels):
@@ -226,6 +231,13 @@ class JointSpectrum:
         for a, ea in enumerate(h_a.energies):
             for b, eb in enumerate(h_b.energies):
                 groups.setdefault(ea + eb, []).append((a, b))
+        # reports write each block energy as "p/q"; refuse one Python cannot print
+        limit = sys.get_int_max_str_digits()
+        if limit and any(max(abs(e.numerator), e.denominator) >= 10**limit for e in groups):
+            raise ValidationError(
+                f"a block energy has a numerator or denominator of more than {limit} "
+                "digits, too long to write in a report"
+            )
         # the A index runs outermost, so members are already in local-A order
         self.blocks = tuple(
             EnergyBlock(energy, tuple(members)) for energy, members in sorted(groups.items())
@@ -250,23 +262,12 @@ class JointSpectrum:
     def total_dim(self) -> int:
         return self.h_a.dim * self.h_b.dim
 
-    def _index(self, energy) -> int:
+    def block(self, energy) -> EnergyBlock:
         key = as_fraction(energy)
         try:
-            return self.layout.index[key]
+            return self.blocks[self.layout.index[key]]
         except KeyError:
             raise UnknownBlock(f"no block with total energy {key}") from None
-
-    def block(self, energy) -> EnergyBlock:
-        return self.blocks[self._index(energy)]
-
-    def flat_indices(self, energy) -> np.ndarray:
-        """Flat product-basis indices of the block members, in member order."""
-        return self.layout.order[self.layout.span(self._index(energy))]
-
-    def local_energies_float(self, energy, system: str) -> np.ndarray:
-        """Member-order local energies of one side of a block, as floats."""
-        return self.ordered_local_energies(system)[self.layout.span(self._index(energy))]
 
     def flat_local_energies(self, system: str) -> np.ndarray:
         """Local energy carried by every flat product-basis index."""

@@ -159,11 +159,6 @@ class BipartiteState:
         p = np.asarray(probs, dtype=float)
         return cls(np.diag(p.astype(complex)), dims)
 
-    @classmethod
-    def maximally_mixed(cls, dims: tuple[int, int]) -> "BipartiteState":
-        d = dims[0] * dims[1]
-        return cls(np.eye(d, dtype=complex) / d, dims, validate=False)
-
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
 
@@ -306,25 +301,21 @@ class StateDecomposition:
         return np.maximum.reduceat(peaks, starts, axis=1)
 
     def reassemble(
-        self,
-        include_diagonal: bool = True,
-        include_same_energy: bool = True,
-        include_cross_energy: bool = True,
+        self, include_same_energy: bool = True, include_cross_energy: bool = True
     ) -> BipartiteState:
-        """Rebuild a state from selected pieces of the decomposition.
+        """Rebuild a state from the populations and selected coherence blocks.
 
-        With all three switches on this inverts :func:`decompose` up to the
-        stored-zero threshold.  Dropping pieces yields the dephased variants
-        used by the transfer and classification checks; those are returned
-        unvalidated since e.g. the diagonal part alone is a state by
+        With both switches on this inverts :func:`decompose` up to the
+        stored-zero threshold.  Dropping coherences yields the dephased
+        variants used by the transfer and classification checks; those are
+        returned unvalidated since e.g. the diagonal part alone is a state by
         construction while arbitrary subsets need not be.
         """
         layout = self.spectrum.layout
         # pieces are added onto zeros rather than copied, so a stored -0.0
         # entry comes back as +0.0
         ordered = np.zeros_like(self._matrix)
-        if include_diagonal:
-            np.fill_diagonal(ordered, self.probs)
+        np.fill_diagonal(ordered, self.probs)
         if include_same_energy and include_cross_energy:
             ordered += self._matrix
         elif include_same_energy or include_cross_energy:
@@ -336,7 +327,7 @@ class StateDecomposition:
 
     def diagonal_state(self) -> BipartiteState:
         """The dephased state: diagonal part only."""
-        return self.reassemble(True, False, False)
+        return self.reassemble(False, False)
 
     def validate(self, trace_tol: float = tolerances.TRACE) -> None:
         """Check the structural invariants; raises ValidationError on failure."""

@@ -83,7 +83,9 @@ class TwoQubitParams:
             raise ValidationError(
                 f"populations must sum to 1 within {tolerances.TRACE:g}, got {total!r}"
             )
-        if abs(self.alpha) ** 2 > self.p01 * self.p10 + tolerances.POPULATION_BOUND:
+        # any |alpha| above 1 exceeds p01*p10 here, and one past 1e154 overflows squared
+        bound = self.p01 * self.p10 + tolerances.POPULATION_BOUND
+        if abs(self.alpha) > 1.0 or abs(self.alpha) ** 2 > bound:
             raise ValidationError(
                 "coherence too large: |alpha|^2 must not exceed p01*p10 "
                 f"(slack {tolerances.POPULATION_BOUND:g})"
@@ -101,6 +103,7 @@ class TwoQubitParams:
 
     @classmethod
     def from_state(cls, state: BipartiteState) -> "TwoQubitParams":
+        """The inverse of :meth:`to_state`, which the tests check through it."""
         if state.dims != (2, 2):
             raise NotTwoQubit(f"expected dims (2, 2), got {state.dims}")
         pops = state.populations()

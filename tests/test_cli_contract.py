@@ -15,6 +15,7 @@ import pytest
 
 from sec_transfer import (
     BipartiteState,
+    build_joint_spectrum,
     NotAState,
     NumericalInvariantError,
     TwoQubitParams,
@@ -403,3 +404,78 @@ def test_verify_refuses_a_negative_seed(tmp_path, capsys):
     # the sampling seeds of the other subcommands stay free of sign
     path = _write(tmp_path, _problem(state=_state()))
     assert _exit_code(["analyze", "--input", path, "--target", "A", "--seed", "-3"], capsys) == 0
+
+
+@pytest.mark.parametrize("case", ["problem", "unitary", "two-qubit"])
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[" * 200000 + "]" * 200000, "JSON nested too deeply to read"),
+        ('{"p00": ' + "1" * 4301 + "}", "JSON number too long to read"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_past_the_parser_limits_exits_2_naming_path(case, text, reason, tmp_path, capsys):
+    problem = _write(tmp_path, _problem(state=_state()))
+    bad = _write(tmp_path, text, "bad.json")
+    argv = {
+        "problem": ["decompose", "--input", bad],
+        "unitary": ["analyze", "--input", problem, "--target", "A", "--unitary", bad],
+        "two-qubit": ["qubit-max", "--input", bad, "--target", "A"],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"validation error: {bad}: {reason}")
+
+
+def test_numbers_too_large_for_a_double_exit_2(tmp_path, capsys):
+    params = _write(tmp_path, '{"p00": 1' + "0" * 400 + ', "p01": 0.3, "p10": 0.3, "p11": 0.4}')
+    assert _exit_code(["qubit-max", "--input", params, "--target", "A"], capsys) == 2
+    huge = {"energies": [[0, 1], [10**400, 1]]}
+    problem = _write(tmp_path, _problem(h_a=huge, state=_state()))
+    assert _exit_code(["decompose", "--input", problem], capsys) == 2
+    with pytest.raises(ValidationError, match="within double range"):
+        formats.hamiltonian_from_json(huge)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose"], ["analyze", "--seed", "1", "--target", "A"], ["optimize", "--target", "A"]],
+    ids=lambda argv: argv[0],
+)
+def test_block_energies_too_long_to_print_exit_2(argv, tmp_path, capsys):
+    n = 10**2200
+    h_a = {"energies": [[0, 1], [n + 1, n]]}
+    h_b = {"energies": [[0, 1], [n + 2, n + 1]]}
+    problem = _write(tmp_path, {"h_a": h_a, "h_b": h_b, "state": _state()})
+    assert _exit_code(argv + ["--input", problem], capsys) == 2
+    with pytest.raises(ValidationError, match="digits, too long to write"):
+        build_joint_spectrum(formats.hamiltonian_from_json(h_a), formats.hamiltonian_from_json(h_b))
+
+
+@pytest.mark.parametrize("probs", [("nan,0.5", "0.5,0.5"), ("0.5,0.5", "0.5,nan")], ids=["a", "b"])
+def test_nan_probabilities_are_refused_by_name(probs, tmp_path, capsys):
+    path = _write(tmp_path, _problem())
+    argv = ["classify", "--input", path, "--target", "A", "--probs-a", probs[0],
+            "--probs-b", probs[1]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be finite" in err
+
+
+@pytest.mark.parametrize("energies", [5, "0,1", {"0": 1}], ids=["number", "string", "object"])
+def test_energies_must_be_an_array(energies, tmp_path, capsys):
+    path = _write(tmp_path, _problem(h_a={"energies": energies}, state=_state()))
+    assert _exit_code(["decompose", "--input", path], capsys) == 2
+    with pytest.raises(ValidationError, match="energies must be an array"):
+        formats.hamiltonian_from_json({"energies": energies})
+
+
+def test_coherence_too_large_to_square_exits_2(tmp_path, capsys):
+    # |alpha| past 1e154 overflows when squared
+    quad = '"p00": 0.25, "p01": 0.25, "p10": 0.25, "p11": 0.25'
+    path = _write(tmp_path, f'{{{quad}, "alpha_re": 1e200}}')
+    assert _exit_code(["qubit-max", "--input", path, "--target", "A"], capsys) == 2
+    with pytest.raises(ValidationError, match="coherence too large"):
+        TwoQubitParams(0.25, 0.25, 0.25, 0.25, alpha=complex(1e200, 0.0))

@@ -31,11 +31,18 @@ def test_hamiltonian_json_rejects_bare_floats():
         formats.hamiltonian_from_json({"energies": [0.0, 1.0]})
 
 
-def test_state_roundtrip(rng):
+def test_state_roundtrip(tmp_path, rng):
+    spec = ladder_spectrum(3, 2)
     state = random_state((3, 2), rng)
     payload = formats.state_to_json(state)
     assert payload["dims"] == [3, 2]
-    back = formats.state_from_json(payload)
+    path = tmp_path / "problem.json"
+    formats.dump_json({
+        "h_a": formats.hamiltonian_to_json(spec.h_a),
+        "h_b": formats.hamiltonian_to_json(spec.h_b),
+        "state": payload,
+    }, path)
+    back = formats.load_problem(path)[3]
     np.testing.assert_array_equal(back.matrix, state.matrix)
 
 

@@ -34,9 +34,9 @@ def _reference(decomp, u, target):
     spec = decomp.spectrum
     per_block = {}
     diagonal = 0.0
-    for block in spec.blocks:
+    for i, block in enumerate(spec.blocks):
         probs = decomp.diag_blocks[block.energy].probs
-        energies = spec.local_energies_float(block.energy, target)
+        energies = spec.ordered_local_energies(target)[spec.layout.span(i)]
         weights = np.abs(u.blocks[block.energy]) ** 2
         per_block[block.energy] = float(energies @ (weights @ probs - probs))
         diagonal += per_block[block.energy]

@@ -17,7 +17,6 @@ from sec_transfer import (
     maximize_transfer_exact,
     monte_carlo_max,
     optimal_diagonal_unitary,
-    passive_rearrange,
     sample_haar_blocks,
     transfer_coherent,
     transfer_diagonal,
@@ -25,24 +24,6 @@ from sec_transfer import (
 )
 from sec_transfer.fixtures import ladder_spectrum, max_coherence_params, random_state
 from sec_transfer.transfer import batch_transfers
-
-
-def test_passive_rearrange_examples():
-    perm, rearranged = passive_rearrange([0.1, 0.9], [0, 1])
-    assert perm == [1, 0]
-    np.testing.assert_allclose(rearranged, [0.9, 0.1])
-
-    perm, rearranged = passive_rearrange([0.9, 0.1], [0, 1])
-    assert perm == [0, 1]
-
-    # oracle: brute force over all 6 permutations minimizes the energy
-    probs, energies = [0.2, 0.5, 0.3], [0, 1, 2]
-    _, rearranged = passive_rearrange(probs, energies)
-    np.testing.assert_allclose(rearranged, [0.5, 0.3, 0.2])
-    best = min(
-        permutations(probs), key=lambda q: sum(p * e for p, e in zip(q, energies))
-    )
-    np.testing.assert_allclose(rearranged, best)
 
 
 def test_max_active_examples():
@@ -63,7 +44,7 @@ def test_max_active_examples():
 
 def test_rearrange_length_mismatch():
     with pytest.raises(LengthMismatch):
-        passive_rearrange([0.5, 0.5], [0])
+        max_active_rearrange([0.5, 0.5], [0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,10 +57,8 @@ def test_rearrangement_optimality_brute_force(n, seed):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(n))
     energies = np.sort(rng.uniform(0, 3, size=n))
-    _, low = passive_rearrange(probs, energies)
     _, high = max_active_rearrange(probs, energies)
     values = [sum(p * e for p, e in zip(q, energies)) for q in permutations(probs)]
-    assert float(low @ energies) == pytest.approx(min(values), abs=1e-12)
     assert float(high @ energies) == pytest.approx(max(values), abs=1e-12)
 
 
@@ -119,9 +98,9 @@ def test_optimal_diagonal_unitary_vs_exhaustive(rng):
         value, _ = transfer_diagonal(decomp, u, "A")
         best = 0.0
         per_block_best = []
-        for block in spec.blocks:
+        for i, block in enumerate(spec.blocks):
             probs = decomp.diag_blocks[block.energy].probs
-            energies = spec.local_energies_float(block.energy, "A")
+            energies = spec.ordered_local_energies("A")[spec.layout.span(i)]
             initial = float(energies @ probs)
             per_block_best.append(
                 max(

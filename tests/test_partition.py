@@ -97,14 +97,14 @@ def test_accessors_match_the_per_member_formulas(case):
     assert [block.dim for block in spec.blocks] == dims
     assert list(spec.blocks) == expected
     assert spec.energies == tuple(block.energy for block in expected)
-    for block in expected:
+    for i, block in enumerate(expected):
         assert spec.block(block.energy) == block
-        flat = spec.flat_indices(block.energy)
+        flat = spec.layout.order[spec.layout.span(i)]
         want = np.array([a * h_b.dim + b for a, b in block.members], dtype=int)
         assert flat.dtype == want.dtype and flat.tobytes() == want.tobytes()
         _read_only(flat)
         for system, h, side in (("A", h_a, 0), ("B", h_b, 1)):
-            energies = spec.local_energies_float(block.energy, system)
+            energies = spec.ordered_local_energies(system)[spec.layout.span(i)]
             want = np.array([float(h.energies[m[side]]) for m in block.members], dtype=float)
             assert energies.dtype == want.dtype and energies.tobytes() == want.tobytes()
             _read_only(energies)
@@ -117,7 +117,3 @@ def test_unknown_energy_is_refused():
     for energy in (Fraction(1, 2), 7, "5/3"):
         with pytest.raises(UnknownBlock):
             spec.block(energy)
-        with pytest.raises(UnknownBlock):
-            spec.flat_indices(energy)
-        with pytest.raises(UnknownBlock):
-            spec.local_energies_float(energy, "A")

@@ -101,10 +101,11 @@ def test_negative_energies_supported(rng):
 
 
 def test_shared_caches_are_read_only(half_integer_spec, rng):
+    span = half_integer_spec.layout.span(half_integer_spec.layout.index[Fraction(1, 2)])
     with pytest.raises(ValueError):
-        half_integer_spec.flat_indices(Fraction(1, 2))[0] = 9
+        half_integer_spec.layout.order[span][0] = 9
     with pytest.raises(ValueError):
-        half_integer_spec.local_energies_float(Fraction(1, 2), "A")[0] = 9.0
+        half_integer_spec.ordered_local_energies("A")[span][0] = 9.0
     decomp = decompose(random_state((3, 2), rng), half_integer_spec)
     with pytest.raises(ValueError):
         decomp.diag_blocks[Fraction(1, 2)].probs[0] = 9.0

@@ -37,7 +37,6 @@ PUBLIC = {
     "optimize": [
         "OptimizationResult", "check_coherence_bound", "max_active_rearrange",
         "maximize_transfer_exact", "monte_carlo_max", "optimal_diagonal_unitary",
-        "passive_rearrange",
     ],
     "qubits": [
         "BellDiagParams", "PlaneScan", "SecParams2Q", "TwoQubitOptimum", "TwoQubitParams",
@@ -105,9 +104,9 @@ def _cli(tmp_path, argv: list[str]) -> tuple[subprocess.CompletedProcess, bool]:
     return done, report.read_text() == "True"
 
 
-def test_all_is_the_73_public_names():
+def test_all_is_the_72_public_names():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 73
+    assert len(names) == 72
     assert sorted(sec_transfer.__all__) == names
 
 
@@ -175,6 +174,10 @@ QUBIT_MAX_REFUSALS = {
     "not-a-number": (b'{"p00": "0.25", "p01": 0.25, "p10": 0.25, "p11": 0.25}', [],
                      "must be a number"),
     "too-much-coherence": (b"{" + QUAD + b', "alpha_re": 0.3}', [], "coherence too large"),
+    "deep-nesting": (b"[" * 200000 + b"]" * 200000, [], "JSON nested too deeply"),
+    "long-integer": (b'{"p00": ' + b"1" * 4301 + b"}", [], "JSON number too long"),
+    "too-large-for-a-double": (b'{"p00": 1' + b"0" * 400 + b', "p01": 0.3, "p10": 0.3, "p11": 0.4}',
+                               [], "'p00' is an integer too large for a double"),
     "refused-tolerance": (b"{" + QUAD + b"}", ["--tolerance", "trace=1e-6"],
                           "qubit-max does not use tolerance 'trace'"),
 }

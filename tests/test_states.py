@@ -138,7 +138,7 @@ def test_dimension_mismatch():
         BipartiteState(np.eye(4) / 4, (2, 3))
     spec = ladder_spectrum(3, 2)
     with pytest.raises(DimensionMismatch):
-        decompose(BipartiteState.maximally_mixed((2, 2)), spec)
+        decompose(BipartiteState(np.eye(4) / 4, (2, 2)), spec)
 
 
 def test_partial_trace_of_product(rng):
