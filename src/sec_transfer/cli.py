@@ -31,9 +31,10 @@ from .jsonio import dump_json, format_json, read_json, two_qubit_params_from_jso
 from .twoqubit import max_transfer_2q
 
 # Every name run() calls for a subcommand that needs numpy, with its home
-# module.  They are bound as globals here only when such a subcommand runs or
-# something reads them from this module (to wrap or replace one, say), so
-# --help and qubit-max never import numpy.  Binding keeps a name already bound.
+# module.  A subcommand binds only the names it calls, as globals here, and
+# reading one of them from this module (to wrap or replace it, say) imports
+# only its home; so --help and qubit-max never import numpy, and decompose
+# never imports verify.  Binding keeps a name already bound.
 _NUMPY_LAYERS = {
     "formats": "formats",
     "verify": "verify",
@@ -51,12 +52,24 @@ _NUMPY_LAYERS = {
     "transfer_direct": "transfer",
     "sample_haar": "unitaries",
 }
+_CALLS = {
+    "decompose": ("formats", "decompose"),
+    "analyze": ("formats", "sample_haar", "analyze"),
+    "optimize": (
+        "formats", "maximize_transfer_exact", "optimal_diagonal_unitary", "decompose",
+        "transfer_direct", "OptimizationResult", "METHOD_DIAGONAL", "monte_carlo_max",
+    ),
+    "classify": ("formats", "thermal_product", "passive_max_active_product", "classify_flow"),
+    "bell-scan": ("formats", "plane_scan"),
+    "verify": ("formats", "verify"),
+}
 
 
-def _bind_numpy_layers() -> None:
+def _bind_numpy_layers(names) -> None:
     scope = globals()
-    for name, module in _NUMPY_LAYERS.items():
+    for name in names:
         if name not in scope:
+            module = _NUMPY_LAYERS[name]
             home = importlib.import_module(f".{module}", __package__)
             scope[name] = home if name == module else getattr(home, name)
 
@@ -64,7 +77,7 @@ def _bind_numpy_layers() -> None:
 def __getattr__(name: str):
     if name not in _NUMPY_LAYERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_numpy_layers()
+    _bind_numpy_layers((name,))
     return globals()[name]
 
 
@@ -141,8 +154,8 @@ def run(args: argparse.Namespace) -> int:
         _write_report(args, payload, dump_json)
         return 0
 
-    # every other subcommand needs the numpy layers
-    _bind_numpy_layers()
+    # every other subcommand needs numpy layers
+    _bind_numpy_layers(_CALLS.get(args.command, ()))
 
     if args.command == "decompose":
         _, _, spec, state = _load_state(args, tol)

@@ -23,13 +23,15 @@ Floats are serialized with Python's shortest round-trip representation, so
 every emitted value parses back to the exact double and identical inputs
 produce byte-identical files.
 
-A problem file is walked rather than parsed whole: json's own decoder reads
-each key and value of the problem and state objects, and the state's ``re``
-and ``im`` arrays one row at a time, each row checked all-float and copied
-into a float64 buffer.  A D = 1024 state thus never exists as 2 D^2 Python
-floats (about 64 MB against the 16 MB complex matrix).  Text the walk does
-not take (integer entries, duplicate keys, any syntax error, ...) is parsed
-again by ``read_json``, so its errors and values are those of ``json.load``.
+A problem file is walked rather than parsed whole: it is read
+``PROBLEM_CHUNK`` characters at a time, and json's own decoder reads each key
+and value of the problem and state objects, and the state's ``re`` and ``im``
+arrays one row at a time, each row checked to hold only numbers and copied
+into a float64 buffer.  Neither the file's whole text nor a D = 1024 state
+as 2 D^2 Python floats (about 64 MB against the 16 MB complex matrix) is ever
+held.  Text the walk does not take (an integer outside int64, duplicate keys,
+any syntax error, ...) is parsed again by ``read_json``, so its errors and
+values are those of ``json.load``.
 
 The Bell-plane scan CSV takes few distinct values per column, so each
 distinct value of a scan column (told apart by its bit pattern, so ``-0.0``
@@ -39,9 +41,14 @@ stays ``-0.0``) is formatted once and rows are written in fixed-size chunks.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
+import math
+import os
+import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,13 +64,15 @@ from .jsonio import (
     two_qubit_params_from_json,
     two_qubit_params_to_json,
 )
-from .qubits import PlaneScan
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState, StateDecomposition, _Handover
-from .transfer import TransferReport
-from .optimize import OptimizationResult
-from .classify import FlowClassification
-from .unitaries import SecUnitary
+
+if TYPE_CHECKING:  # the report types, named only in annotations
+    from .classify import FlowClassification
+    from .optimize import OptimizationResult
+    from .qubits import PlaneScan
+    from .transfer import TransferReport
+    from .unitaries import SecUnitary
 
 
 def _is_int(value) -> bool:
@@ -191,6 +200,8 @@ def sec_unitary_to_json(u: SecUnitary) -> dict:
 
 
 def sec_unitary_from_json(data: dict, spectrum: JointSpectrum) -> SecUnitary:
+    from .unitaries import SecUnitary
+
     blocks_json = _require(data, "blocks", "unitary JSON")
     if not isinstance(blocks_json, dict):
         raise ValidationError("unitary JSON 'blocks' must map energies to matrices")
@@ -247,111 +258,207 @@ def flow_classification_to_json(result: FlowClassification) -> dict:
 # json's own scanner decides every token of the problem-file walk
 _DECODE = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
 _SKIP = json.decoder.WHITESPACE.match
-_FLOATS = {float}
+# what may still follow a number decoded at the end of the text read so far:
+# "1e" decodes as 1 until the "5" of "1e5" is read
+_OPEN_TAIL = re.compile(r"[-+.0-9eE]*\Z")
+_NUMBERS = {float, int}
+
+# Characters of a problem file read at a time; the walk holds about two
+# chunks of text plus the row it is decoding (24,000 characters at D = 1024).
+# From 16 KiB to 1 MiB the walk takes the same time, best of 5, on a
+# ladder-exact D = 1024 file (47.8 MiB, 0.80-0.87 s) and, best of 30, on a
+# rational-blocks 13 x 13 one (1.3 MiB, 21-23 ms).  Its traced peak grows with
+# the chunk: 16.4 MiB at 64 KiB against 21.1 MiB at 1 MiB on the first, 0.8
+# against 4.5 MiB on the second.  Smaller chunks save less than 0.3 MiB more.
+PROBLEM_CHUNK = 1 << 16
 
 
 class _Unwalkable(Exception):
     """Problem-file text the walk leaves to :func:`read_json`."""
 
 
-def _walk_object(text: str, at: int, member) -> tuple[dict, int]:
-    """The JSON object opening at ``text[at]`` and the index after it.
+class _Text:
+    """The unread text of a problem file, read ``PROBLEM_CHUNK`` characters at a time.
 
-    ``member(key, at)`` decodes the value starting at ``at`` and returns it
-    with the index after it.  A duplicate key is not walked.
+    ``text[at:]`` is what the walk has not consumed; the rest is dropped when
+    more is read.
     """
-    if not text.startswith("{", at):
-        raise _Unwalkable
+
+    __slots__ = ("handle", "text", "at", "ended")
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.text = ""
+        self.at = 0
+        self.ended = False
+
+    def more(self, least: float, stop: str | None = None) -> None:
+        """Read until ``least`` characters are unread, a chunk holds ``stop``, or the file ends."""
+        pieces = [self.text[self.at :]]
+        held = len(pieces[0])
+        while held < least and not self.ended:
+            chunk = self.handle.read(PROBLEM_CHUNK)
+            self.ended = not chunk
+            pieces.append(chunk)
+            held += len(chunk)
+            if stop is not None and stop in chunk:
+                break
+        self.text, self.at = "".join(pieces), 0
+
+    def peek(self) -> str:
+        """The next character after whitespace, or ``""`` at the end of the file."""
+        while True:
+            self.at = _SKIP(self.text, self.at).end()
+            if self.at < len(self.text) or self.ended:
+                return self.text[self.at : self.at + 1]
+            self.more(1)
+
+    def take(self, expected: str) -> str:
+        """Step over the next character, which must be one of ``expected``."""
+        char = self.peek()
+        if not char or char not in expected:
+            raise _Unwalkable
+        self.at += 1
+        return char
+
+    def value(self):
+        """The JSON value at the next character, decoded by json.
+
+        A value the text read so far cuts short, or may cut short (a number
+        at its end), is decoded again once the unread text has at least
+        doubled, so the work stays linear in the file's size.
+        """
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODE(self.text, self.at)
+            except json.JSONDecodeError:
+                if self.ended:
+                    raise
+            else:
+                if (
+                    self.ended
+                    or self.text[end - 1] in '"]}'
+                    or not _OPEN_TAIL.match(self.text, end)
+                ):
+                    self.at = end
+                    return value
+            self.more(2 * (len(self.text) - self.at))
+
+    def row(self):
+        """:meth:`value`, once a ``]`` is read: a row of numbers is decoded once."""
+        if self.text.find("]", self.at) < 0:
+            self.more(math.inf, "]")
+        return self.value()
+
+
+def _numbers(row: list) -> bool:
+    """Whether a row holds only numbers numpy reads as it reads :func:`read_json`'s lists.
+
+    Integers are taken in int64's range, where both round them to the
+    nearest float64; past it numpy makes the lists an unsigned or object
+    array.
+    """
+    kinds = set(map(type, row))
+    if not kinds or not kinds <= _NUMBERS:
+        return False
+    if int not in kinds:
+        return True
+    ints = [x for x in row if type(x) is int]
+    return -(2**63) <= min(ints) and max(ints) < 2**63
+
+
+def _walk_object(text: _Text, member) -> dict:
+    """The JSON object at the next character, ``member(key)`` decoding each value.
+
+    A duplicate key is not walked.
+    """
+    text.take("{")
     members = {}
-    at = _SKIP(text, at + 1).end()
-    if text.startswith("}", at):
-        return members, at + 1
+    if text.peek() == "}":
+        text.at += 1
+        return members
     while True:
-        if not text.startswith('"', at):
+        if text.peek() != '"':
             raise _Unwalkable
-        key, at = _DECODE(text, at)
-        at = _SKIP(text, at).end()
-        if not text.startswith(":", at) or key in members:
+        key = text.value()
+        text.take(":")
+        if key in members:
             raise _Unwalkable
-        members[key], at = member(key, _SKIP(text, at + 1).end())
-        at = _SKIP(text, at).end()
-        if text.startswith("}", at):
-            return members, at + 1
-        if not text.startswith(",", at):
-            raise _Unwalkable
-        at = _SKIP(text, at + 1).end()
+        members[key] = member(key)
+        if text.take(",}") == "}":
+            return members
 
 
-def _walk_rows(text: str, at: int) -> tuple[np.ndarray, int]:
-    """A square array of all-float rows, as float64, one row decoded at a time.
+def _walk_rows(text: _Text, size: int) -> np.ndarray:
+    """A square array of number rows, as float64, each row decoded once.
 
-    Only one row's Python floats are alive at once.  The buffer is allocated
-    from the first row's length, once the text is long enough to hold that
-    many rows (each entry takes at least one character), so it is never more
-    than eight bytes per character of text.
+    Only one row's Python numbers are alive at once.  The buffer is
+    allocated from the first row's length, once ``size`` (the file's bytes)
+    could hold that many rows (each entry takes at least one character), so
+    it is never more than eight bytes per byte of the file.
     """
-    if not text.startswith("[", at):
-        raise _Unwalkable
-    at = _SKIP(text, at + 1).end()
+    text.take("[")
     rows = None
     filled = 0
     while True:
-        row, at = _DECODE(text, at)
-        if type(row) is not list or set(map(type, row)) != _FLOATS:
+        row = text.row()
+        if type(row) is not list or not _numbers(row):
             raise _Unwalkable
         if rows is None:
-            if len(row) ** 2 > len(text):
+            if len(row) ** 2 > size:
                 raise _Unwalkable
             rows = np.empty((len(row), len(row)))
         if filled == len(rows) or len(row) != len(rows):
             raise _Unwalkable
         rows[filled] = row
         filled += 1
-        at = _SKIP(text, at).end()
-        if text.startswith("]", at):
+        if text.take(",]") == "]":
             break
-        if not text.startswith(",", at):
-            raise _Unwalkable
-        at = _SKIP(text, at + 1).end()
     if filled != len(rows):
         raise _Unwalkable
-    return rows, at + 1
+    return rows
 
 
-def _walk_problem(text: str) -> dict:
-    """``json.loads(text)``, with the state's ``re`` and ``im`` as float64 arrays.
+def _walk_problem(source, size: int | None = None) -> dict:
+    """``json.load(source)``, with the state's ``re`` and ``im`` as float64 arrays.
 
+    ``source`` is a text file, read ``PROBLEM_CHUNK`` characters at a time,
+    with ``size`` its size in bytes; or a whole str, whose length is its size.
     Raises :class:`_Unwalkable` (or json's own error) on any text it does
     not take: not an object, a duplicate key in the problem or state
-    object, a ``re``/``im`` that is not a square array of floats, or text
+    object, a ``re``/``im`` that is not a square array of numbers, or text
     after the object.
     """
+    if isinstance(source, str):
+        source, size = io.StringIO(source), len(source)
+    text = _Text(source)
 
-    def state_member(key: str, at: int):
-        return _walk_rows(text, at) if key in ("re", "im") else _DECODE(text, at)
+    def state_member(key: str):
+        return _walk_rows(text, size) if key in ("re", "im") else text.value()
 
-    def member(key: str, at: int):
-        if key == "state" and text.startswith("{", at):
-            return _walk_object(text, at, state_member)
-        return _DECODE(text, at)
+    def member(key: str):
+        if key == "state" and text.peek() == "{":
+            return _walk_object(text, state_member)
+        return text.value()
 
-    data, at = _walk_object(text, _SKIP(text, 0).end(), member)
-    if _SKIP(text, at).end() != len(text):
+    data = _walk_object(text, member)
+    if text.peek():
         raise _Unwalkable
     return data
 
 
 def _read_problem(path) -> dict:
-    """A problem file's JSON, its state arrays read row by row where possible.
+    """A problem file's JSON, streamed, with its state arrays read row by row where possible.
 
     Any text the walk does not take is parsed again by :func:`read_json`,
     so every rejection, message and line/column report is read_json's.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return _walk_problem(handle.read())
+            return _walk_problem(handle, os.fstat(handle.fileno()).st_size)
     except (_Unwalkable, ValueError, ValidationError, RecursionError):
-        pass  # leaving the handler frees the text before read_json reads it again
+        pass  # leaving the handler frees the walk's text and rows before read_json reads the file
     return read_json(path)
 
 
@@ -360,13 +467,15 @@ def load_problem(
 ) -> tuple[Hamiltonian, Hamiltonian, JointSpectrum, BipartiteState | None]:
     """Read a problem file: both Hamiltonians plus an optional state.
 
-    The state's ``re`` and ``im`` arrays are decoded one row at a time into
-    float64 buffers, so the 2 D^2 Python floats of a whole parsed tree (four
-    times the complex matrix) never exist at once; text that is not a plain
-    problem object with square all-float arrays goes through
-    :func:`read_json` as a whole.  The file's text is released before the
-    matrix is built, the float buffers before the state is admitted, and
-    the admitted state keeps the freshly built matrix without a copy.
+    The file is streamed, ``PROBLEM_CHUNK`` characters at a time, and the
+    state's ``re`` and ``im`` arrays are decoded one row at a time into
+    float64 buffers.  So neither the file's whole text nor the 2 D^2 Python
+    floats of a whole parsed tree (four times the complex matrix) are ever
+    held; text that is not a plain problem object with square arrays of
+    numbers goes through :func:`read_json` as a whole.  The float buffers
+    are released before the state is admitted, and the admitted state keeps
+    the freshly built matrix without a copy, so admission's three D x D
+    complex buffers are the peak.
     """
     data = _read_problem(path)
     h_a = hamiltonian_from_json(_require(data, "h_a", "problem file"))

@@ -28,7 +28,6 @@ conserved, so the two transfers are opposite.  This is how
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -207,6 +206,8 @@ def monte_carlo_max(
 
     workers = thread_count()
     if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, chunks))
     else:

@@ -58,9 +58,9 @@ from .spectra import JointSpectrum, check_system
 class _Handover:
     """A fresh complex matrix handed to :class:`BipartiteState` to keep as is.
 
-    The JSON readers build the state's matrix themselves and never use it
-    again, so they pass it in this wrapper and admission skips the D x D
-    copy.  Any other matrix is copied, so a caller's array never becomes a
+    The JSON readers and :func:`~sec_transfer.unitaries.evolve` build the
+    state's matrix themselves and never use it again, so they pass it in
+    this wrapper and admission skips the D x D copy.  Any other matrix is copied, so a caller's array never becomes a
     state's read-only matrix.
     """
 

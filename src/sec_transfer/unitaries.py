@@ -30,7 +30,7 @@ import numpy as np
 from . import tolerances
 from .errors import BlockMismatch, DimensionMismatch, NotUnitary, ValidationError
 from .spectra import JointSpectrum
-from .states import BipartiteState
+from .states import BipartiteState, _Handover
 
 SAMPLE_CHUNK = 4096
 
@@ -101,13 +101,21 @@ def to_full_matrix(u: SecUnitary, spec: JointSpectrum) -> np.ndarray:
 
 
 def evolve(state: BipartiteState, u: SecUnitary) -> BipartiteState:
-    """Conjugate a state by the full unitary; preserves the total energy."""
+    """Conjugate a state by the full unitary; preserves the total energy.
+
+    The dense reference ``U rho U^dagger``: three D x D buffers besides the
+    state, the full unitary (conjugated in place once ``U rho`` is formed,
+    so ``.T`` of it is ``U^dagger`` with the layout ``U.conj().T`` has), the
+    left product and the result, which the evolved state keeps uncopied.
+    """
     if state.dims != u.spectrum.dims:
         raise DimensionMismatch(
             f"state dims {state.dims} do not match unitary dims {u.spectrum.dims}"
         )
     full = to_full_matrix(u, u.spectrum)
-    return BipartiteState(full @ state.matrix @ full.conj().T, state.dims, validate=False)
+    left = full @ state.matrix
+    np.conjugate(full, out=full)
+    return BipartiteState(_Handover(left @ full.T), state.dims, validate=False)
 
 
 def _chunk_generator(seed: int, chunk: int, energy: Fraction) -> np.random.Generator:

@@ -4,7 +4,9 @@ Each example starts from a valid problem, unitary or two-qubit file, changes
 one node of its JSON tree (or one entry or row of the state's ``re``/``im``
 arrays) and runs a subcommand on it, sometimes with a ``--tolerance``
 override.  No exception may escape ``main``, and every report printed on
-exit 0 must parse as JSON without a non-finite value.
+exit 0 must parse as JSON without a non-finite value.  The mutated problem
+files are also read in chunks of a few characters, which must give what
+``read_json`` gives.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -157,6 +160,32 @@ def test_mutated_problem_files(data, dims, seed, command, rows, tol):
     with tempfile.TemporaryDirectory() as directory:
         path = _write(directory, "problem.json", problem)
         _run([*command, "--input", path, *tol])
+
+
+def _load_outcome(path):
+    try:
+        h_a, h_b, spec, state = formats.load_problem(path)
+    except Exception as exc:  # the outcome under test includes the exception
+        return type(exc), str(exc)
+    return h_a, h_b, spec, None if state is None else state.matrix.tobytes()
+
+
+@FUZZ
+@given(data=st.data(), dims=DIMS, seed=st.integers(0, 3), rows=st.booleans(),
+       chunk=st.integers(1, 5))
+def test_mutated_problem_files_read_in_tiny_chunks(data, dims, seed, rows, chunk):
+    problem = _problem(dims, seed)
+    if rows:
+        _mutate_rows(data, problem["state"])
+    else:
+        problem = _mutate(data, problem)
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "problem.json", problem)
+        with mock.patch.object(formats, "PROBLEM_CHUNK", chunk):
+            walked = _load_outcome(path)
+        with mock.patch.object(formats, "_read_problem", formats.read_json):
+            parsed = _load_outcome(path)
+    assert walked == parsed
 
 
 @FUZZ

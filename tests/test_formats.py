@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -303,8 +304,23 @@ WALK_CASES = {
     ),
     "overflow": (_swap(_ROW0, "[0.25, 1e400, -0.0, -0.0]"), True),
     "underflow-to-zero": (_swap(_ROW0, "[0.25, -1e-400, -0.0, -0.0]"), True),
+    # every "-0.0" becomes "0", "-0.0625" too: "0625" is not JSON
     "integer-entries": (_swap("-0.0", "0", -1), False),
-    "one-integer": (_swap("0.25", "1", 1), False),
+    "one-integer": (_swap("0.25", "1", 1), True),
+    "integer-zeros": (re.sub(r"-0\.0(?=[],])", "0", NEGATIVE_ZERO_PROBLEM), True),
+    # read as +0.0 on both paths, so the admitted state's bits tell them apart from -0.0
+    "integer-minus-zero": (_swap(_ROW0, "[0.25, -0, -0, -0.0]"), True),
+    **{
+        f"integer-{name}": (_swap(_ROW0, f"[0.25, {value}, -0.0, -0.0]"), walks)
+        for name, value, walks in [
+            ("2**53+1", 2**53 + 1, True),
+            ("-2**63", -(2**63), True),
+            ("2**63", 2**63, False),
+            ("-2**63-1", -(2**63) - 1, False),
+        ]
+    },
+    "all-integer-re": (_with_state(re=[[2**53 + 1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                                       [0, 0, 0, -(2**53) - 1]]), True),
     "compact": (NEGATIVE_ZERO_PROBLEM.replace(", ", ",").replace(": ", ":"), True),
     "spread": (NEGATIVE_ZERO_PROBLEM.replace(", ", " ,\n\t ").replace(": ", "\r\n:\t"), True),
     "brackets-padded": (NEGATIVE_ZERO_PROBLEM.replace("[", "[ \n").replace("]", "\t]"), True),
@@ -325,6 +341,8 @@ WALK_CASES = {
     "duplicate-inside-hamiltonian": (
         _swap('"h_a": {"energies"', '"h_a": {"energies": [[5, 1]], "energies"'), True
     ),
+    "dims-long-number": (_with_state(dims=-1.5e-300), True),
+    "state-long-number": (_redumped(lambda d: {**d, "state": 1234.5e-7}), True),
     "no-state": (_redumped(lambda d: {"h_a": d["h_a"], "h_b": d["h_b"]}), True),
     "state-null": (_redumped(lambda d: {**d, "state": None}), True),
     "state-number": (_redumped(lambda d: {**d, "state": 5}), True),
@@ -407,6 +425,85 @@ def test_problem_walk_matches_read_json(case, tmp_path, monkeypatch):
     assert taken is walks
 
 
+def _walk_takes(text: str) -> bool:
+    try:
+        formats._walk_problem(text)
+    except (formats._Unwalkable, ValueError, ValidationError):
+        return False
+    return True
+
+
+# a few characters, so every token of every case straddles a chunk boundary
+TINY_CHUNKS = (1, 3)
+
+
+@pytest.mark.parametrize("chunk", TINY_CHUNKS)
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_problem_walk_in_tiny_chunks_matches_read_json(case, chunk, tmp_path, monkeypatch):
+    text, walks = WALK_CASES[case]
+    path = tmp_path / "problem.json"
+    path.write_bytes(text.encode("utf-8"))
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_read_problem", formats.read_json)
+        parsed = _load_outcome(path)
+    monkeypatch.setattr(formats, "PROBLEM_CHUNK", chunk)
+    assert _load_outcome(path) == parsed
+    assert _walk_takes(path.read_text(encoding="utf-8")) is walks
+
+
+def test_problem_walk_decodes_each_row_once_in_tiny_chunks(monkeypatch):
+    """No state row is decoded twice, not even after a failed attempt on a cut row."""
+    decode = formats._DECODE
+    rows = []  # every decode started on a row of floats, failed ones included
+
+    def counted(text, at):
+        if re.match(r"\[\s*-?\d+\.", text[at : at + 20]):
+            rows.append(text[at : at + 6])
+        return decode(text, at)
+
+    monkeypatch.setattr(formats, "_DECODE", counted)
+    monkeypatch.setattr(formats, "PROBLEM_CHUNK", 3)
+    data = formats._walk_problem(WALK_CASES["spread"][0])
+    assert len(rows) == 8
+    assert data["state"]["re"].shape == data["state"]["im"].shape == (4, 4)
+
+
+def test_problem_walk_retries_a_value_on_doubled_text(monkeypatch):
+    """A value cut short is decoded again only once the text held has doubled."""
+    note = json.dumps([0.5] * 2000)
+    text = _swap('"state": {', f'"note": {note}, "state": {{')
+    decode = formats._DECODE
+    attempts = []
+
+    def counted(text, at):
+        if text.startswith("[0.5, 0.5", at):
+            attempts.append(len(text) - at)
+        return decode(text, at)
+
+    monkeypatch.setattr(formats, "_DECODE", counted)
+    monkeypatch.setattr(formats, "PROBLEM_CHUNK", 3)
+    assert formats._walk_problem(text)["note"] == [0.5] * 2000
+    # each retry holds at least twice the text, except the last, cut by the end of the file
+    assert all(new >= 2 * old for old, new in zip(attempts, attempts[1:-1]))
+    assert len(attempts) <= len(note).bit_length()
+
+
+def _state_matrix_outcome(data):
+    try:
+        return formats._state_matrix(data["state"])[0].tobytes()
+    except Exception as exc:  # the outcome under test includes the exception
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", [case for case, (_, walks) in WALK_CASES.items() if walks])
+def test_walked_state_matrix_has_the_bits_of_read_json_before_admission(case):
+    """Walked rows, integers included, give the complex matrix json's lists give, bit for bit."""
+    text = WALK_CASES[case][0]
+    walked = _state_matrix_outcome(formats._walk_problem(text))
+    parsed = _state_matrix_outcome(json.loads(text, parse_constant=formats._reject_constant))
+    assert walked == parsed
+
+
 def test_problem_walk_matches_read_json_on_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "problem.json"
     path.write_bytes(NEGATIVE_ZERO_PROBLEM.encode().replace(b"0.375", b"0.3\xff5", 1))
@@ -486,3 +583,30 @@ def test_load_problem_peak_memory_has_no_float_tree(tmp_path):
         tracemalloc.stop()
     phases = max(2 * text_bytes, text_bytes + matrix_bytes, 3 * matrix_bytes)
     assert peak <= 1.25 * phases
+
+
+def test_load_problem_peak_memory_stays_below_the_file_size(tmp_path):
+    """The file's text is never held whole, let alone twice.
+
+    The largest phase is admission's three D x D complex buffers (3 MiB at
+    D = 256), below the size of this report-formatted file (about 4 MiB).
+    Reading the file whole held its bytes and its text at once.
+    """
+    spec = ladder_spectrum(16, 16)
+    path = tmp_path / "problem.json"
+    formats.dump_json(
+        {
+            "h_a": formats.hamiltonian_to_json(spec.h_a),
+            "h_b": formats.hamiltonian_to_json(spec.h_b),
+            "state": formats.state_to_json(random_state((16, 16), np.random.default_rng(5))),
+        },
+        path,
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        formats.load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size

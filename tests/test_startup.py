@@ -2,8 +2,9 @@
 
 ``import sec_transfer``, every ``--help`` and every ``qubit-max`` run, exit 2
 included, must leave numpy unimported: each case runs in a fresh interpreter
-through the same entry point as ``python -m sec_transfer.cli``.  The help
-texts are pinned byte for byte (at 80 columns).
+through the same entry point as ``python -m sec_transfer.cli``.  A numpy
+subcommand imports only the layers it calls.  The help texts are pinned
+byte for byte (at 80 columns).
 """
 
 import importlib
@@ -82,6 +83,18 @@ try:
 finally:
     with open(report, "w") as handle:
         handle.write(str("numpy" in sys.modules))
+"""
+
+
+# as DRIVER, but records the names of every module imported
+MODULES_DRIVER = """
+import json, runpy, sys
+report, sys.argv = sys.argv[1], ["sec-transfer", *sys.argv[2:]]
+try:
+    runpy.run_module("sec_transfer.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open(report, "w") as handle:
+        json.dump(sorted(sys.modules), handle)
 """
 
 
@@ -219,3 +232,21 @@ def test_numpy_subcommand_keeps_a_name_bound_before_the_layers_load(tmp_path):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert scan.read_text().startswith("c_x,c_y,c_z,")
+
+
+def test_decompose_imports_only_the_layers_it_calls(tmp_path):
+    """A decompose run loads no layer it never calls, nor the thread pool's modules."""
+    qubit = {"energies": [[0, 1], [1, 1]]}
+    mixed = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "h_a": qubit, "h_b": qubit, "state": {"dims": [2, 2], "re": mixed, "im": [[0.0] * 4] * 4},
+    }))
+    report = tmp_path / "modules.json"
+    done = _python(MODULES_DRIVER, str(report), "decompose", "--input", str(problem))
+    assert done.returncode == 0, done.stderr.decode()
+    loaded = set(json.loads(report.read_text()))
+    assert {"numpy", "sec_transfer.formats", "sec_transfer.states"} <= loaded
+    unwanted = {"sec_transfer.verify", "sec_transfer.qubits", "sec_transfer.classify",
+                "concurrent.futures"}
+    assert not unwanted & loaded

@@ -6,6 +6,7 @@ import pytest
 from sec_transfer import (
     BlockMismatch,
     DimensionMismatch,
+    Hamiltonian,
     NotUnitary,
     SecParams2Q,
     SecUnitary,
@@ -14,9 +15,10 @@ from sec_transfer import (
     local_energy,
     sample_haar,
     sample_haar_blocks,
+    build_joint_spectrum,
     to_full_matrix,
 )
-from sec_transfer.fixtures import ladder_spectrum, random_state
+from sec_transfer.fixtures import DIMENSION_CLASSES, ladder_spectrum, random_state
 
 
 def test_identity_blocks_give_identity_matrix(two_qubit_spec):
@@ -102,6 +104,29 @@ def test_evolve_preserves_state_invariants(rng):
     assert np.abs(mat - mat.conj().T).max() <= 1e-12
     assert abs(mat.trace() - 1) <= 1e-12
     assert np.linalg.eigvalsh(mat).min() >= -1e-10
+
+
+# incommensurate levels, except that 1/3 + 0 ties 0 + 1/3
+RATIONAL_SPEC = build_joint_spectrum(
+    Hamiltonian((0, Fraction(1, 3), Fraction(7, 5))),
+    Hamiltonian((0, Fraction(1, 3), Fraction(9, 7), Fraction(23, 11))),
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ladder_spectrum(*dims) for dims in DIMENSION_CLASSES] + [RATIONAL_SPEC],
+    ids=[f"ladder{a}x{b}" for a, b in DIMENSION_CLASSES] + ["rational3x4"],
+)
+def test_evolve_is_the_dense_product_bit_for_bit(spec):
+    rng = np.random.default_rng(41)
+    for seed in range(5):
+        state = random_state(spec.dims, rng)
+        u = sample_haar(spec, seed)
+        full = to_full_matrix(u, spec)
+        expected = full @ state.matrix @ full.conj().T
+        got = evolve(state, u).matrix
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_evolve_dimension_mismatch(two_qubit_spec, rng):

@@ -1,0 +1,82 @@
+"""Run the benchmark's CLI jobs under two source trees and compare what each leaves.
+
+Usage (from the root of a checkout; nothing needs to be installed)::
+
+    python3 tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT SEED [SEED ...]
+
+For every workload of ``bench/workloads.py`` and every seed, the inputs are
+generated once into a fresh temporary directory.  Each job, warm-ups
+included, then runs as ``python -m sec_transfer.cli`` once with each tree's
+``src`` first on ``PYTHONPATH`` (and the job's thread count, as the benchmark
+sets it).  Both runs must give the same exit code, stdout, stderr and output
+file bytes.  ``verify --output`` at its default seed is compared the same way.
+
+Prints one line per mismatch and a count per workload and seed; exits 1 if
+anything differs.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+THREADS_ENV = "SEC_TRANSFER_THREADS"
+
+
+def _run(tree: Path, argv: list[str], output: Path, threads: int | None) -> tuple:
+    """Exit code, stdout, stderr and output bytes of one CLI run under ``tree``."""
+    env = {key: value for key, value in os.environ.items() if key != THREADS_ENV}
+    env["PYTHONPATH"] = str(tree / "src")
+    if threads is not None:
+        env[THREADS_ENV] = str(threads)
+    output.unlink(missing_ok=True)
+    done = subprocess.run([sys.executable, "-m", "sec_transfer.cli", *argv], env=env,
+                          capture_output=True, timeout=600)
+    written = output.read_bytes() if output.exists() else None
+    output.unlink(missing_ok=True)
+    return done.returncode, done.stdout, done.stderr, written
+
+
+def _compare(trees: list[Path], argv: list[str], output: Path, threads=None) -> bool:
+    parent, change = (_run(tree, argv, output, threads) for tree in trees)
+    for what, old, new in zip(("exit code", "stdout", "stderr", "output"), parent, change):
+        if old != new:
+            print(f"differs in {what}: {' '.join(argv)}")
+            return False
+    return True
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = [Path(argv[0]).resolve(), Path(argv[1]).resolve()]
+    seeds = [int(s) for s in argv[2:]]
+    differing = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, build in WORKLOADS.items():
+            for seed in seeds:
+                work = Path(scratch) / f"{name}-{seed}"
+                work.mkdir()
+                workload = build(work, seed, False)
+                jobs = workload.warmup + workload.jobs
+                same = sum(_compare(trees, job.argv, job.output, job.threads) for job in jobs)
+                differing += len(jobs) - same
+                print(f"{name} seed {seed}: {same}/{len(jobs)} jobs identical", flush=True)
+        output = Path(scratch) / "verify.json"
+        same = _compare(trees, ["verify", "--output", str(output)], output)
+        differing += not same
+        print(f"verify --output at the default seed: {'identical' if same else 'differs'}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
