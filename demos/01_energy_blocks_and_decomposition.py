@@ -37,7 +37,8 @@ state = BipartiteState.from_vector(amplitudes, (3, 2))
 decomp = decompose(state, spec)
 
 print("block probabilities of a three-component superposition:")
-for energy, p in sorted(decomp.p_E.items()):
+for i, energy in enumerate(spec.energies):
+    p = decomp.probs[spec.layout.span(i)].sum()
     print(f"  p(E={energy}) = {p:.4f}")
 print("coherence blocks present (E, E'):")
 for (e1, e2), alpha in sorted(decomp.coh_blocks.items()):

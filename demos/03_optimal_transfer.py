@@ -32,7 +32,7 @@ diag_value, per_block = transfer_diagonal(decomp, population_only, "A")
 coh_value, _ = transfer_coherent(decomp, population_only, "A")
 print("population-only optimum (block permutations):")
 print(f"  diagonal transfer {diag_value:+.6f}, coherent part {coh_value:+.1e}")
-for energy, contribution in sorted(per_block.items()):
+for energy, contribution in zip(spec.energies, per_block):
     print(f"    block E={energy}: {contribution:+.6f}")
 print()
 

@@ -81,7 +81,6 @@ _HOMES = {
     ),
     "states": (
         "BipartiteState",
-        "DiagBlock",
         "StateDecomposition",
         "decompose",
         "local_energy",

@@ -126,10 +126,10 @@ def _swap_witness(
     if best is None:
         return None, failing
     i, low, high = best
-    blocks = dict(SecUnitary.identity(spec).blocks)
+    blocks = list(SecUnitary.identity(spec).blocks)
     swap = np.eye(int(layout.dims[i]), dtype=complex)
     swap[[low, high]] = swap[[high, low]]
-    blocks[spec.energies[i]] = swap
+    blocks[i] = swap
     return SecUnitary(blocks, spec, validate=False), failing
 
 

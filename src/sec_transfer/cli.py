@@ -162,12 +162,10 @@ def run(args: argparse.Namespace) -> int:
         decomp = decompose(state, spec)
         decomp.validate(trace_tol=tol["trace"])
         names = [formats.fraction_key(e) for e in spec.energies]
+        probs = [decomp.probs[spec.layout.span(i)] for i in range(len(names))]
         payload = {
-            "p_E": {formats.fraction_key(e): p for e, p in sorted(decomp.p_E.items())},
-            "blocks": {
-                formats.fraction_key(e): [float(x) for x in b.probs]
-                for e, b in sorted(decomp.diag_blocks.items())
-            },
+            "p_E": {name: float(p.sum()) for name, p in zip(names, probs)},
+            "blocks": {name: [float(x) for x in p] for name, p in zip(names, probs)},
             "coherence_blocks": sorted(
                 f"{names[i]}|{names[j]}" for i, j in decomp.coh_blocks.pairs()
             ),
@@ -186,7 +184,7 @@ def run(args: argparse.Namespace) -> int:
         else:
             raise ValidationError("analyze needs --unitary FILE or --seed N")
         report = analyze(state, u, args.target, split_tol=tol["split"])
-        _write_report(args, formats.transfer_report_to_json(report), formats.dump_json)
+        _write_report(args, formats.transfer_report_to_json(report, spec), formats.dump_json)
         return 0
 
     if args.command == "optimize":

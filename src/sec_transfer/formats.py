@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BlockMismatch, ValidationError
 # the numpy-free JSON helpers, importable from here as before
 from .jsonio import (
     _number,
@@ -194,7 +194,7 @@ def sec_unitary_to_json(u: SecUnitary) -> dict:
     return {
         "blocks": {
             fraction_key(energy): _matrix_to_json(mat)
-            for energy, mat in u.blocks.items()
+            for energy, mat in zip(u.spectrum.energies, u.blocks)
         }
     }
 
@@ -205,17 +205,23 @@ def sec_unitary_from_json(data: dict, spectrum: JointSpectrum) -> SecUnitary:
     blocks_json = _require(data, "blocks", "unitary JSON")
     if not isinstance(blocks_json, dict):
         raise ValidationError("unitary JSON 'blocks' must map energies to matrices")
-    blocks = {}
+    # of two keys naming one energy ("1", "2/2"), the later block stays
+    given = {}
     for key, value in blocks_json.items():
         try:
             energy = Fraction(key)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"unitary block key {key!r} is not a rational energy") from None
-        blocks[energy] = _matrix_from_json(value, f"unitary block {key}")
-    return SecUnitary(blocks, spectrum)
+        given[energy] = _matrix_from_json(value, f"unitary block {key}")
+    if given.keys() != spectrum.layout.index.keys():
+        raise BlockMismatch(
+            f"unitary blocks {sorted(map(str, given))} do not match spectrum "
+            f"blocks {sorted(map(str, spectrum.energies))}"
+        )
+    return SecUnitary([given[energy] for energy in spectrum.energies], spectrum)
 
 
-def transfer_report_to_json(report: TransferReport) -> dict:
+def transfer_report_to_json(report: TransferReport, spectrum: JointSpectrum) -> dict:
     return {
         "target": report.target,
         "total": report.total,
@@ -224,7 +230,7 @@ def transfer_report_to_json(report: TransferReport) -> dict:
         "eta": {str(level): value for level, value in sorted(report.eta.items())},
         "per_block_diagonal": {
             fraction_key(energy): value
-            for energy, value in sorted(report.per_block_diagonal.items())
+            for energy, value in zip(spectrum.energies, report.per_block_diagonal.tolist())
         },
         "unit": report.unit,
     }
@@ -507,13 +513,15 @@ def decomposition_summary_rows(decomp: StateDecomposition) -> list[list[str]]:
     same = np.diagonal(peaks).copy()
     np.fill_diagonal(peaks, 0.0)
     cross = np.maximum(peaks.max(axis=0), peaks.max(axis=1))
+    layout = decomp.spectrum.layout
     rows = []
-    for i, (energy, block) in enumerate(decomp.diag_blocks.items()):
+    for i, energy in enumerate(decomp.spectrum.energies):
+        probs = decomp.probs[layout.span(i)]
         rows.append(
             [
                 fraction_key(energy),
-                repr(block.p_E),
-                ";".join(repr(float(p)) for p in block.probs),
+                repr(float(probs.sum())),
+                ";".join(repr(float(p)) for p in probs),
                 repr(float(same[i])),
                 repr(float(cross[i])),
             ]

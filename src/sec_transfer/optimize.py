@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -114,13 +113,13 @@ def optimal_diagonal_unitary(
         raise BlockMismatch("decomposition was built over a different joint spectrum")
     layout = spec.layout
     all_energies = spec.ordered_local_energies(target)
-    blocks: dict[Fraction, np.ndarray] = {}
-    for i, energy in enumerate(spec.energies):
+    blocks = []
+    for i in range(len(layout.dims)):
         span = layout.span(i)
         perm, _ = max_active_rearrange(decomp.probs[span], all_energies[span])
         mat = np.zeros((len(perm), len(perm)), dtype=complex)
         mat[np.arange(len(perm)), perm] = 1.0
-        blocks[energy] = mat
+        blocks.append(mat)
     return SecUnitary(blocks, spec, validate=False)
 
 
@@ -141,19 +140,19 @@ def maximize_transfer_exact(
 
 
 def _block_eigen_optimum(
-    decomp: StateDecomposition, useful: dict[Fraction, np.ndarray], target: str
+    decomp: StateDecomposition, useful: dict[int, np.ndarray], target: str
 ) -> OptimizationResult:
     """:func:`maximize_transfer_exact` on the populations plus the given coherences."""
     spec = decomp.spectrum
     layout = spec.layout
     all_energies = spec.ordered_local_energies(target)
-    blocks: dict[Fraction, np.ndarray] = {}
+    blocks = []
     value = 0.0
-    for i, energy in enumerate(spec.energies):
+    for i in range(len(layout.dims)):
         span, d = layout.span(i), int(layout.dims[i])
         probs, energies = decomp.probs[span], all_energies[span]
         restricted = np.diag(probs.astype(complex))
-        alpha = useful.get(energy)
+        alpha = useful.get(i)
         if alpha is not None:
             restricted = restricted + alpha
         eigenvalues, vectors = np.linalg.eigh(restricted)
@@ -164,7 +163,7 @@ def _block_eigen_optimum(
             mat[pos, :] = vectors[:, eig_idx].conj()
             value += eigenvalues[eig_idx] * energies[pos]
         value -= float(energies @ probs)
-        blocks[energy] = mat
+        blocks.append(mat)
     return OptimizationResult(
         value=float(value),
         unitary=SecUnitary(blocks, spec, validate=False),
@@ -196,12 +195,12 @@ def monte_carlo_max(
         for start in range(0, n_samples, SAMPLE_CHUNK)
     ]
 
-    def evaluate(chunk: tuple[int, int]) -> tuple[float, int, dict[Fraction, np.ndarray]]:
+    def evaluate(chunk: tuple[int, int]) -> tuple[float, int, list[np.ndarray]]:
         start, count = chunk
         batch = sample_haar_blocks(spec, seed, count, start=start)
         totals = batch_transfers(decomp, batch, target).total
         inner = int(np.argmax(totals))
-        blocks = {energy: stack[inner].copy() for energy, stack in batch.items()}
+        blocks = [stack[inner].copy() for stack in batch]
         return float(totals[inner]), start + inner, blocks
 
     workers = thread_count()

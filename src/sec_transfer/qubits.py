@@ -94,11 +94,7 @@ class SecParams2Q:
                 ],
             ]
         )
-        blocks = {
-            spec.blocks[0].energy: np.array([[cmath.exp(1j * t00)]]),
-            spec.blocks[1].energy: rot,
-            spec.blocks[2].energy: np.array([[cmath.exp(1j * t11)]]),
-        }
+        blocks = [np.array([[cmath.exp(1j * t00)]]), rot, np.array([[cmath.exp(1j * t11)]])]
         return SecUnitary(blocks, spec, validate=False)
 
 

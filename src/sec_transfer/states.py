@@ -5,7 +5,7 @@ the joint energy eigenstates, grouped by total-energy block) and coherence
 blocks keyed by the pair of total energies they connect.  The split is exact:
 reassembling the pieces reproduces the input matrix.  Only the same-energy
 coherence blocks can ever influence average energy transfer, which is why the
-decomposition keys them for direct lookup.
+decomposition extracts them up front, keyed by block index.
 
 Layout
 ------
@@ -45,8 +45,6 @@ Conventions
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -198,18 +196,6 @@ def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:
     return np.einsum("aiaj->ij", m)
 
 
-@dataclass(frozen=True)
-class DiagBlock:
-    """Unnormalized joint-energy populations of one block, in member order."""
-
-    energy: Fraction
-    probs: np.ndarray
-
-    @property
-    def p_E(self) -> float:
-        return float(self.probs.sum())
-
-
 class CoherenceBlocks(Mapping):
     """Read-only mapping ``(E, E') -> coherence block`` over the nonzero pairs.
 
@@ -253,10 +239,9 @@ class StateDecomposition:
     :class:`sec_transfer.spectra.BlockLayout`) after thresholding, with its
     diagonal zeroed; every block is a view into it.  ``probs`` holds the
     populations in the same block order, so block ``i`` reads
-    ``probs[layout.span(i)]``, and ``diag_blocks`` holds those slices keyed
-    by energy, in block order.  The same-energy coherence blocks are
-    extracted on construction; a cross-energy block is only sliced when
-    ``coh_blocks`` is asked for it.
+    ``probs[layout.span(i)]`` and its probability is that slice's sum.  The
+    same-energy coherence blocks are extracted on construction; a
+    cross-energy block is only sliced when ``coh_blocks`` is asked for it.
     """
 
     def __init__(
@@ -270,24 +255,15 @@ class StateDecomposition:
         self.spectrum = spectrum
         self._matrix = matrix
         self.probs = probs
-        self.diag_blocks = {
-            energy: DiagBlock(energy, probs[layout.span(i)])
-            for i, energy in enumerate(spectrum.energies)
-        }
         self.coh_blocks = CoherenceBlocks(matrix, spectrum, nonzero)
-        # block indices of the same-energy blocks, in the order of _same
-        self._same_index = np.flatnonzero(np.diagonal(nonzero)).tolist()
+        # the nonzero same-energy blocks, by block index in block order
         self._same = {
-            spectrum.energies[i]: matrix[layout.span(i), layout.span(i)]
-            for i in self._same_index
+            i: matrix[layout.span(i), layout.span(i)]
+            for i in np.flatnonzero(np.diagonal(nonzero)).tolist()
         }
 
-    @property
-    def p_E(self) -> dict[Fraction, float]:
-        return {energy: block.p_E for energy, block in self.diag_blocks.items()}
-
-    def useful_coherence_blocks(self) -> dict[Fraction, np.ndarray]:
-        """The same-energy coherence blocks, keyed by their total energy."""
+    def useful_coherence_blocks(self) -> dict[int, np.ndarray]:
+        """The nonzero same-energy coherence blocks, keyed by block index."""
         return dict(self._same)
 
     def coherence_peaks(self) -> np.ndarray:
@@ -331,20 +307,21 @@ class StateDecomposition:
 
     def validate(self, trace_tol: float = tolerances.TRACE) -> None:
         """Check the structural invariants; raises ValidationError on failure."""
-        total = sum(block.p_E for block in self.diag_blocks.values())
+        layout = self.spectrum.layout
+        spans = [layout.span(i) for i in range(len(layout.dims))]
+        total = sum(float(self.probs[span].sum()) for span in spans)
         if abs(total - 1.0) > trace_tol:
             raise ValidationError(
                 f"block probabilities sum to {total!r}, off by more than {trace_tol:g}"
             )
-        layout = self.spectrum.layout
-        for i, alpha in zip(self._same_index, self._same.values()):
-            energy = self.spectrum.energies[i]
+        for i in self._same:
+            alpha, energy = self._same[i], self.spectrum.energies[i]
             diag = np.abs(np.diag(alpha))
             if diag.max(initial=0.0) != 0.0:
                 raise ValidationError(
                     f"same-energy coherence block E={energy} has nonzero diagonal"
                 )
-            probs = self.probs[layout.span(i)]
+            probs = self.probs[spans[i]]
             bound = np.outer(probs, probs)
             # 2x2 principal minors of a positive matrix
             if np.any(np.abs(alpha) ** 2 > bound + tolerances.POPULATION_BOUND):

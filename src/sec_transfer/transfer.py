@@ -24,7 +24,6 @@ energy quantum (set to 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,14 +38,18 @@ ENERGY_UNIT = "hbar*omega"
 
 @dataclass
 class TransferReport:
-    """Full account of one (state, unitary, target) transfer computation."""
+    """Full account of one (state, unitary, target) transfer computation.
+
+    ``per_block_diagonal`` is a ``(B,)`` array: the diagonal contribution of
+    each block, in the spectrum's block order.
+    """
 
     target: str
     total: float
     diagonal: float
     coherent: float
     eta: dict[int, float]
-    per_block_diagonal: dict[Fraction, float]
+    per_block_diagonal: np.ndarray
     unit: str = ENERGY_UNIT
 
 
@@ -66,27 +69,28 @@ def transfer_direct(state: BipartiteState, u: SecUnitary, target: str) -> float:
 class BatchTransfers:
     """Transfer components for a stack of ``n`` block unitaries.
 
-    ``per_block_diagonal`` maps each block energy to its ``(n,)`` diagonal
-    contributions; ``eta`` is ``(n, d_target)``, the per-level coefficients
-    of the coherent part.
+    ``per_block_diagonal`` is ``(B, n)``: row ``i`` holds block ``i``'s
+    diagonal contributions, in the spectrum's block order; ``eta`` is
+    ``(n, d_target)``, the per-level coefficients of the coherent part.
     """
 
     total: np.ndarray
     diagonal: np.ndarray
     coherent: np.ndarray
-    per_block_diagonal: dict[Fraction, np.ndarray]
+    per_block_diagonal: np.ndarray
     eta: np.ndarray
 
 
 def batch_transfers(
     decomp: StateDecomposition,
-    block_samples: dict[Fraction, np.ndarray],
+    block_samples: tuple[np.ndarray, ...],
     target: str,
 ) -> BatchTransfers:
     """Diagonal, coherent and total transfers for a whole stack of unitaries.
 
-    ``block_samples`` maps each block energy to an ``(n, d, d)`` stack as
-    produced by :func:`sec_transfer.unitaries.sample_haar_blocks`.  This is
+    ``block_samples`` holds one ``(n, d, d)`` stack per block, in the
+    spectrum's block order, as produced by
+    :func:`sec_transfer.unitaries.sample_haar_blocks`.  This is
     the one place the block-wise transfer is computed.  The diagonal part is
     summed block by block in spectrum order, and the coherent part level by
     level, so a stack of one reproduces the scalar results bit for bit.
@@ -95,33 +99,37 @@ def batch_transfers(
     """
     check_system(target)
     spec = decomp.spectrum
-    counts = {stack.shape[0] for stack in block_samples.values()}
+    layout = spec.layout
+    if len(block_samples) != len(layout.dims):
+        raise BlockMismatch(
+            f"{len(block_samples)} sample stacks given for a spectrum of "
+            f"{len(layout.dims)} blocks"
+        )
+    counts = {stack.shape[0] for stack in block_samples}
     if len(counts) != 1:
         raise BlockMismatch("all block sample stacks must have the same length")
     n = counts.pop()
     h_target = spec.h_a if target == "A" else spec.h_b
-    layout = spec.layout
     # target-side local level at every position of the block order
     levels = layout.order // spec.h_b.dim if target == "A" else layout.order % spec.h_b.dim
     all_energies = spec.ordered_local_energies(target)
     useful = decomp.useful_coherence_blocks()
     diagonal = np.zeros(n)
-    per_block: dict[Fraction, np.ndarray] = {}
+    per_block = np.empty((len(block_samples), n))
     eta = np.zeros((n, h_target.dim))
-    for i, energy in enumerate(spec.energies):
+    for i, stack in enumerate(block_samples):
         span, d = layout.span(i), int(layout.dims[i])
-        stack = block_samples[energy]
         if stack.shape[1:] != (d, d):
             raise BlockMismatch(
-                f"sample stack for E={energy} has shape {stack.shape[1:]}, "
+                f"sample stack for E={spec.energies[i]} has shape {stack.shape[1:]}, "
                 f"expected {(d, d)}"
             )
         probs = decomp.probs[span]
         weights = np.abs(stack) ** 2
         change = (weights @ probs - probs) @ all_energies[span]
-        per_block[energy] = change
+        per_block[i] = change
         diagonal += change
-        alpha = useful.get(energy)
+        alpha = useful.get(i)
         if alpha is not None:
             gained = np.einsum("nki,ij,nkj->nk", stack, alpha, stack.conj()).real
             # within a block each target level appears once
@@ -136,21 +144,24 @@ def _split(decomp: StateDecomposition, u: SecUnitary, target: str) -> TransferRe
     """The kernel on a stack of one unitary; ``total`` is diagonal + coherent."""
     if u.spectrum != decomp.spectrum:
         raise BlockMismatch("unitary and decomposition use different joint spectra")
-    result = batch_transfers(decomp, {e: mat[None] for e, mat in u.blocks.items()}, target)
+    result = batch_transfers(decomp, tuple(mat[None] for mat in u.blocks), target)
     return TransferReport(
         target=target,
         total=float(result.total[0]),
         diagonal=float(result.diagonal[0]),
         coherent=float(result.coherent[0]),
         eta=dict(enumerate(result.eta[0].tolist())),
-        per_block_diagonal={e: float(v[0]) for e, v in result.per_block_diagonal.items()},
+        per_block_diagonal=result.per_block_diagonal[:, 0],
     )
 
 
 def transfer_diagonal(
     decomp: StateDecomposition, u: SecUnitary, target: str
-) -> tuple[float, dict[Fraction, float]]:
-    """Population-sourced part of the transfer, with its per-block breakdown."""
+) -> tuple[float, np.ndarray]:
+    """Population-sourced part of the transfer, with its per-block breakdown.
+
+    The breakdown is a ``(B,)`` array in the spectrum's block order.
+    """
     split = _split(decomp, u, target)
     return split.diagonal, split.per_block_diagonal
 
@@ -179,7 +190,10 @@ def analyze(
 
     Raises :class:`NumericalInvariantError` if the three quantities fail to
     satisfy ``total = diagonal + coherent`` within ``split_tol``; that bound
-    holding is exactly what makes the block-wise paths trustworthy.
+    holding is exactly what makes the block-wise paths trustworthy.  The
+    bound is absolute, while the residual's rounding grows with the level
+    energies: at a level spacing of 10**6 a valid problem leaves residuals
+    near 1e-10, so the CLI exits 3 unless run with ``--tolerance split=...``.
     The dense reference runs first, so its D x D work buffers are gone
     before the decomposition's copy of the state is made.
     """

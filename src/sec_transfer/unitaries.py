@@ -3,10 +3,11 @@
 A strong-energy-conserving (SEC) unitary commutes with the total free
 Hamiltonian, so it acts as an independent unitary inside each total-energy
 block and vanishes between blocks.  We store one ``d_E x d_E`` matrix per
-block with the standard column convention: column ``i`` is the image of
-member ``i``, i.e. ``blocks[E][j, i]`` is the amplitude for member ``i`` to
-end up on member ``j``.  Singleton blocks carry a unit-modulus phase, which
-is physically irrelevant but kept for structural completeness.
+block, in the spectrum's block order, with the standard column convention:
+column ``i`` is the image of member ``i``, i.e. ``blocks[k][j, i]`` is the
+amplitude for member ``i`` of block ``k`` to end up on member ``j``.
+Singleton blocks carry a unit-modulus phase, which is physically irrelevant
+but kept for structural completeness.
 
 Random sampling
 ---------------
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -36,25 +37,26 @@ SAMPLE_CHUNK = 4096
 
 
 class SecUnitary:
-    """One unitary matrix per total-energy block of a joint spectrum."""
+    """One unitary matrix per total-energy block of a joint spectrum.
+
+    ``blocks`` lists the matrices in the spectrum's block order, so
+    ``blocks[i]`` acts on block ``i`` (``spectrum.layout.span(i)``); it is
+    stored as a tuple of read-only arrays.
+    """
 
     def __init__(
         self,
-        blocks: Mapping[Fraction, np.ndarray],
+        blocks: Sequence[np.ndarray],
         spectrum: JointSpectrum,
         validate: bool = True,
     ):
-        try:
-            given = [blocks[energy] for energy in spectrum.energies]
-        except KeyError:
-            given = None
-        if given is None or len(blocks) != len(given):
+        if len(blocks) != len(spectrum.energies):
             raise BlockMismatch(
-                f"unitary blocks {sorted(map(str, blocks))} do not match spectrum "
-                f"blocks {sorted(map(str, spectrum.energies))}"
+                f"{len(blocks)} unitary blocks given for a spectrum of "
+                f"{len(spectrum.energies)} blocks"
             )
-        stored: dict[Fraction, np.ndarray] = {}
-        for energy, d, raw in zip(spectrum.energies, spectrum.layout.dims.tolist(), given):
+        stored = []
+        for energy, d, raw in zip(spectrum.energies, spectrum.layout.dims.tolist(), blocks):
             mat = np.array(raw, dtype=complex)
             if mat.shape != (d, d):
                 raise BlockMismatch(
@@ -68,14 +70,14 @@ class SecUnitary:
                         f"{defect:.3e} exceeds {tolerances.UNITARITY:g}"
                     )
             mat.setflags(write=False)
-            stored[energy] = mat
-        self.blocks = stored
+            stored.append(mat)
+        self.blocks = tuple(stored)
         self.spectrum = spectrum
 
     @classmethod
     def identity(cls, spectrum: JointSpectrum) -> "SecUnitary":
         return cls(
-            {b.energy: np.eye(b.dim, dtype=complex) for b in spectrum.blocks},
+            [np.eye(d, dtype=complex) for d in spectrum.layout.dims.tolist()],
             spectrum,
             validate=False,
         )
@@ -94,9 +96,9 @@ def to_full_matrix(u: SecUnitary, spec: JointSpectrum) -> np.ndarray:
         raise BlockMismatch("unitary was built over a different joint spectrum")
     layout = spec.layout
     full = np.zeros((spec.total_dim, spec.total_dim), dtype=complex)
-    for i, energy in enumerate(spec.energies):
+    for i, mat in enumerate(u.blocks):
         flat = layout.order[layout.span(i)]
-        full[np.ix_(flat, flat)] = u.blocks[energy]
+        full[np.ix_(flat, flat)] = mat
     return full
 
 
@@ -153,26 +155,24 @@ def _haar_slice(seed: int, energy: Fraction, dim: int, start: int, count: int) -
 
 def sample_haar_blocks(
     spec: JointSpectrum, seed: int, count: int, start: int = 0
-) -> dict[Fraction, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Raw per-block stacks of Haar samples, for vectorized oracles.
 
-    ``result[E][i]`` is the E-block of sample ``start + i``; a given sample
+    ``result[k][i]`` is block ``k`` (in the spectrum's block order) of sample
+    ``start + i``, an ``(count, d_k, d_k)`` stack per block; a given sample
     index is the same for a given seed no matter the requested range.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    return {
-        block.energy: _haar_slice(seed, block.energy, block.dim, start, count)
-        for block in spec.blocks
-    }
+    return tuple(
+        _haar_slice(seed, block.energy, block.dim, start, count) for block in spec.blocks
+    )
 
 
 def sample_haar(spec: JointSpectrum, seed: int) -> SecUnitary:
     """One Haar-random SEC unitary, each block independently uniform."""
     batch = sample_haar_blocks(spec, seed, 1)
-    return SecUnitary(
-        {energy: stack[0] for energy, stack in batch.items()}, spec, validate=False
-    )
+    return SecUnitary([stack[0] for stack in batch], spec, validate=False)
 
 
 def is_potentially_coherent(u: SecUnitary) -> bool:
@@ -184,7 +184,7 @@ def is_potentially_coherent(u: SecUnitary) -> bool:
     permutation unitaries fail this test, and for them the coherent part of
     any energy transfer vanishes identically.
     """
-    for mat in u.blocks.values():
+    for mat in u.blocks:
         if mat.shape[0] < 2:
             continue
         mags = np.sort(np.abs(mat), axis=1)

@@ -344,8 +344,7 @@ def dephasing_identity(row: CheckResult, seed: int, strength: str) -> None:
         decomp = decompose(state, spec)
         dense = to_full_matrix(u, spec)
         layout = spec.layout
-        # SecUnitary.blocks is stored in spectrum order
-        for i, (block, mat) in enumerate(zip(spec.blocks, u.blocks.values())):
+        for i, (block, mat) in enumerate(zip(spec.blocks, u.blocks)):
             probs = decomp.probs[layout.span(i)]
             flat = layout.order[layout.span(i)]
             embedded = np.zeros((spec.total_dim, spec.total_dim), dtype=complex)
@@ -392,7 +391,7 @@ def haar_moment(row: CheckResult, seed: int, strength: str) -> None:
     A statistical verdict, so drawn from ``STATISTICAL_SEED`` at both strengths.
     """
     spec = ladder_spectrum(2, 2)
-    stack = sample_haar_blocks(spec, STATISTICAL_SEED + 14, 20000)[spec.blocks[1].energy]
+    stack = sample_haar_blocks(spec, STATISTICAL_SEED + 14, 20000)[1]
     mean = float((np.abs(stack[:, 0, 0]) ** 2).mean())
     # Var(|c00|^2) = (d-1)/(d^2 (d+1)) for Haar; three sigma of the mean
     sigma = np.sqrt((1.0 / 12.0) / stack.shape[0])

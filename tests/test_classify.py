@@ -164,8 +164,8 @@ def test_thermal_block_populations_monotone():
     spec = ladder_spectrum(3, 3)
     state = thermal_product(spec.h_a, spec.h_b, 2.0, 0.5)
     decomp = decompose(state, spec)
-    for block in spec.blocks:
-        probs = decomp.diag_blocks[block.energy].probs
+    for i in range(len(spec.blocks)):
+        probs = decomp.probs[spec.layout.span(i)]
         assert np.all(np.diff(probs) <= 1e-15)
 
 
@@ -188,7 +188,7 @@ def test_passive_max_active_block_weights():
     # oracle: direct product weights, middle block carries {0.8*0.7, 0.2*0.3}
     spec = ladder_spectrum(2, 2)
     state = passive_max_active_product([0.8, 0.2], [0.3, 0.7], spec.h_a, spec.h_b)
-    probs = decompose(state, spec).diag_blocks[Fraction(1)].probs
+    probs = decompose(state, spec).probs[spec.layout.span(spec.layout.index[Fraction(1)])]
     np.testing.assert_allclose(probs, [0.8 * 0.7, 0.2 * 0.3], atol=1e-15)
 
 
@@ -237,7 +237,7 @@ def test_witness_extracts_energy_from_failing_block(rng):
     # the witness must act on exactly one block
     nontrivial = [
         energy
-        for energy, mat in label.witness.blocks.items()
+        for energy, mat in zip(spec.energies, label.witness.blocks)
         if not np.array_equal(mat, np.eye(mat.shape[0]))
     ]
     assert len(nontrivial) == 1

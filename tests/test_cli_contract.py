@@ -184,6 +184,44 @@ def test_unitary_file_rejects_unparseable_block_keys(tmp_path, capsys):
     assert _exit_code(argv, capsys) == 2
 
 
+IDENTITY_2 = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+SWAP_2 = {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "keys, named",
+    [(("0", "1"), "['0', '1']"), (("0", "1", "2", "3"), "['0', '1', '2', '3']")],
+    ids=["missing", "extra"],
+)
+def test_unitary_block_keys_must_match_the_spectrum(keys, named, tmp_path, capsys):
+    problem = _write(tmp_path, _problem(state=_state()))
+    blocks = {key: {"re": [[1.0]], "im": [[0.0]]} for key in keys}
+    blocks["1"] = IDENTITY_2
+    path = _write(tmp_path, {"blocks": blocks}, "u.json")
+    argv = ["analyze", "--input", problem, "--target", "A", "--unitary", path]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: unitary blocks {named} do not match spectrum "
+        "blocks ['0', '1', '2']\n"
+    )
+
+
+@pytest.mark.parametrize("swap_last", [True, False], ids=["swap-later", "identity-later"])
+def test_two_keys_naming_one_energy_keep_the_later_block(swap_last, tmp_path, capsys):
+    # p01 = 0.3 and p10 = 0.1: the E=1 swap moves 0.2 onto A, the identity nothing
+    probs = np.diag([0.35, 0.3, 0.1, 0.25])
+    problem = _write(tmp_path, _problem(state=_state(re=probs.tolist())))
+    first, later = (IDENTITY_2, SWAP_2) if swap_last else (SWAP_2, IDENTITY_2)
+    phase = {"re": [[1.0]], "im": [[0.0]]}
+    blocks = {"0": phase, "1": first, "2": phase, "2/2": later}
+    path = _write(tmp_path, {"blocks": blocks}, "u.json")
+    argv = ["analyze", "--input", problem, "--target", "A", "--unitary", path]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["total"] == pytest.approx(0.2 if swap_last else 0.0, abs=1e-15)
+    assert set(report["per_block_diagonal"]) == {"0", "1", "2"}
+
+
 def test_problem_file_must_be_an_object(tmp_path, capsys):
     path = _write(tmp_path, [1, 2])
     assert _exit_code(["decompose", "--input", path], capsys) == 2

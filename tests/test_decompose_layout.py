@@ -68,7 +68,7 @@ def _reference_full_matrix(u, spec):
     full = np.zeros((spec.total_dim, spec.total_dim), dtype=complex)
     for block in spec.blocks:
         flat = _flat(spec, block.energy)
-        full[np.ix_(flat, flat)] = u.blocks[block.energy]
+        full[np.ix_(flat, flat)] = u.blocks[spec.layout.index[block.energy]]
     return full
 
 
@@ -166,18 +166,20 @@ def case(request, rng):
 
 def test_blocks_equal_the_per_pair_reference(case):
     spec, _, decomp, (probs, coh) = case
-    assert list(decomp.diag_blocks) == list(probs)
-    for energy, p in probs.items():
-        assert np.array_equal(decomp.diag_blocks[energy].probs, p)
-        assert decomp.diag_blocks[energy].p_E == float(p.sum())
+    layout = spec.layout
+    assert list(spec.energies) == list(probs)
+    for i, p in enumerate(probs.values()):
+        assert np.array_equal(decomp.probs[layout.span(i)], p)
+        assert float(decomp.probs[layout.span(i)].sum()) == float(p.sum())
     assert list(decomp.coh_blocks) == list(coh)
     assert len(decomp.coh_blocks) == len(coh)
     for key, alpha in coh.items():
         assert key in decomp.coh_blocks
         assert np.array_equal(decomp.coh_blocks[key], alpha)
     useful = decomp.useful_coherence_blocks()
-    assert list(useful) == [e1 for e1, e2 in coh if e1 == e2]
-    for energy, alpha in useful.items():
+    assert list(useful) == [layout.index[e1] for e1, e2 in coh if e1 == e2]
+    for i, alpha in useful.items():
+        energy = spec.energies[i]
         assert np.array_equal(alpha, coh[(energy, energy)])
 
 
@@ -188,13 +190,13 @@ def test_straddling_case_drops_what_the_threshold_drops(rng):
     for key in [(e1, e3), (e3, e1), (e2, e2)]:
         assert key not in decomp.coh_blocks
     assert decomp.coh_blocks[(e0, e3)][0].tolist() == [tolerances.ZERO, 0.25j]
-    assert decomp.diag_blocks[e4].probs[0] == 0.0
-    assert decomp.diag_blocks[e2].probs[1] == 0.0
+    assert decomp.probs[spec.layout.span(spec.layout.index[e4])][0] == 0.0
+    assert decomp.probs[spec.layout.span(spec.layout.index[e2])][1] == 0.0
 
 
 def test_values_are_read_only_views(case):
-    _, _, decomp, _ = case
-    arrays = [block.probs for block in decomp.diag_blocks.values()]
+    spec, _, decomp, _ = case
+    arrays = [decomp.probs[spec.layout.span(i)] for i in range(len(spec.blocks))]
     arrays += list(decomp.coh_blocks.values()) + list(decomp.useful_coherence_blocks().values())
     for array in arrays:
         assert array.base is not None and not array.flags.writeable

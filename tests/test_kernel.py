@@ -32,20 +32,20 @@ def _reference(decomp, u, target):
     """The split written out as per-block loops: blocks in spectrum order,
     the coherent part summed level by level."""
     spec = decomp.spectrum
-    per_block = {}
+    per_block = []
     diagonal = 0.0
-    for i, block in enumerate(spec.blocks):
-        probs = decomp.diag_blocks[block.energy].probs
+    for i in range(len(spec.blocks)):
+        probs = decomp.probs[spec.layout.span(i)]
         energies = spec.ordered_local_energies(target)[spec.layout.span(i)]
-        weights = np.abs(u.blocks[block.energy]) ** 2
-        per_block[block.energy] = float(energies @ (weights @ probs - probs))
-        diagonal += per_block[block.energy]
+        weights = np.abs(u.blocks[i]) ** 2
+        per_block.append(float(energies @ (weights @ probs - probs)))
+        diagonal += per_block[i]
     h_target = spec.h_a if target == "A" else spec.h_b
     eta = {k: 0.0 for k in range(h_target.dim)}
-    for energy, alpha in decomp.useful_coherence_blocks().items():
-        mat = u.blocks[energy]
+    for i, alpha in decomp.useful_coherence_blocks().items():
+        mat = u.blocks[i]
         gained = np.einsum("ki,ij,kj->k", mat, alpha, mat.conj()).real
-        for member, (a, b) in enumerate(spec.block(energy).members):
+        for member, (a, b) in enumerate(spec.blocks[i].members):
             eta[a if target == "A" else b] += float(gained[member])
     levels = h_target.energies_float()
     coherent = float(sum(eta[k] * levels[k] for k in eta))
@@ -82,7 +82,8 @@ def _zero_block_case(rng):
     mat = random_state((3, 3), rng).matrix * np.outer(keep, keep)
     state = BipartiteState(mat / mat.trace().real, (3, 3))
     decomp = decompose(state, spec)
-    assert decomp.p_E[Fraction(0)] == 0.0 and decomp.p_E[Fraction(4)] == 0.0
+    for energy in (Fraction(0), Fraction(4)):
+        assert float(decomp.probs[spec.layout.span(spec.layout.index[energy])].sum()) == 0.0
     return spec, state
 
 
@@ -101,15 +102,15 @@ def test_stack_of_one_equals_scalar_paths(case, rng):
     for seed in range(5):
         u = sample_haar(spec, seed)
         for target in ("A", "B"):
-            result = batch_transfers(decomp, {e: m[None] for e, m in u.blocks.items()}, target)
+            result = batch_transfers(decomp, tuple(m[None] for m in u.blocks), target)
             diagonal, per_block = transfer_diagonal(decomp, u, target)
             coherent, eta = transfer_coherent(decomp, u, target)
             assert result.diagonal[0] == diagonal
             assert result.coherent[0] == coherent
             assert result.total[0] == diagonal + coherent
-            assert {e: v[0] for e, v in result.per_block_diagonal.items()} == per_block
+            assert result.per_block_diagonal[:, 0].tolist() == per_block.tolist()
             assert dict(enumerate(result.eta[0])) == eta
-            assert (diagonal, per_block, coherent, eta) == _reference(decomp, u, target)
+            assert (diagonal, per_block.tolist(), coherent, eta) == _reference(decomp, u, target)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -120,7 +121,7 @@ def test_analyze_reports_the_kernel(case, rng):
     report = analyze(state, u, "B")
     diagonal, per_block, coherent, eta = _reference(decomp, u, "B")
     assert (report.diagonal, report.coherent) == (diagonal, coherent)
-    assert report.per_block_diagonal == per_block
+    assert report.per_block_diagonal.tolist() == per_block
     assert report.eta == eta
 
 
@@ -130,7 +131,7 @@ def test_zero_probability_blocks_contribute_exactly_zero(rng):
     batch = sample_haar_blocks(spec, 5, 16)
     result = batch_transfers(decomp, batch, "A")
     for energy in (Fraction(0), Fraction(4)):
-        assert np.all(result.per_block_diagonal[energy] == 0.0)
+        assert np.all(result.per_block_diagonal[spec.layout.index[energy]] == 0.0)
 
 
 def test_stack_fields_have_per_sample_shapes(rng):
@@ -140,14 +141,14 @@ def test_stack_fields_have_per_sample_shapes(rng):
     batch = sample_haar_blocks(spec, 9, n)
     result = batch_transfers(decomp, batch, "A")
     assert result.eta.shape == (n, spec.h_a.dim)
-    assert set(result.per_block_diagonal) == set(spec.energies)
-    assert all(v.shape == (n,) for v in result.per_block_diagonal.values())
+    assert len(result.per_block_diagonal) == len(spec.energies)
+    assert all(v.shape == (n,) for v in result.per_block_diagonal)
     np.testing.assert_array_equal(
-        result.diagonal, sum(result.per_block_diagonal[b.energy] for b in spec.blocks)
+        result.diagonal, sum(result.per_block_diagonal[i] for i in range(len(spec.blocks)))
     )
     np.testing.assert_array_equal(result.total, result.diagonal + result.coherent)
     for i in range(n):
-        u = SecUnitary({e: stack[i] for e, stack in batch.items()}, spec, validate=False)
+        u = SecUnitary([stack[i] for stack in batch], spec, validate=False)
         diagonal, per_block, coherent, eta = _reference(decomp, u, "A")
         assert result.diagonal[i] == pytest.approx(diagonal, abs=1e-15)
         assert result.coherent[i] == pytest.approx(coherent, abs=1e-15)
@@ -158,8 +159,8 @@ def test_kernel_rejects_mismatched_inputs(rng):
     spec = ladder_spectrum(2, 2)
     decomp = decompose(random_state((2, 2), rng), spec)
     batch = sample_haar_blocks(spec, 1, 4)
-    short = dict(batch)
-    short[Fraction(1)] = batch[Fraction(1)][:2]
+    short = list(batch)
+    short[spec.layout.index[Fraction(1)]] = batch[spec.layout.index[Fraction(1)]][:2]
     with pytest.raises(BlockMismatch):
         batch_transfers(decomp, short, "A")
     with pytest.raises(BlockMismatch):

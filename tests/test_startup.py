@@ -52,8 +52,7 @@ PUBLIC = {
         "e_local_energies", "snap_to_rational",
     ],
     "states": [
-        "BipartiteState", "DiagBlock", "StateDecomposition", "decompose", "local_energy",
-        "partial_trace",
+        "BipartiteState", "StateDecomposition", "decompose", "local_energy", "partial_trace",
     ],
     "transfer": [
         "BatchTransfers", "TransferReport", "analyze", "batch_transfers", "transfer_coherent",
@@ -117,9 +116,9 @@ def _cli(tmp_path, argv: list[str]) -> tuple[subprocess.CompletedProcess, bool]:
     return done, report.read_text() == "True"
 
 
-def test_all_is_the_72_public_names():
+def test_all_is_the_71_public_names():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 72
+    assert len(names) == 71
     assert sorted(sec_transfer.__all__) == names
 
 

@@ -43,11 +43,11 @@ def test_single_useful_coherence_lands_in_middle_block(two_qubit_spec):
 
 def test_bell_state_decomposition(two_qubit_spec):
     decomp = decompose(BELL, two_qubit_spec)
-    middle = decomp.diag_blocks[Fraction(1)]
-    np.testing.assert_allclose(middle.probs, [0.5, 0.5])
+    layout = two_qubit_spec.layout
+    np.testing.assert_allclose(decomp.probs[layout.span(1)], [0.5, 0.5])
     assert decomp.coh_blocks[(Fraction(1), Fraction(1))][0, 1] == pytest.approx(0.5)
-    assert decomp.diag_blocks[Fraction(0)].p_E == 0.0
-    assert decomp.diag_blocks[Fraction(2)].p_E == 0.0
+    assert float(decomp.probs[layout.span(0)].sum()) == 0.0
+    assert float(decomp.probs[layout.span(2)].sum()) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,15 +72,17 @@ def test_coherence_bounded_by_populations(dims, seed):
     state = random_state(dims, np.random.default_rng(seed))
     decomp = decompose(state, spec)
     decomp.validate()
-    for energy, alpha in decomp.useful_coherence_blocks().items():
-        probs = decomp.diag_blocks[energy].probs
+    for i, alpha in decomp.useful_coherence_blocks().items():
+        probs = decomp.probs[spec.layout.span(i)]
         assert np.all(np.abs(alpha) ** 2 <= np.outer(probs, probs) + 1e-12)
 
 
 def test_block_probabilities_sum_to_one(rng):
     spec = ladder_spectrum(3, 3)
     decomp = decompose(random_state((3, 3), rng), spec)
-    assert sum(decomp.p_E.values()) == pytest.approx(1.0, abs=1e-12)
+    layout = spec.layout
+    p_E = [float(decomp.probs[layout.span(i)].sum()) for i in range(len(spec.blocks))]
+    assert sum(p_E) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dephased_coherence_carries_no_energy(two_qubit_spec):

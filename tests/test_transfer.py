@@ -59,7 +59,7 @@ def test_diagonal_maximally_mixed_is_invariant(qutrit_qubit_spec):
         u = sample_haar(qutrit_qubit_spec, seed)
         value, per_block = transfer_diagonal(decomp, u, "A")
         assert abs(value) <= 1e-15
-        assert all(abs(v) <= 1e-15 for v in per_block.values())
+        assert all(abs(v) <= 1e-15 for v in per_block)
 
 
 def test_diagonal_two_qubit_rotation(two_qubit_spec):
@@ -83,7 +83,7 @@ def test_diagonal_matches_dense_evolution(qutrit_qubit_spec, rng):
             assert value == pytest.approx(
                 transfer_direct(state, u, target), abs=1e-12
             )
-            assert value == pytest.approx(sum(per_block.values()), abs=1e-14)
+            assert value == pytest.approx(sum(per_block), abs=1e-14)
 
 
 def test_coherent_ignores_cross_energy_blocks(rng):
@@ -170,12 +170,12 @@ def test_eta_restricted_sum_oracle(rng):
             _, eta = transfer_coherent(decomp, u, target)
             for level in range(h.dim):
                 total = 0.0
-                for block in spec.blocks:
-                    alpha = useful.get(block.energy)
+                for k, block in enumerate(spec.blocks):
+                    alpha = useful.get(k)
                     if alpha is None:
                         continue
                     members = block.members
-                    mat = u.blocks[block.energy]
+                    mat = u.blocks[k]
                     for out_idx, (a, b) in enumerate(members):
                         if (a if target == "A" else b) != level:
                             continue
@@ -190,12 +190,12 @@ def test_eta_restricted_sum_oracle(rng):
 def test_incoherent_capable_unitary_gives_zero_coherent(rng):
     spec = ladder_spectrum(3, 3)
     # block permutations: swap the first two members of every multi-member block
-    blocks = {}
+    blocks = []
     for block in spec.blocks:
         mat = np.eye(block.dim, dtype=complex)
         if block.dim >= 2:
             mat[[0, 1]] = mat[[1, 0]]
-        blocks[block.energy] = mat
+        blocks.append(mat)
     u = SecUnitary(blocks, spec)
     assert not is_potentially_coherent(u)
     for _ in range(10):
@@ -213,12 +213,12 @@ def test_per_block_dephasing_identity(rng):
     u = sample_haar(spec, 17)
     full = to_full_matrix(u, spec)
     for i, block in enumerate(spec.blocks):
-        probs = decomp.diag_blocks[block.energy].probs
+        probs = decomp.probs[spec.layout.span(i)]
         flat = spec.layout.order[spec.layout.span(i)]
         embedded = np.zeros((6, 6), dtype=complex)
         embedded[flat, flat] = probs
         lhs = partial_trace(full @ embedded @ full.conj().T, (3, 2), "A")
-        mat = u.blocks[block.energy]
+        mat = u.blocks[i]
         one_sided = mat @ np.diag(probs.astype(complex)) @ mat.conj().T
         rhs = np.zeros((3, 3), dtype=complex)
         levels = [a for a, _ in block.members]
@@ -245,7 +245,7 @@ def test_batched_matches_scalar_paths(rng):
     batch = sample_haar_blocks(spec, 21, 40)
     results = batch_transfers(decomp, batch, "A")
     for i in range(40):
-        u = SecUnitary({e: batch[e][i] for e in batch}, spec, validate=False)
+        u = SecUnitary([stack[i] for stack in batch], spec, validate=False)
         diagonal, _ = transfer_diagonal(decomp, u, "A")
         coherent, _ = transfer_coherent(decomp, u, "A")
         assert results.diagonal[i] == pytest.approx(diagonal, abs=1e-13)

@@ -38,11 +38,11 @@ def test_two_qubit_full_matrix_golden(two_qubit_spec):
     expected[2, 1] = np.exp(1j * t01) * r * np.exp(1j * phi_raw)
     expected[2, 2] = np.exp(1j * t10) * c
     expected[1, 2] = -np.exp(1j * t10) * r * np.exp(-1j * phi_raw)
-    blocks = {
-        Fraction(0): expected[np.ix_([0], [0])],
-        Fraction(1): expected[np.ix_([1, 2], [1, 2])],
-        Fraction(2): expected[np.ix_([3], [3])],
-    }
+    blocks = [
+        expected[np.ix_([0], [0])],
+        expected[np.ix_([1, 2], [1, 2])],
+        expected[np.ix_([3], [3])],
+    ]
     u = SecUnitary(blocks, two_qubit_spec)
     np.testing.assert_allclose(to_full_matrix(u, two_qubit_spec), expected)
     # the parameter class reproduces the same matrix once the effective
@@ -137,26 +137,26 @@ def test_evolve_dimension_mismatch(two_qubit_spec, rng):
 
 def test_singleton_blocks_are_phases(qutrit_qubit_spec):
     u = sample_haar(qutrit_qubit_spec, 3)
-    for block in qutrit_qubit_spec.blocks:
+    for i, block in enumerate(qutrit_qubit_spec.blocks):
         if block.dim == 1:
-            assert abs(abs(u.blocks[block.energy][0, 0]) - 1.0) <= 1e-12
+            assert abs(abs(u.blocks[i][0, 0]) - 1.0) <= 1e-12
 
 
 def test_same_seed_same_unitary(qutrit_qubit_spec):
     a = sample_haar(qutrit_qubit_spec, 99)
     b = sample_haar(qutrit_qubit_spec, 99)
-    for energy in a.blocks:
-        np.testing.assert_array_equal(a.blocks[energy], b.blocks[energy])
+    for i in range(len(a.blocks)):
+        np.testing.assert_array_equal(a.blocks[i], b.blocks[i])
 
 
 def test_batch_prefix_matches_single_samples(qutrit_qubit_spec):
     batch = sample_haar_blocks(qutrit_qubit_spec, 7, 5)
     first = sample_haar(qutrit_qubit_spec, 7)
-    for energy in first.blocks:
-        np.testing.assert_array_equal(batch[energy][0], first.blocks[energy])
+    for i in range(len(first.blocks)):
+        np.testing.assert_array_equal(batch[i][0], first.blocks[i])
     sliced = sample_haar_blocks(qutrit_qubit_spec, 7, 2, start=3)
-    for energy in batch:
-        np.testing.assert_array_equal(sliced[energy], batch[energy][3:5])
+    for i in range(len(batch)):
+        np.testing.assert_array_equal(sliced[i], batch[i][3:5])
 
 
 def test_slices_across_chunk_boundaries(two_qubit_spec):
@@ -166,16 +166,17 @@ def test_slices_across_chunk_boundaries(two_qubit_spec):
     spanning = sample_haar_blocks(
         two_qubit_spec, 9, 80, start=SAMPLE_CHUNK - 40
     )
-    for energy in whole:
+    for i in range(len(whole)):
         np.testing.assert_array_equal(
-            spanning[energy], whole[energy][SAMPLE_CHUNK - 40 : SAMPLE_CHUNK + 40]
+            spanning[i], whole[i][SAMPLE_CHUNK - 40 : SAMPLE_CHUNK + 40]
         )
 
 
 def test_haar_first_moment(two_qubit_spec):
     # Haar moment oracle: E|U_00|^2 = 1/d, Var = (d-1)/(d^2 (d+1))
     count = 100_000
-    stack = sample_haar_blocks(two_qubit_spec, 123, count)[Fraction(1)]
+    block = two_qubit_spec.layout.index[Fraction(1)]
+    stack = sample_haar_blocks(two_qubit_spec, 123, count)[block]
     mean = (np.abs(stack[:, 0, 0]) ** 2).mean()
     sigma = np.sqrt((1 / 12) / count)
     assert abs(mean - 0.5) <= 3 * sigma
@@ -194,18 +195,18 @@ def test_partial_rotation_is_coherence_capable(two_qubit_spec):
 
 
 def test_unitarity_validated(two_qubit_spec):
-    blocks = {
-        Fraction(0): np.array([[1.0]]),
-        Fraction(1): np.array([[1.0, 0.1], [0.0, 1.0]]),
-        Fraction(2): np.array([[1.0]]),
-    }
+    blocks = [
+        np.array([[1.0]]),
+        np.array([[1.0, 0.1], [0.0, 1.0]]),
+        np.array([[1.0]]),
+    ]
     with pytest.raises(NotUnitary, match="1e-12"):
         SecUnitary(blocks, two_qubit_spec)
 
 
 def test_block_set_must_match_spectrum(two_qubit_spec):
     with pytest.raises(BlockMismatch):
-        SecUnitary({Fraction(0): np.array([[1.0]])}, two_qubit_spec)
+        SecUnitary([np.array([[1.0]])], two_qubit_spec)
 
 
 def test_full_matrix_rejects_foreign_spectrum(two_qubit_spec, qutrit_qubit_spec):

@@ -10,6 +10,10 @@ included, then runs as ``python -m sec_transfer.cli`` once with each tree's
 ``src`` first on ``PYTHONPATH`` (and the job's thread count, as the benchmark
 sets it).  Both runs must give the same exit code, stdout, stderr and output
 file bytes.  ``verify --output`` at its default seed is compared the same way.
+Last, every ``demos/*.py`` of either tree runs as that tree's own script
+against that tree's ``src``, each run in a fresh working directory; both runs
+must give the same exit code, stdout, stderr and files left in that
+directory.
 
 Prints one line per mismatch and a count per workload and seed; exits 1 if
 anything differs.
@@ -31,27 +35,45 @@ from workloads import WORKLOADS  # noqa: E402
 THREADS_ENV = "SEC_TRANSFER_THREADS"
 
 
-def _run(tree: Path, argv: list[str], output: Path, threads: int | None) -> tuple:
-    """Exit code, stdout, stderr and output bytes of one CLI run under ``tree``."""
+def _env(tree: Path, threads: int | None) -> dict:
     env = {key: value for key, value in os.environ.items() if key != THREADS_ENV}
     env["PYTHONPATH"] = str(tree / "src")
     if threads is not None:
         env[THREADS_ENV] = str(threads)
+    return env
+
+
+def _run(tree: Path, argv: list[str], output: Path, threads: int | None) -> tuple:
+    """Exit code, stdout, stderr and output bytes of one CLI run under ``tree``."""
     output.unlink(missing_ok=True)
-    done = subprocess.run([sys.executable, "-m", "sec_transfer.cli", *argv], env=env,
-                          capture_output=True, timeout=600)
+    done = subprocess.run([sys.executable, "-m", "sec_transfer.cli", *argv],
+                          env=_env(tree, threads), capture_output=True, timeout=600)
     written = output.read_bytes() if output.exists() else None
     output.unlink(missing_ok=True)
     return done.returncode, done.stdout, done.stderr, written
 
 
-def _compare(trees: list[Path], argv: list[str], output: Path, threads=None) -> bool:
-    parent, change = (_run(tree, argv, output, threads) for tree in trees)
-    for what, old, new in zip(("exit code", "stdout", "stderr", "output"), parent, change):
+def _run_demo(tree: Path, name: str, work: Path) -> tuple:
+    """Exit code, stdout, stderr and left files of ``tree``'s demo ``name``, run in ``work``."""
+    work.mkdir()
+    done = subprocess.run([sys.executable, str(tree / "demos" / name)], cwd=work,
+                          env=_env(tree, None), capture_output=True, timeout=600)
+    written = {path.relative_to(work).as_posix(): path.read_bytes()
+               for path in sorted(work.rglob("*")) if path.is_file()}
+    return done.returncode, done.stdout, done.stderr, written
+
+
+def _same(what: str, parent: tuple, change: tuple) -> bool:
+    for field, old, new in zip(("exit code", "stdout", "stderr", "output"), parent, change):
         if old != new:
-            print(f"differs in {what}: {' '.join(argv)}")
+            print(f"differs in {field}: {what}")
             return False
     return True
+
+
+def _compare(trees: list[Path], argv: list[str], output: Path, threads=None) -> bool:
+    parent, change = (_run(tree, argv, output, threads) for tree in trees)
+    return _same(" ".join(argv), parent, change)
 
 
 def main(argv: list[str]) -> int:
@@ -75,6 +97,15 @@ def main(argv: list[str]) -> int:
         same = _compare(trees, ["verify", "--output", str(output)], output)
         differing += not same
         print(f"verify --output at the default seed: {'identical' if same else 'differs'}")
+        demos = sorted({path.name for tree in trees for path in (tree / "demos").glob("*.py")})
+        for name in demos:
+            parent, change = (
+                _run_demo(tree, name, Path(scratch) / f"demo-{side}-{name}")
+                for side, tree in enumerate(trees)
+            )
+            same = _same(f"demos/{name}", parent, change)
+            differing += not same
+            print(f"demos/{name}: {'identical' if same else 'differs'}", flush=True)
     return 1 if differing else 0
 
 
