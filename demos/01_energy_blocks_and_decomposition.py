@@ -5,8 +5,8 @@ Two systems with nondegenerate spectra split the joint product basis into
 blocks of fixed total energy.  Inside one block the A level determines the B
 level, so every per-block object is indexed by a single member list.  A
 density matrix then decomposes exactly into per-block populations plus
-coherence blocks keyed by the pair of total energies they connect; only the
-same-energy blocks can ever matter for average energy transfer.
+coherence blocks, one per pair of blocks (i, j) they connect; only the
+same-energy blocks (i, i) can ever matter for average energy transfer.
 """
 
 import numpy as np
@@ -41,8 +41,10 @@ for i, energy in enumerate(spec.energies):
     p = decomp.probs[spec.layout.span(i)].sum()
     print(f"  p(E={energy}) = {p:.4f}")
 print("coherence blocks present (E, E'):")
-for (e1, e2), alpha in sorted(decomp.coh_blocks.items()):
-    print(f"  ({e1}, {e2}) with largest entry {np.abs(alpha).max():.4f}")
+# pairs of block indices, in block order, which is increasing total energy
+for i, j in decomp.coh_blocks.tolist():
+    peak = np.abs(decomp.coherence_block(i, j)).max()
+    print(f"  ({spec.energies[i]}, {spec.energies[j]}) with largest entry {peak:.4f}")
 print()
 
 # the split is lossless

@@ -40,7 +40,8 @@ print()
 bad = BipartiteState.diagonal([0.2, 0.1, 0.45, 0.25], (2, 2))
 label = classify_flow(bad, qubits, "A")
 print("population-inverted middle block:")
-print(f"  direction: {label.direction}, failing blocks: {label.failing_blocks}")
+failing = [qubits.energies[i] for i in label.failing_blocks]
+print(f"  direction: {label.direction}, failing blocks: {failing}")
 print(f"  least transfer to A over all SEC unitaries: {label.min_transfer:+.6f}")
 drained = transfer_direct(bad, label.witness, "A")
 print(f"  witness swap drains A by {drained:+.6f}")

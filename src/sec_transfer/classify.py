@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,12 +64,15 @@ class FlowClassification:
     quadratic in a small same-energy coherence: a 3x3 thermal member
     (inverse temperatures 2 and 1) plus a coherence of 1e-6 gives -7.5e-12,
     and one of 1e-9 gives 0.0, while ``direction`` is "none".
+    ``failing_blocks`` lists the indices of the blocks whose target-side
+    populations fail passivity, in block order; the report names them by
+    energy (:func:`~sec_transfer.formats.flow_classification_to_json`).
     When per-block passivity fails, ``witness`` holds a unitary, active on a
     single failing block, that strictly lowers the target's energy.
     """
 
     direction: str
-    failing_blocks: list[Fraction]
+    failing_blocks: list[int]
     has_useful_coherence: bool
     min_transfer: float
     witness: SecUnitary | None = None
@@ -100,19 +102,19 @@ def is_e_passive(block_probs, block_energies) -> bool:
 
 def _swap_witness(
     spec: JointSpectrum, decomp, target: str
-) -> tuple[SecUnitary | None, list[Fraction]]:
-    """Failing blocks plus the best single-block two-level swap witness."""
+) -> tuple[SecUnitary | None, list[int]]:
+    """Failing block indices plus the best single-block two-level swap witness."""
     layout = spec.layout
     all_energies = spec.ordered_local_energies(target)
-    failing: list[Fraction] = []
+    failing: list[int] = []
     best_gain = 0.0
     best: tuple[int, int, int] | None = None
-    for i, energy in enumerate(spec.energies):
-        span, d = layout.span(i), int(layout.dims[i])
+    for i, d in enumerate(layout.dims.tolist()):
+        span = layout.span(i)
         probs, energies = decomp.probs[span], all_energies[span]
         if is_e_passive(probs, energies):
             continue
-        failing.append(energy)
+        failing.append(i)
         for low in range(d):
             for high in range(d):
                 if energies[high] <= energies[low]:

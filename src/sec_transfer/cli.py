@@ -81,13 +81,12 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-_ADMISSION = ("herm", "trace", "psd")
 # the --tolerance keys each subcommand applies; overriding any other is refused
 _TOLERANCES_READ = {
-    "decompose": _ADMISSION,
-    "analyze": _ADMISSION + ("split",),
-    "optimize": _ADMISSION,
-    "classify": _ADMISSION,
+    "decompose": tolerances.ADMISSION,
+    "analyze": tolerances.ADMISSION + ("split",),
+    "optimize": tolerances.ADMISSION,
+    "classify": tolerances.ADMISSION,
     "qubit-max": (),
     "bell-scan": (),
     "verify": (),
@@ -167,7 +166,7 @@ def run(args: argparse.Namespace) -> int:
             "p_E": {name: float(p.sum()) for name, p in zip(names, probs)},
             "blocks": {name: [float(x) for x in p] for name, p in zip(names, probs)},
             "coherence_blocks": sorted(
-                f"{names[i]}|{names[j]}" for i, j in decomp.coh_blocks.pairs()
+                f"{names[i]}|{names[j]}" for i, j in decomp.coh_blocks.tolist()
             ),
         }
         _write_report(args, payload, formats.dump_json)
@@ -230,7 +229,7 @@ def run(args: argparse.Namespace) -> int:
                 "classify needs a state in the problem file or constructor flags"
             )
         label = classify_flow(state, spec, args.target)
-        _write_report(args, formats.flow_classification_to_json(label), formats.dump_json)
+        _write_report(args, formats.flow_classification_to_json(label, spec), formats.dump_json)
         return 0
 
     if args.command == "bell-scan":

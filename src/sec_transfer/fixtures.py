@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import passive_max_active_product, thermal_product
-from .qubits import TwoQubitParams
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState, decompose
+from .twoqubit import TwoQubitParams
 from .unitaries import SecUnitary, sample_haar
 
 DIMENSION_CLASSES = ((2, 2), (3, 2), (3, 3), (4, 4))

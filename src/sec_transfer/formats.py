@@ -12,12 +12,17 @@ Transfer report    ``{"target", "total", "diagonal", "coherent", "eta",
 Optimization       ``{"value", "method", "samples", "unitary"}`` with the
                    unitary inline or referenced by path.
 Flow class         ``{"direction", "failing_blocks", "has_useful_coherence",
-                   "min_transfer", "witness"}``, ``min_transfer`` the exact
-                   minimum transfer to the target (zero for members up to
-                   rounding: compare against 1e-12, the loss ``verify``
-                   allows a member; no tolerance is applied to it).
+                   "min_transfer", "witness"}``, ``failing_blocks`` the
+                   energies of the blocks that fail passivity,
+                   ``min_transfer`` the exact minimum transfer to the target
+                   (zero for members up to rounding: compare against 1e-12,
+                   the loss ``verify`` allows a member; no tolerance is
+                   applied to it).
 Problem file       ``{"h_a": <Hamiltonian>, "h_b": <Hamiltonian>,
                    "state": <State>}`` (state optional for constructor runs).
+
+The library names a block by its index in the spectrum's block order; the
+energy keys above are made from those indices here, where blocks meet text.
 
 Floats are serialized with Python's shortest round-trip representation, so
 every emitted value parses back to the exact double and identical inputs
@@ -53,19 +58,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BlockMismatch, ValidationError
-# the numpy-free JSON helpers, importable from here as before
-from .jsonio import (
-    _number,
-    _reject_constant,
-    _require,
-    dump_json,
-    format_json,
-    read_json,
-    two_qubit_params_from_json,
-    two_qubit_params_to_json,
-)
+from .jsonio import _reject_constant, _require, dump_json, read_json
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState, StateDecomposition, _Handover
+from .tolerances import ADMISSION
 
 if TYPE_CHECKING:  # the report types, named only in annotations
     from .classify import FlowClassification
@@ -251,10 +247,10 @@ def optimization_result_to_json(
     return payload
 
 
-def flow_classification_to_json(result: FlowClassification) -> dict:
+def flow_classification_to_json(result: FlowClassification, spectrum: JointSpectrum) -> dict:
     return {
         "direction": result.direction,
-        "failing_blocks": [fraction_key(e) for e in result.failing_blocks],
+        "failing_blocks": [fraction_key(spectrum.energies[i]) for i in result.failing_blocks],
         "has_useful_coherence": result.has_useful_coherence,
         "min_transfer": result.min_transfer,
         "witness": None if result.witness is None else sec_unitary_to_json(result.witness),
@@ -493,8 +489,7 @@ def load_problem(
         return h_a, h_b, spec, None
     matrix, dims = _state_matrix(state_json)
     del state_json
-    admission = ("herm", "trace", "psd")
-    bounds = {f"{key}_tol": value for key, value in (tolerances or {}).items() if key in admission}
+    bounds = {f"{key}_tol": value for key, value in (tolerances or {}).items() if key in ADMISSION}
     state = BipartiteState(_Handover(matrix), dims, **bounds)
     if state.dims != spec.dims:
         raise ValidationError(

@@ -1,12 +1,12 @@
 """JSON reading and report writing, without numpy.
 
-These are the helpers of :mod:`sec_transfer.formats` that need only the
-standard library: the strict file reader, field access, the deterministic
-report text, and the two-qubit parameter schema
-``{"p00", "p01", "p10", "p11", "alpha_re", "alpha_im"}`` (the coherence keys
-optional, default 0).  ``formats`` imports them from here, so both import
-paths name the same objects; the ``qubit-max`` command uses them without
-loading numpy.
+The JSON helpers that need only the standard library: the strict file
+reader, field access, the deterministic report text, and the two-qubit
+parameter schema ``{"p00", "p01", "p10", "p11", "alpha_re", "alpha_im"}``
+(the coherence keys optional, default 0).  This is their one home:
+:mod:`sec_transfer.formats` imports the reader, field access and
+``dump_json`` for its own use, and the ``qubit-max`` command uses them
+without loading numpy.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The closed forms themselves (``TwoQubitParams``, ``delta_diag_2q``,
 ``delta_coh_2q``, ``max_transfer_2q`` and the reading of the reversal
 threshold they encode) live in :mod:`sec_transfer.twoqubit`, which needs no
-numpy; they are re-exported here.  This module adds what needs arrays: the
-general energy-conserving unitary ``SecParams2Q`` with its mixing ``r`` and
-effective phase ``phi``, and the second-order check of the optimum.
+numpy.  This module adds what needs arrays: the general energy-conserving
+unitary ``SecParams2Q`` with its mixing ``r`` and effective phase ``phi``, and
+the second-order check of the optimum.
 
 The Bell-diagonal geometry lives here too: states with maximally mixed
 marginals and a real useful coherence form a plane in the correlation
@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,16 +28,11 @@ from . import tolerances
 from .errors import NotTwoQubit, Unphysical, ValidationError
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState
-# the closed forms, importable from here as before
-from .twoqubit import (
-    TWO_PI,
-    TwoQubitOptimum,
-    TwoQubitParams,
-    delta_coh_2q,
-    delta_diag_2q,
-    max_transfer_2q,
-)
+from .twoqubit import TWO_PI
 from .unitaries import SecUnitary
+
+if TYPE_CHECKING:  # named only in an annotation
+    from .twoqubit import TwoQubitParams
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

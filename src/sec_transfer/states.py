@@ -2,10 +2,12 @@
 
 A state over the product basis splits into a diagonal part (populations of
 the joint energy eigenstates, grouped by total-energy block) and coherence
-blocks keyed by the pair of total energies they connect.  The split is exact:
-reassembling the pieces reproduces the input matrix.  Only the same-energy
-coherence blocks can ever influence average energy transfer, which is why the
-decomposition extracts them up front, keyed by block index.
+blocks, each named by the pair of block indices ``(i, j)`` it connects.  The
+split is exact: reassembling the pieces reproduces the input matrix.  Only the
+same-energy coherence blocks ``(i, i)`` can ever influence average energy
+transfer, which is why the decomposition extracts them up front, keyed by
+block index.  Energies label blocks only where they meet text, in
+:mod:`sec_transfer.formats` and the command line.
 
 Layout
 ------
@@ -15,9 +17,10 @@ block is a contiguous slice of it.  Which block pairs are nonzero is found
 with ``np.logical_or.reduceat`` over that copy, without visiting the B^2
 pairs of a B-block spectrum one by one.  The populations and the
 same-energy blocks (the ones that move energy) are extracted eagerly, as
-read-only views; a cross-energy block is only sliced when it is looked up,
-and per-pair magnitudes come from ``np.maximum.reduceat``.  The cost is one
-D x D copy plus per-block work on the same-energy blocks.
+read-only views, and the nonzero pairs are listed as one index array; a
+cross-energy block is only sliced when it is asked for, and per-pair
+magnitudes come from ``np.maximum.reduceat``.  The cost is one D x D copy
+plus per-block work on the same-energy blocks.
 
 Admission
 ---------
@@ -35,16 +38,14 @@ eigenvalue test.  The checks share one D x D work buffer.
 Conventions
 -----------
 * Row/column index is the lexicographic flattening ``a * dim_b + b``.
-* Coherence block ``(E, E')`` holds the rectangular matrix of amplitudes
-  between member ``i`` of block E (row) and member ``j`` of block E'
-  (column); the ``(E, E)`` blocks carry an exactly zero diagonal.
+* Coherence block ``(i, j)`` holds the rectangular matrix of amplitudes
+  between member ``m`` of block ``i`` (row) and member ``n`` of block ``j``
+  (column); the ``(i, i)`` blocks carry an exactly zero diagonal.
 * Entries below ``tolerances.ZERO`` in magnitude are stored as exact zeros
   and all-zero coherence blocks are dropped.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -196,42 +197,6 @@ def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:
     return np.einsum("aiaj->ij", m)
 
 
-class CoherenceBlocks(Mapping):
-    """Read-only mapping ``(E, E') -> coherence block`` over the nonzero pairs.
-
-    Keys come in row-major block order.  Each value is a read-only view into
-    the block-ordered matrix, sliced when it is looked up.
-    """
-
-    def __init__(self, matrix: np.ndarray, spectrum: JointSpectrum, nonzero: np.ndarray):
-        self._matrix = matrix
-        self._spectrum = spectrum
-        self._nonzero = nonzero
-
-    def __getitem__(self, key) -> np.ndarray:
-        layout = self._spectrum.layout
-        try:
-            e1, e2 = key
-            i, j = layout.index[e1], layout.index[e2]
-        except (TypeError, ValueError, KeyError):
-            raise KeyError(key) from None
-        if not self._nonzero[i, j]:
-            raise KeyError(key)
-        return self._matrix[layout.span(i), layout.span(j)]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """The keys as block indices ``(i, j)`` of the spectrum, in key order."""
-        rows, cols = np.nonzero(self._nonzero)
-        return list(zip(rows.tolist(), cols.tolist()))
-
-    def __iter__(self):
-        energies = self._spectrum.energies
-        return ((energies[i], energies[j]) for i, j in self.pairs())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._nonzero))
-
-
 class StateDecomposition:
     """Exact split of a state into diagonal blocks and coherence blocks.
 
@@ -239,9 +204,14 @@ class StateDecomposition:
     :class:`sec_transfer.spectra.BlockLayout`) after thresholding, with its
     diagonal zeroed; every block is a view into it.  ``probs`` holds the
     populations in the same block order, so block ``i`` reads
-    ``probs[layout.span(i)]`` and its probability is that slice's sum.  The
-    same-energy coherence blocks are extracted on construction; a
-    cross-energy block is only sliced when ``coh_blocks`` is asked for it.
+    ``probs[layout.span(i)]`` and its probability is that slice's sum.
+
+    ``coh_blocks`` is a read-only ``(K, 2)`` int array listing the block
+    index pairs ``(i, j)`` of the nonzero coherence blocks in row-major
+    block order; a pair ``(i, i)`` is a same-energy block.  Block ``(i, j)``
+    is the view :meth:`coherence_block` returns.  The same-energy coherence
+    blocks are extracted on construction; a cross-energy block is only
+    sliced when it is asked for.
     """
 
     def __init__(
@@ -255,12 +225,26 @@ class StateDecomposition:
         self.spectrum = spectrum
         self._matrix = matrix
         self.probs = probs
-        self.coh_blocks = CoherenceBlocks(matrix, spectrum, nonzero)
+        # np.argwhere(nonzero), but a view of a read-only (2, K) array, so it
+        # cannot be made writeable
+        pairs = np.array(np.nonzero(nonzero))
+        pairs.setflags(write=False)
+        self.coh_blocks = pairs.T
         # the nonzero same-energy blocks, by block index in block order
         self._same = {
             i: matrix[layout.span(i), layout.span(i)]
             for i in np.flatnonzero(np.diagonal(nonzero)).tolist()
         }
+
+    def coherence_block(self, i: int, j: int) -> np.ndarray:
+        """Read-only view of coherence block ``(i, j)``, rows in block ``i``.
+
+        A pair that ``coh_blocks`` does not list reads as all zeros.  Indices
+        are those of a sequence of the spectrum's blocks: one past the end
+        raises IndexError, a negative one counts from the end.
+        """
+        layout = self.spectrum.layout
+        return self._matrix[layout.span(i), layout.span(j)]
 
     def useful_coherence_blocks(self) -> dict[int, np.ndarray]:
         """The nonzero same-energy coherence blocks, keyed by block index."""

@@ -51,6 +51,8 @@ SNAP_REL = 1e-9
 DEFAULT_SEED = 20240801
 
 DEFAULTS = {"herm": HERMITICITY, "trace": TRACE, "psd": PSD, "split": SPLIT}
+# the keys state admission reads; every command that loads a state applies them
+ADMISSION = ("herm", "trace", "psd")
 
 
 def parse(pairs: list[str] | None) -> dict[str, float]:

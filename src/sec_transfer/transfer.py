@@ -31,7 +31,7 @@ from . import tolerances
 from .errors import BlockMismatch, NumericalInvariantError
 from .spectra import check_system
 from .states import BipartiteState, StateDecomposition, decompose, local_energy
-from .unitaries import SecUnitary, evolve
+from .unitaries import SecUnitary, _refuse_mapping, evolve
 
 ENERGY_UNIT = "hbar*omega"
 
@@ -100,6 +100,7 @@ def batch_transfers(
     check_system(target)
     spec = decomp.spectrum
     layout = spec.layout
+    _refuse_mapping(block_samples, "block sample stacks")
     if len(block_samples) != len(layout.dims):
         raise BlockMismatch(
             f"{len(block_samples)} sample stacks given for a spectrum of "

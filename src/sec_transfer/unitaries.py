@@ -23,8 +23,8 @@ for a given seed regardless of schedule or batch size.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,15 @@ from .spectra import JointSpectrum
 from .states import BipartiteState, _Handover
 
 SAMPLE_CHUNK = 4096
+
+
+def _refuse_mapping(blocks, what: str) -> None:
+    """Raise BlockMismatch when per-block values come keyed rather than in block order."""
+    if isinstance(blocks, Mapping):
+        raise BlockMismatch(
+            f"{what} must be a sequence in the spectrum's block order, "
+            f"not a mapping (got a {type(blocks).__name__})"
+        )
 
 
 class SecUnitary:
@@ -50,6 +59,7 @@ class SecUnitary:
         spectrum: JointSpectrum,
         validate: bool = True,
     ):
+        _refuse_mapping(blocks, "unitary blocks")
         if len(blocks) != len(spectrum.energies):
             raise BlockMismatch(
                 f"{len(blocks)} unitary blocks given for a spectrum of "

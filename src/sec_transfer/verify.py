@@ -35,6 +35,7 @@ from .optimize import (
 from .states import decompose, partial_trace
 from .transfer import batch_transfers, transfer_coherent, transfer_diagonal, transfer_direct
 from .tolerances import DEFAULT_SEED
+from .twoqubit import TwoQubitParams, delta_coh_2q, delta_diag_2q, max_transfer_2q
 from .unitaries import is_potentially_coherent, sample_haar_blocks, to_full_matrix
 
 STATISTICAL_SEED = 987654
@@ -93,9 +94,9 @@ def two_qubit_optimum_grid(row: CheckResult, seed: int, strength: str) -> None:
             if p01 + p10 > 1.0:
                 continue
             rest = 0.5 * (1.0 - p01 - p10)
-            params = qubits.TwoQubitParams(rest, p01, p10, rest, np.sqrt(p01 * p10))
-            opt_a = qubits.max_transfer_2q(params, "A")
-            opt_b = qubits.max_transfer_2q(params, "B")
+            params = TwoQubitParams(rest, p01, p10, rest, np.sqrt(p01 * p10))
+            opt_a = max_transfer_2q(params, "A")
+            opt_b = max_transfer_2q(params, "B")
             state = params.to_state()
             residuals += [
                 abs(opt_a.value - p01),
@@ -118,8 +119,8 @@ def concurrence_line(row: CheckResult, seed: int, strength: str) -> None:
     for tenths in range(11):
         concurrence = tenths / 10
         p01 = 0.25 * (1.0 + concurrence)
-        params = qubits.TwoQubitParams(0.5 - p01, p01, p01, 0.5 - p01, p01)
-        closed = qubits.max_transfer_2q(params, "A").value
+        params = TwoQubitParams(0.5 - p01, p01, p01, 0.5 - p01, p01)
+        closed = max_transfer_2q(params, "A").value
         closed_errors += [
             abs(closed - 0.25 * (1.0 + concurrence)),
             abs(closed - qubits.max_transfer_vs_concurrence(concurrence)),
@@ -128,8 +129,8 @@ def concurrence_line(row: CheckResult, seed: int, strength: str) -> None:
         exact_errors.append(abs(exact - closed))
     row.at_most("closed form vs (1+C)/4", closed_errors, 1e-12)
     row.at_most("exact optimizer vs closed form", exact_errors, 1e-12)
-    uniform = qubits.max_transfer_2q(qubits.TwoQubitParams(0.25, 0.25, 0.25, 0.25, 0.25), "A").value
-    bell = qubits.max_transfer_2q(qubits.TwoQubitParams(0.0, 0.5, 0.5, 0.0, 0.5), "A").value
+    uniform = max_transfer_2q(TwoQubitParams(0.25, 0.25, 0.25, 0.25, 0.25), "A").value
+    bell = max_transfer_2q(TwoQubitParams(0.0, 0.5, 0.5, 0.0, 0.5), "A").value
     row.holds("C = 0 gives exactly 1/4, C = 1 exactly 1/2", uniform == 0.25 and bell == 0.5)
 
 
@@ -317,7 +318,7 @@ def sampling_dominance(row: CheckResult, seed: int, strength: str) -> None:
     for params in (
         max_coherence_params(0.3, 0.1),
         max_coherence_params(0.2, 0.2),
-        qubits.TwoQubitParams(0.25, 0.25, 0.25, 0.25, 0.25),
+        TwoQubitParams(0.25, 0.25, 0.25, 0.25, 0.25),
     ):
         state = params.to_state()
         exact = maximize_transfer_exact(state, spec, "A").value
@@ -370,15 +371,15 @@ def two_qubit_closed_forms(row: CheckResult, seed: int, strength: str) -> None:
         alpha = rng.uniform(-1, 1) * amax + 1j * rng.uniform(-1, 1) * amax
         if abs(alpha) > amax:
             alpha *= amax / abs(alpha)
-        params = qubits.TwoQubitParams(raw[0], raw[1], raw[2], raw[3], alpha)
+        params = TwoQubitParams(raw[0], raw[1], raw[2], raw[3], alpha)
         r = rng.uniform(0, 1)
         phi = rng.uniform(0, 2 * np.pi)
         thetas = tuple(rng.uniform(0, 2 * np.pi, size=4))
         u = qubits.SecParams2Q(r=r, phi=phi, thetas=thetas).to_sec_unitary(spec)
         state = params.to_state()
-        predicted = qubits.delta_diag_2q(params, r) + qubits.delta_coh_2q(params, r, phi)
+        predicted = delta_diag_2q(params, r) + delta_coh_2q(params, r, phi)
         dense.append(abs(predicted - transfer_direct(state, u, "A")))
-        closed = qubits.max_transfer_2q(params, "A", optimize_alpha=False).value
+        closed = max_transfer_2q(params, "A", optimize_alpha=False).value
         optimum.append(abs(maximize_transfer_exact(state, spec, "A").value - closed))
     row.at_most("closed-form transfer vs dense evolution", dense, 1e-10)
     row.at_most("closed-form optimum vs exact optimizer", optimum, 1e-10)

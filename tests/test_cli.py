@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sec_transfer import formats, verify
+from sec_transfer import formats, jsonio, verify
 from sec_transfer.cli import main
 from sec_transfer.fixtures import ladder_spectrum, max_coherence_params, random_state
 
@@ -267,7 +267,7 @@ def test_classify_needs_state_or_constructor(stateless_problem_file):
 def test_qubit_max_command(tmp_path):
     params_path = tmp_path / "params.json"
     formats.dump_json(
-        formats.two_qubit_params_to_json(max_coherence_params()), params_path
+        jsonio.two_qubit_params_to_json(max_coherence_params()), params_path
     )
     out = tmp_path / "qmax.json"
     code = main(

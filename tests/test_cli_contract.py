@@ -23,7 +23,7 @@ from sec_transfer import (
     formats,
     verify,
 )
-from sec_transfer import cli
+from sec_transfer import cli, jsonio
 from sec_transfer.cli import main
 from sec_transfer.fixtures import ladder_spectrum, max_coherence_params
 
@@ -274,7 +274,7 @@ def test_tolerance_refuses_non_finite_and_negative_values(tmp_path, capsys, over
 
 
 def test_stdout_report_bytes_equal_output_file_bytes(tmp_path, capfd):
-    params = _write(tmp_path, formats.two_qubit_params_to_json(max_coherence_params()))
+    params = _write(tmp_path, jsonio.two_qubit_params_to_json(max_coherence_params()))
     out = tmp_path / "report.json"
     assert main(["qubit-max", "--input", params, "--target", "A"]) == 0
     printed = capfd.readouterr().out.encode("utf-8")
@@ -284,7 +284,7 @@ def test_stdout_report_bytes_equal_output_file_bytes(tmp_path, capfd):
 
 def test_report_serialiser_refuses_non_finite_values(tmp_path):
     with pytest.raises(NumericalInvariantError):
-        formats.format_json({"value": float("nan")})
+        jsonio.format_json({"value": float("nan")})
     with pytest.raises(NumericalInvariantError):
         formats.dump_json({"value": float("inf")}, tmp_path / "x.json")
     assert not (tmp_path / "x.json").exists()
@@ -367,7 +367,7 @@ def test_error_writing_stdout_exits_2_without_a_file_name(tmp_path, capsys, monk
 )
 def test_tolerance_a_subcommand_never_reads_is_refused(case, override, tmp_path, capsys):
     problem = _write(tmp_path, _problem(state=_state()))
-    params = _write(tmp_path, formats.two_qubit_params_to_json(max_coherence_params()), "q.json")
+    params = _write(tmp_path, jsonio.two_qubit_params_to_json(max_coherence_params()), "q.json")
     argv = {
         "verify": ["verify"],
         "qubit-max": ["qubit-max", "--input", params, "--target", "A"],

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sec_transfer import formats, sample_haar
+from sec_transfer import formats, jsonio, sample_haar
 from sec_transfer.cli import main
 from sec_transfer.fixtures import ladder_spectrum, max_coherence_params, random_state
 
@@ -201,7 +201,7 @@ def test_mutated_unitary_files(data, dims, seed, tol):
 @FUZZ
 @given(data=st.data(), fixed=st.booleans(), tol=TOLERANCES)
 def test_mutated_two_qubit_files(data, fixed, tol):
-    params = _mutate(data, formats.two_qubit_params_to_json(max_coherence_params()))
+    params = _mutate(data, jsonio.two_qubit_params_to_json(max_coherence_params()))
     with tempfile.TemporaryDirectory() as directory:
         path = _write(directory, "q.json", params)
         argv = ["qubit-max", "--input", path, "--target", "A", *tol]

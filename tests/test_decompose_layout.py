@@ -2,9 +2,10 @@
 
 The reference below is the plain construction: one ``np.ix_`` copy per
 block pair, thresholded, with the same-block diagonal zeroed, kept when
-nonzero.  The block-ordered decomposition copies the same values, so every
-comparison is exact: equal keys in equal order, equal arrays, and equal
-bytes for the matrices rebuilt from them.
+nonzero, keyed by the pair of block energies.  The block-ordered
+decomposition copies the same values and lists the same pairs by block
+index, so every comparison is exact: equal pairs in equal order, equal
+arrays, and equal bytes for the matrices rebuilt from them.
 """
 
 import itertools
@@ -171,11 +172,16 @@ def test_blocks_equal_the_per_pair_reference(case):
     for i, p in enumerate(probs.values()):
         assert np.array_equal(decomp.probs[layout.span(i)], p)
         assert float(decomp.probs[layout.span(i)].sum()) == float(p.sum())
-    assert list(decomp.coh_blocks) == list(coh)
+    pairs = decomp.coh_blocks.tolist()
+    assert decomp.coh_blocks.dtype.kind == "i" and decomp.coh_blocks.shape == (len(coh), 2)
+    assert [(spec.energies[i], spec.energies[j]) for i, j in pairs] == list(coh)
     assert len(decomp.coh_blocks) == len(coh)
-    for key, alpha in coh.items():
-        assert key in decomp.coh_blocks
-        assert np.array_equal(decomp.coh_blocks[key], alpha)
+    for (e1, e2), alpha in coh.items():
+        i, j = layout.index[e1], layout.index[e2]
+        assert [i, j] in pairs
+        assert np.array_equal(decomp.coherence_block(i, j), alpha)
+    # the pairs the tracer counts as same-energy are exactly the (E, E) keys
+    assert sum(1 for i, j in decomp.coh_blocks if i == j) == sum(1 for e1, e2 in coh if e1 == e2)
     useful = decomp.useful_coherence_blocks()
     assert list(useful) == [layout.index[e1] for e1, e2 in coh if e1 == e2]
     for i, alpha in useful.items():
@@ -186,18 +192,22 @@ def test_blocks_equal_the_per_pair_reference(case):
 def test_straddling_case_drops_what_the_threshold_drops(rng):
     spec, state = _straddling_zero(rng)
     decomp = decompose(state, spec)
-    e0, e1, e2, e3, e4 = (Fraction(e) for e in range(5))
-    for key in [(e1, e3), (e3, e1), (e2, e2)]:
-        assert key not in decomp.coh_blocks
-    assert decomp.coh_blocks[(e0, e3)][0].tolist() == [tolerances.ZERO, 0.25j]
-    assert decomp.probs[spec.layout.span(spec.layout.index[e4])][0] == 0.0
-    assert decomp.probs[spec.layout.span(spec.layout.index[e2])][1] == 0.0
+    b0, b1, b2, b3, b4 = (spec.layout.index[Fraction(e)] for e in range(5))
+    pairs = decomp.coh_blocks.tolist()
+    for i, j in [(b1, b3), (b3, b1), (b2, b2)]:
+        assert [i, j] not in pairs
+        assert not decomp.coherence_block(i, j).any()
+    assert [b0, b3] in pairs
+    assert decomp.coherence_block(b0, b3)[0].tolist() == [tolerances.ZERO, 0.25j]
+    assert decomp.probs[spec.layout.span(b4)][0] == 0.0
+    assert decomp.probs[spec.layout.span(b2)][1] == 0.0
 
 
 def test_values_are_read_only_views(case):
     spec, _, decomp, _ = case
     arrays = [decomp.probs[spec.layout.span(i)] for i in range(len(spec.blocks))]
-    arrays += list(decomp.coh_blocks.values()) + list(decomp.useful_coherence_blocks().values())
+    arrays += [decomp.coherence_block(i, j) for i, j in decomp.coh_blocks.tolist()]
+    arrays += list(decomp.useful_coherence_blocks().values()) + [decomp.coh_blocks]
     for array in arrays:
         assert array.base is not None and not array.flags.writeable
         with pytest.raises(ValueError):
@@ -206,25 +216,31 @@ def test_values_are_read_only_views(case):
             array.setflags(write=True)
 
 
-def test_absent_pairs_raise_key_error(case):
+def test_absent_pairs_are_not_listed(case):
     spec, _, decomp, (_, coh) = case
+    index = spec.layout.index
     absent = [
-        (b1.energy, b2.energy)
+        (index[b1.energy], index[b2.energy])
         for b1, b2 in itertools.product(spec.blocks, repeat=2)
         if (b1.energy, b2.energy) not in coh
     ]
     # singleton blocks never carry a same-energy coherence
     assert absent
-    for key in absent + [(Fraction(-1), spec.blocks[0].energy), "E", (1, 2, 3)]:
-        assert key not in decomp.coh_blocks
-        with pytest.raises(KeyError):
-            decomp.coh_blocks[key]
+    pairs = decomp.coh_blocks.tolist()
+    for i, j in absent:
+        assert [i, j] not in pairs
+        assert not decomp.coherence_block(i, j).any()
+    # indices that name no block
+    past = len(spec.blocks)
+    for i, j in [(past, 0), (0, past), (Fraction(0), 0), ("E", 0), ((1, 2, 3), 0)]:
+        with pytest.raises(IndexError):
+            decomp.coherence_block(i, j)
 
 
-def test_empty_decomposition_compares_equal_to_empty_dict():
+def test_empty_decomposition_lists_no_pairs():
     spec = ladder_spectrum(2, 3)
     decomp = decompose(BipartiteState(np.eye(6) / 6, (2, 3)), spec)
-    assert decomp.coh_blocks == {}
+    assert decomp.coh_blocks.shape == (0, 2)
     assert len(decomp.coh_blocks) == 0 and list(decomp.coh_blocks) == []
     assert decomp.useful_coherence_blocks() == {}
 

@@ -165,3 +165,13 @@ def test_kernel_rejects_mismatched_inputs(rng):
         batch_transfers(decomp, short, "A")
     with pytest.raises(BlockMismatch):
         transfer_diagonal(decomp, sample_haar(ladder_spectrum(3, 2), 0), "A")
+
+
+def test_kernel_refuses_energy_keyed_stacks(rng):
+    spec = ladder_spectrum(2, 2)
+    decomp = decompose(random_state((2, 2), rng), spec)
+    batch = sample_haar_blocks(spec, 1, 4)
+    keyed = dict(zip(spec.energies, batch))
+    refusal = "must be a sequence in the spectrum's block order, not a mapping"
+    with pytest.raises(BlockMismatch, match=refusal):
+        batch_transfers(decomp, keyed, "A")

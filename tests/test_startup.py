@@ -22,8 +22,8 @@ SRC = Path(sec_transfer.__file__).resolve().parents[1]
 HELP_TEXTS = Path(__file__).resolve().parent / "help_texts"
 SUBCOMMANDS = ["decompose", "analyze", "optimize", "classify", "qubit-max", "bell-scan", "verify"]
 
-# the public names by the module the package imported them from before it
-# loaded lazily; each of those import paths must still name the same object
+# the public names by their home module, as the package's _HOMES lists them;
+# each of those import paths must name the same object
 PUBLIC = {
     "classify": [
         "FlowClassification", "classify_flow", "gibbs_probabilities", "is_e_passive",
@@ -40,10 +40,9 @@ PUBLIC = {
         "maximize_transfer_exact", "monte_carlo_max", "optimal_diagonal_unitary",
     ],
     "qubits": [
-        "BellDiagParams", "PlaneScan", "SecParams2Q", "TwoQubitOptimum", "TwoQubitParams",
-        "bell_correlations", "bell_diagonal_state", "concurrence_bell_diagonal",
-        "concurrence_directional_derivative", "concurrence_wootters", "delta_coh_2q",
-        "delta_diag_2q", "max_transfer_2q", "max_transfer_vs_concurrence", "plane_scan",
+        "BellDiagParams", "PlaneScan", "SecParams2Q", "bell_correlations",
+        "bell_diagonal_state", "concurrence_bell_diagonal", "concurrence_directional_derivative",
+        "concurrence_wootters", "max_transfer_vs_concurrence", "plane_scan",
         "plane_scan_gradient", "second_order_check", "two_qubit_hamiltonian",
         "two_qubit_spectrum",
     ],
@@ -58,18 +57,27 @@ PUBLIC = {
         "BatchTransfers", "TransferReport", "analyze", "batch_transfers", "transfer_coherent",
         "transfer_diagonal", "transfer_direct",
     ],
+    "twoqubit": [
+        "TwoQubitOptimum", "TwoQubitParams", "delta_coh_2q", "delta_diag_2q", "max_transfer_2q",
+    ],
     "unitaries": [
         "SecUnitary", "evolve", "is_potentially_coherent", "sample_haar", "sample_haar_blocks",
         "to_full_matrix",
     ],
 }
-# names that moved to a numpy-free module: (new home, old home, names)
+# names that moved to a numpy-free module and that their old home still
+# imports: (new home, old home, names); each must be the new home's object
 MOVED = [
+    ("twoqubit", "spectra", ["SYSTEMS", "check_system"]),
+    ("jsonio", "formats", ["_require", "dump_json", "read_json"]),
+]
+# names that moved to a numpy-free module and that their old home only
+# re-exported: (new home, old home, names); only the new home has them
+RETIRED = [
     ("twoqubit", "qubits", ["TwoQubitOptimum", "TwoQubitParams", "delta_coh_2q",
                             "delta_diag_2q", "max_transfer_2q"]),
-    ("twoqubit", "spectra", ["SYSTEMS", "check_system"]),
-    ("jsonio", "formats", ["_number", "_require", "dump_json", "format_json", "read_json",
-                           "two_qubit_params_from_json", "two_qubit_params_to_json"]),
+    ("jsonio", "formats", ["_number", "format_json", "two_qubit_params_from_json",
+                           "two_qubit_params_to_json"]),
 ]
 
 # runs the CLI as ``python -m sec_transfer.cli`` does, then records whether
@@ -135,6 +143,17 @@ def test_moved_names_keep_their_old_import_paths(new, old, names):
     old_home = importlib.import_module(f"sec_transfer.{old}")
     for name in names:
         assert getattr(old_home, name) is getattr(new_home, name), name
+
+
+@pytest.mark.parametrize(
+    "new, old, names", RETIRED, ids=[f"{old}-{new}" for new, old, _ in RETIRED]
+)
+def test_retired_reexports_live_only_in_their_new_home(new, old, names):
+    new_home = importlib.import_module(f"sec_transfer.{new}")
+    old_home = importlib.import_module(f"sec_transfer.{old}")
+    for name in names:
+        assert callable(getattr(new_home, name)), name
+        assert not hasattr(old_home, name), name
 
 
 def test_star_import_binds_every_public_name():

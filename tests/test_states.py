@@ -25,7 +25,7 @@ BELL = BipartiteState.from_vector([0, 1, 1, 0], (2, 2))
 def test_thermal_product_has_no_coherence(two_qubit_spec):
     state = thermal_product(two_qubit_spec.h_a, two_qubit_spec.h_b, 2.0, 1.0)
     decomp = decompose(state, two_qubit_spec)
-    assert decomp.coh_blocks == {}
+    assert decomp.coh_blocks.shape == (0, 2)
 
 
 def test_single_useful_coherence_lands_in_middle_block(two_qubit_spec):
@@ -34,8 +34,9 @@ def test_single_useful_coherence_lands_in_middle_block(two_qubit_spec):
     mat[1, 2] = alpha
     mat[2, 1] = np.conj(alpha)
     decomp = decompose(BipartiteState(mat, (2, 2)), two_qubit_spec)
-    assert set(decomp.coh_blocks) == {(Fraction(1), Fraction(1))}
-    block = decomp.coh_blocks[(Fraction(1), Fraction(1))]
+    assert two_qubit_spec.energies[1] == Fraction(1)
+    assert decomp.coh_blocks.tolist() == [[1, 1]]
+    block = decomp.coherence_block(1, 1)
     assert block[0, 1] == alpha
     assert block[1, 0] == np.conj(alpha)
     assert block[0, 0] == block[1, 1] == 0.0
@@ -45,7 +46,8 @@ def test_bell_state_decomposition(two_qubit_spec):
     decomp = decompose(BELL, two_qubit_spec)
     layout = two_qubit_spec.layout
     np.testing.assert_allclose(decomp.probs[layout.span(1)], [0.5, 0.5])
-    assert decomp.coh_blocks[(Fraction(1), Fraction(1))][0, 1] == pytest.approx(0.5)
+    assert decomp.coh_blocks.tolist() == [[1, 1]]
+    assert decomp.coherence_block(1, 1)[0, 1] == pytest.approx(0.5)
     assert float(decomp.probs[layout.span(0)].sum()) == 0.0
     assert float(decomp.probs[layout.span(2)].sum()) == 0.0
 

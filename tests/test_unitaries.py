@@ -209,6 +209,17 @@ def test_block_set_must_match_spectrum(two_qubit_spec):
         SecUnitary([np.array([[1.0]])], two_qubit_spec)
 
 
+def test_energy_keyed_blocks_are_refused_by_name(two_qubit_spec):
+    # blocks are a sequence in block order; an energy-keyed dict is refused
+    # as such, not by the shape of whatever its iteration yields
+    keyed = {b.energy: np.eye(b.dim) for b in two_qubit_spec.blocks}
+    refusal = "must be a sequence in the spectrum's block order, not a mapping"
+    with pytest.raises(BlockMismatch, match=refusal):
+        SecUnitary(keyed, two_qubit_spec)
+    with pytest.raises(BlockMismatch, match="not a mapping"):
+        SecUnitary(keyed, two_qubit_spec, validate=False)
+
+
 def test_full_matrix_rejects_foreign_spectrum(two_qubit_spec, qutrit_qubit_spec):
     u = SecUnitary.identity(two_qubit_spec)
     with pytest.raises(BlockMismatch):

@@ -9,7 +9,13 @@ generated once into a fresh temporary directory.  Each job, warm-ups
 included, then runs as ``python -m sec_transfer.cli`` once with each tree's
 ``src`` first on ``PYTHONPATH`` (and the job's thread count, as the benchmark
 sets it).  Both runs must give the same exit code, stdout, stderr and output
-file bytes.  ``verify --output`` at its default seed is compared the same way.
+file bytes.  No job writes a ``decompose --csv`` table or classifies a state
+that fails the one-way rule, so every problem file that carries a state (the
+input of a ``decompose``, ``analyze`` or ``optimize`` job) is also run through
+``decompose --csv``, comparing the CSV bytes, and through ``classify`` for
+both targets on its own state: a random state, so most of those reports list
+failing blocks and a witness (their count is printed).  ``verify --output``
+at its default seed is compared the same way.
 Last, every ``demos/*.py`` of either tree runs as that tree's own script
 against that tree's ``src``, each run in a fresh working directory; both runs
 must give the same exit code, stdout, stderr and files left in that
@@ -21,6 +27,7 @@ anything differs.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -76,6 +83,29 @@ def _compare(trees: list[Path], argv: list[str], output: Path, threads=None) -> 
     return _same(" ".join(argv), parent, change)
 
 
+# subcommands whose --input must carry a state
+STATE_COMMANDS = ("decompose", "analyze", "optimize")
+
+
+def _state_runs(jobs, work: Path) -> list[tuple[list[str], Path]]:
+    """``decompose --csv`` and ``classify`` runs on every problem with a state."""
+    problems = sorted({job.argv[job.argv.index("--input") + 1]
+                       for job in jobs if job.argv[0] in STATE_COMMANDS})
+    csv, report = work / "extra.csv", work / "extra.json"
+    runs = []
+    for problem in problems:
+        runs.append((["decompose", "--input", problem, "--csv", str(csv)], csv))
+        for target in ("A", "B"):
+            runs.append((["classify", "--input", problem, "--target", target,
+                          "--output", str(report)], report))
+    return runs
+
+
+def _failing_report(written: bytes | None) -> bool:
+    """Whether a classify run wrote a report that lists failing blocks."""
+    return written is not None and json.loads(written)["failing_blocks"] != []
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 3:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -93,6 +123,18 @@ def main(argv: list[str]) -> int:
                 same = sum(_compare(trees, job.argv, job.output, job.threads) for job in jobs)
                 differing += len(jobs) - same
                 print(f"{name} seed {seed}: {same}/{len(jobs)} jobs identical", flush=True)
+                runs = _state_runs(jobs, work)
+                if not runs:
+                    continue
+                same = failing = 0
+                for run_argv, output in runs:
+                    parent, change = (_run(tree, run_argv, output, None) for tree in trees)
+                    same += _same(" ".join(run_argv), parent, change)
+                    failing += run_argv[0] == "classify" and _failing_report(change[3])
+                differing += len(runs) - same
+                print(f"{name} seed {seed}: {same}/{len(runs)} decompose --csv and classify "
+                      f"runs identical, {failing} classify reports list failing blocks",
+                      flush=True)
         output = Path(scratch) / "verify.json"
         same = _compare(trees, ["verify", "--output", str(output)], output)
         differing += not same
