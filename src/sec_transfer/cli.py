@@ -15,14 +15,16 @@ subcommand never reads exits 2.
 Identical configuration and seed produce byte-identical reports; any command
 that samples requires an explicit ``--seed``.  ``--help`` and ``qubit-max``
 run without importing numpy: this module imports only numpy-free modules, and
-the layers the other subcommands call are bound here when one of them runs.  The SEC_TRANSFER_THREADS
-environment variable caps worker threads inside the Monte-Carlo search.
+reads every other public name from the package, which imports only that
+name's home module, on first use.  :func:`run` calls those layers as
+attributes of this module, so a wrapper set on it is the one that runs.  The
+SEC_TRANSFER_THREADS environment variable caps worker threads inside the
+Monte-Carlo search.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 
 from . import tolerances
@@ -30,55 +32,13 @@ from .errors import NumericalInvariantError, ValidationError
 from .jsonio import dump_json, format_json, read_json, two_qubit_params_from_json
 from .twoqubit import max_transfer_2q
 
-# Every name run() calls for a subcommand that needs numpy, with its home
-# module.  A subcommand binds only the names it calls, as globals here, and
-# reading one of them from this module (to wrap or replace it, say) imports
-# only its home; so --help and qubit-max never import numpy, and decompose
-# never imports verify.  Binding keeps a name already bound.
-_NUMPY_LAYERS = {
-    "formats": "formats",
-    "verify": "verify",
-    "classify_flow": "classify",
-    "passive_max_active_product": "classify",
-    "thermal_product": "classify",
-    "METHOD_DIAGONAL": "optimize",
-    "OptimizationResult": "optimize",
-    "maximize_transfer_exact": "optimize",
-    "monte_carlo_max": "optimize",
-    "optimal_diagonal_unitary": "optimize",
-    "plane_scan": "qubits",
-    "decompose": "states",
-    "analyze": "transfer",
-    "transfer_direct": "transfer",
-    "sample_haar": "unitaries",
-}
-_CALLS = {
-    "decompose": ("formats", "decompose"),
-    "analyze": ("formats", "sample_haar", "analyze"),
-    "optimize": (
-        "formats", "maximize_transfer_exact", "optimal_diagonal_unitary", "decompose",
-        "transfer_direct", "OptimizationResult", "METHOD_DIAGONAL", "monte_carlo_max",
-    ),
-    "classify": ("formats", "thermal_product", "passive_max_active_product", "classify_flow"),
-    "bell-scan": ("formats", "plane_scan"),
-    "verify": ("formats", "verify"),
-}
-
-
-def _bind_numpy_layers(names) -> None:
-    scope = globals()
-    for name in names:
-        if name not in scope:
-            module = _NUMPY_LAYERS[name]
-            home = importlib.import_module(f".{module}", __package__)
-            scope[name] = home if name == module else getattr(home, name)
-
 
 def __getattr__(name: str):
-    if name not in _NUMPY_LAYERS:
+    # a public name of the package, imported from its home module on first use
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_numpy_layers((name,))
-    return globals()[name]
+    return getattr(package, name)
 
 
 # the --tolerance keys each subcommand applies; overriding any other is refused
@@ -118,6 +78,8 @@ def _parse_probs(raw: str | None) -> list[float] | None:
 def _load_state(args: argparse.Namespace, tol: dict, require_state: bool = True):
     if args.input is None:
         raise ValidationError(f"command {args.command!r} requires --input")
+    from . import formats
+
     h_a, h_b, spec, state = formats.load_problem(args.input, tol)
     if require_state and state is None:
         raise ValidationError("problem file carries no state")
@@ -153,12 +115,15 @@ def run(args: argparse.Namespace) -> int:
         _write_report(args, payload, dump_json)
         return 0
 
-    # every other subcommand needs numpy layers
-    _bind_numpy_layers(_CALLS.get(args.command, ()))
+    # every other subcommand needs numpy; its layers are called through this
+    # module object (``__main__`` under ``python -m``), where wrappers are set
+    from . import formats
+
+    cli = sys.modules[__name__]
 
     if args.command == "decompose":
         _, _, spec, state = _load_state(args, tol)
-        decomp = decompose(state, spec)
+        decomp = cli.decompose(state, spec)
         decomp.validate(trace_tol=tol["trace"])
         names = [formats.fraction_key(e) for e in spec.energies]
         probs = [decomp.probs[spec.layout.span(i)] for i in range(len(names))]
@@ -179,26 +144,28 @@ def run(args: argparse.Namespace) -> int:
         if args.unitary is not None:
             u = formats.sec_unitary_from_json(read_json(args.unitary), spec)
         elif args.seed is not None:
-            u = sample_haar(spec, args.seed)
+            u = cli.sample_haar(spec, args.seed)
         else:
             raise ValidationError("analyze needs --unitary FILE or --seed N")
-        report = analyze(state, u, args.target, split_tol=tol["split"])
+        report = cli.analyze(state, u, args.target, split_tol=tol["split"])
         _write_report(args, formats.transfer_report_to_json(report, spec), formats.dump_json)
         return 0
 
     if args.command == "optimize":
         _, _, spec, state = _load_state(args, tol)
         if args.method == "exact":
-            result = maximize_transfer_exact(state, spec, args.target)
+            result = cli.maximize_transfer_exact(state, spec, args.target)
         elif args.method == "diagonal":
+            from .optimize import METHOD_DIAGONAL, OptimizationResult
+
             # the decomposition's copy of the state is freed before the dense reference
-            unitary = optimal_diagonal_unitary(decompose(state, spec), spec, args.target)
-            value = transfer_direct(state, unitary, args.target)
+            unitary = cli.optimal_diagonal_unitary(cli.decompose(state, spec), spec, args.target)
+            value = cli.transfer_direct(state, unitary, args.target)
             result = OptimizationResult(value, unitary, METHOD_DIAGONAL)
         elif args.method == "monte-carlo":
             if args.seed is None:
                 raise ValidationError("optimize --method monte-carlo requires --seed")
-            result = monte_carlo_max(state, spec, args.target, args.samples, args.seed)
+            result = cli.monte_carlo_max(state, spec, args.target, args.samples, args.seed)
         else:
             raise ValidationError(f"unknown optimize method {args.method!r}")
         _write_report(args, formats.optimization_result_to_json(result), formats.dump_json)
@@ -217,29 +184,31 @@ def run(args: argparse.Namespace) -> int:
         if constructors[0]:
             if args.beta_a is None or args.beta_b is None:
                 raise ValidationError("thermal constructor needs both --beta-a and --beta-b")
-            state = thermal_product(h_a, h_b, args.beta_a, args.beta_b)
+            state = cli.thermal_product(h_a, h_b, args.beta_a, args.beta_b)
         elif constructors[1]:
             if probs_a is None or probs_b is None:
                 raise ValidationError(
                     "passive/max-active constructor needs both --probs-a and --probs-b"
                 )
-            state = passive_max_active_product(probs_a, probs_b, h_a, h_b)
+            state = cli.passive_max_active_product(probs_a, probs_b, h_a, h_b)
         elif state is None:
             raise ValidationError(
                 "classify needs a state in the problem file or constructor flags"
             )
-        label = classify_flow(state, spec, args.target)
+        label = cli.classify_flow(state, spec, args.target)
         _write_report(args, formats.flow_classification_to_json(label, spec), formats.dump_json)
         return 0
 
     if args.command == "bell-scan":
         if args.output is None:
             raise ValidationError("bell-scan requires --output for the CSV table")
-        scan = plane_scan(args.resolution)
+        scan = cli.plane_scan(args.resolution)
         formats.write_plane_scan_csv(scan, args.output)
         return 0
 
     if args.command == "verify":
+        from . import verify
+
         results = verify.run_all(args.seed)
         print(verify.format_table(results))
         if args.output is not None:

@@ -10,7 +10,7 @@ Transfer report    ``{"target", "total", "diagonal", "coherent", "eta",
                    "per_block_diagonal", "unit"}`` with eta keyed by local
                    level and the per-block map keyed by the rational energy.
 Optimization       ``{"value", "method", "samples", "unitary"}`` with the
-                   unitary inline or referenced by path.
+                   unitary inline as a block unitary.
 Flow class         ``{"direction", "failing_blocks", "has_useful_coherence",
                    "min_transfer", "witness"}``, ``failing_blocks`` the
                    energies of the blocks that fail passivity,
@@ -232,19 +232,13 @@ def transfer_report_to_json(report: TransferReport, spectrum: JointSpectrum) -> 
     }
 
 
-def optimization_result_to_json(
-    result: OptimizationResult, unitary_path: str | None = None
-) -> dict:
-    payload = {
+def optimization_result_to_json(result: OptimizationResult) -> dict:
+    return {
         "value": result.value,
         "method": result.method,
         "samples": result.samples,
+        "unitary": sec_unitary_to_json(result.unitary),
     }
-    if unitary_path is not None:
-        payload["unitary"] = {"path": unitary_path}
-    else:
-        payload["unitary"] = sec_unitary_to_json(result.unitary)
-    return payload
 
 
 def flow_classification_to_json(result: FlowClassification, spectrum: JointSpectrum) -> dict:

@@ -233,7 +233,7 @@ def max_transfer_vs_concurrence(concurrence: float) -> float:
     return 0.25 * (1.0 + min(1.0, max(0.0, concurrence)))
 
 
-@dataclass
+@dataclass(eq=False)
 class PlaneScan:
     """Grid scan of the in-scope Bell-diagonal triangle.
 

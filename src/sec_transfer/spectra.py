@@ -36,7 +36,7 @@ from .errors import (
     UnknownBlock,
     ValidationError,
 )
-from .twoqubit import SYSTEMS, check_system
+from .twoqubit import check_system
 
 MAX_DENOMINATOR = 10**6  # the largest denominator snap_to_rational returns
 

@@ -36,7 +36,7 @@ from .unitaries import SecUnitary, _refuse_mapping, evolve
 ENERGY_UNIT = "hbar*omega"
 
 
-@dataclass
+@dataclass(eq=False)
 class TransferReport:
     """Full account of one (state, unitary, target) transfer computation.
 
@@ -65,7 +65,7 @@ def transfer_direct(state: BipartiteState, u: SecUnitary, target: str) -> float:
     return local_energy(after, spec, target) - local_energy(state, spec, target)
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchTransfers:
     """Transfer components for a stack of ``n`` block unitaries.
 

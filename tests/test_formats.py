@@ -9,6 +9,7 @@ import pytest
 
 from sec_transfer import (
     Hamiltonian,
+    OptimizationResult,
     ValidationError,
     analyze,
     decompose,
@@ -55,6 +56,11 @@ def test_unitary_roundtrip(rng):
     back = formats.sec_unitary_from_json(payload, spec)
     for i in range(len(u.blocks)):
         np.testing.assert_array_equal(back.blocks[i], u.blocks[i])
+    # an optimization report carries its unitary inline, value unchanged
+    result = OptimizationResult(0.125, u, "test")
+    report = formats.optimization_result_to_json(result)
+    assert report["unitary"] == payload and "blocks" in report["unitary"]
+    assert report["value"] == result.value
 
 
 def test_transfer_report_fields(two_qubit_spec):
@@ -73,18 +79,6 @@ def test_transfer_report_fields(two_qubit_spec):
     assert set(payload["eta"]) == {"0", "1"}
     assert set(payload["per_block_diagonal"]) == {"0", "1", "2"}
     assert payload["total"] == pytest.approx(payload["diagonal"] + payload["coherent"])
-
-
-def test_optimization_result_unitary_by_reference(rng):
-    from sec_transfer import maximize_transfer_exact
-
-    spec = ladder_spectrum(2, 2)
-    result = maximize_transfer_exact(max_coherence_params().to_state(), spec, "A")
-    inline = formats.optimization_result_to_json(result)
-    assert "blocks" in inline["unitary"]
-    referenced = formats.optimization_result_to_json(result, unitary_path="best_u.json")
-    assert referenced["unitary"] == {"path": "best_u.json"}
-    assert referenced["value"] == inline["value"]
 
 
 def test_json_is_deterministic(tmp_path, rng):

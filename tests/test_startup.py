@@ -68,7 +68,7 @@ PUBLIC = {
 # names that moved to a numpy-free module and that their old home still
 # imports: (new home, old home, names); each must be the new home's object
 MOVED = [
-    ("twoqubit", "spectra", ["SYSTEMS", "check_system"]),
+    ("twoqubit", "spectra", ["check_system"]),
     ("jsonio", "formats", ["_require", "dump_json", "read_json"]),
 ]
 # names that moved to a numpy-free module and that their old home only
@@ -78,6 +78,7 @@ RETIRED = [
                             "delta_diag_2q", "max_transfer_2q"]),
     ("jsonio", "formats", ["_number", "format_json", "two_qubit_params_from_json",
                            "two_qubit_params_to_json"]),
+    ("twoqubit", "spectra", ["SYSTEMS"]),
 ]
 
 # runs the CLI as ``python -m sec_transfer.cli`` does, then records whether
@@ -152,7 +153,7 @@ def test_retired_reexports_live_only_in_their_new_home(new, old, names):
     new_home = importlib.import_module(f"sec_transfer.{new}")
     old_home = importlib.import_module(f"sec_transfer.{old}")
     for name in names:
-        assert callable(getattr(new_home, name)), name
+        assert hasattr(new_home, name), name
         assert not hasattr(old_home, name), name
 
 
@@ -250,6 +251,24 @@ def test_numpy_subcommand_keeps_a_name_bound_before_the_layers_load(tmp_path):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert scan.read_text().startswith("c_x,c_y,c_z,")
+
+
+def test_unknown_cli_attribute_is_refused_without_importing():
+    """Only the package's public names resolve on ``cli``; anything else imports nothing."""
+    done = _python(
+        "import sys\n"
+        "from sec_transfer import cli\n"
+        "before = set(sys.modules)\n"
+        "try:\n"
+        "    getattr(cli, 'no_such_layer')\n"
+        "except AttributeError as exc:\n"
+        "    assert 'sec_transfer.cli' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+        "assert not hasattr(cli, '__path__')\n"
+        "assert 'numpy' not in sys.modules and set(sys.modules) == before\n"
+    )
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_decompose_imports_only_the_layers_it_calls(tmp_path):

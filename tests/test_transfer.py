@@ -16,6 +16,7 @@ from sec_transfer import (
     transfer_diagonal,
     transfer_direct,
     partial_trace,
+    plane_scan,
 )
 from sec_transfer.fixtures import (
     DIMENSION_CLASSES,
@@ -268,3 +269,19 @@ def test_diagonal_part_of_a_stack_reads_only_the_populations(dims, target, rng):
         assert not dephased.useful_coherence_blocks()
         full = batch_transfers(decomp, batch, target).diagonal
         assert batch_transfers(dephased, batch, target).diagonal.tobytes() == full.tobytes()
+
+
+def test_array_holding_results_compare_by_identity(rng):
+    """``==`` on a report, a batch or a scan is a bool (identity), never a raise."""
+    spec = ladder_spectrum(3, 3)
+    state = random_state((3, 3), rng)
+    u, stacks = sample_haar(spec, 1), sample_haar_blocks(spec, 2, 3)
+    builds = [
+        lambda: analyze(state, u, "A"),
+        lambda: batch_transfers(decompose(state, spec), stacks, "A"),
+        lambda: plane_scan(3),
+    ]
+    for build in builds:
+        result = build()
+        assert (result == result) is True
+        assert (result == build()) is False

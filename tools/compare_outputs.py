@@ -14,8 +14,14 @@ that fails the one-way rule, so every problem file that carries a state (the
 input of a ``decompose``, ``analyze`` or ``optimize`` job) is also run through
 ``decompose --csv``, comparing the CSV bytes, and through ``classify`` for
 both targets on its own state: a random state, so most of those reports list
-failing blocks and a witness (their count is printed).  ``verify --output``
-at its default seed is compared the same way.
+failing blocks and a witness (their count is printed).  The CLI's refusals
+are compared on that file too: ``analyze`` with neither ``--unitary`` nor
+``--seed``, ``analyze --seed 1 --tolerance split=0``, ``optimize --method
+monte-carlo`` without ``--seed``, ``classify`` with both ``--beta-a`` and
+``--probs-a``, and ``decompose --tolerance split=1``.  Then, on each file,
+``optimize --method diagonal`` runs and the ``unitary`` of the change's
+report is given back to ``analyze --unitary``.  ``verify --output`` at its
+default seed, and ``bell-scan`` without ``--output``, are compared once.
 Last, every ``demos/*.py`` of either tree runs as that tree's own script
 against that tree's ``src``, each run in a fresh working directory; both runs
 must give the same exit code, stdout, stderr and files left in that
@@ -85,20 +91,39 @@ def _compare(trees: list[Path], argv: list[str], output: Path, threads=None) -> 
 
 # subcommands whose --input must carry a state
 STATE_COMMANDS = ("decompose", "analyze", "optimize")
+# the unitary of the last optimize --method diagonal report, for analyze --unitary
+UNITARY = "unitary.json"
 
 
 def _state_runs(jobs, work: Path) -> list[tuple[list[str], Path]]:
-    """``decompose --csv`` and ``classify`` runs on every problem with a state."""
+    """The extra runs, as the module docstring lists them, on every problem with a state."""
     problems = sorted({job.argv[job.argv.index("--input") + 1]
                        for job in jobs if job.argv[0] in STATE_COMMANDS})
     csv, report = work / "extra.csv", work / "extra.json"
     runs = []
     for problem in problems:
-        runs.append((["decompose", "--input", problem, "--csv", str(csv)], csv))
+        given = ["--input", problem]
+        runs.append((["decompose", *given, "--csv", str(csv)], csv))
         for target in ("A", "B"):
-            runs.append((["classify", "--input", problem, "--target", target,
-                          "--output", str(report)], report))
+            runs.append((["classify", *given, "--target", target, "--output", str(report)],
+                         report))
+        runs += [(argv, report) for argv in (
+            ["analyze", *given, "--target", "A"],
+            ["analyze", *given, "--target", "A", "--seed", "1", "--tolerance", "split=0"],
+            ["optimize", *given, "--target", "A", "--method", "monte-carlo"],
+            ["classify", *given, "--target", "A", "--beta-a", "1", "--probs-a", "1"],
+            ["decompose", *given, "--tolerance", "split=1"],
+            ["optimize", *given, "--target", "A", "--method", "diagonal", "--output", str(report)],
+            ["analyze", *given, "--target", "A", "--unitary", str(work / UNITARY)],
+        )]
     return runs
+
+
+def _write_unitary(written: bytes | None, path: Path) -> None:
+    """The ``unitary`` of an optimize report into ``path``; no report, no file."""
+    path.unlink(missing_ok=True)
+    if written is not None:
+        path.write_text(json.dumps(json.loads(written)["unitary"]), encoding="utf-8")
 
 
 def _failing_report(written: bytes | None) -> bool:
@@ -126,19 +151,23 @@ def main(argv: list[str]) -> int:
                 runs = _state_runs(jobs, work)
                 if not runs:
                     continue
-                same = failing = 0
+                same = failing = refused = 0
                 for run_argv, output in runs:
                     parent, change = (_run(tree, run_argv, output, None) for tree in trees)
                     same += _same(" ".join(run_argv), parent, change)
                     failing += run_argv[0] == "classify" and _failing_report(change[3])
+                    refused += change[0] != 0
+                    if "diagonal" in run_argv:
+                        _write_unitary(change[3], work / UNITARY)
                 differing += len(runs) - same
-                print(f"{name} seed {seed}: {same}/{len(runs)} decompose --csv and classify "
-                      f"runs identical, {failing} classify reports list failing blocks",
-                      flush=True)
+                print(f"{name} seed {seed}: {same}/{len(runs)} extra runs identical, "
+                      f"{failing} classify reports list failing blocks, {refused} runs "
+                      f"exited nonzero", flush=True)
         output = Path(scratch) / "verify.json"
-        same = _compare(trees, ["verify", "--output", str(output)], output)
-        differing += not same
-        print(f"verify --output at the default seed: {'identical' if same else 'differs'}")
+        for once in (["verify", "--output", str(output)], ["bell-scan"]):
+            same = _compare(trees, once, output)
+            differing += not same
+            print(f"{' '.join(once[:2])}: {'identical' if same else 'differs'}")
         demos = sorted({path.name for tree in trees for path in (tree / "demos").glob("*.py")})
         for name in demos:
             parent, change = (
