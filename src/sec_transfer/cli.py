@@ -19,7 +19,11 @@ reads every other public name from the package, which imports only that
 name's home module, on first use.  :func:`run` calls those layers as
 attributes of this module, so a wrapper set on it is the one that runs.  The
 SEC_TRANSFER_THREADS environment variable caps worker threads inside the
-Monte-Carlo search.
+Monte-Carlo search.  It does not govern the problem-file walk: a file of at
+least ``formats.SPLIT_BYTES`` read by a process allowed on two or more CPUs
+is decoded with one forked helper process, which never returns into this
+module and is reaped before the state is admitted (``taskset -c 0`` keeps
+the walk in one process).
 """
 
 from __future__ import annotations

@@ -34,9 +34,13 @@ and value of the problem and state objects, and the state's ``re`` and ``im``
 arrays one row at a time, each row checked to hold only numbers and copied
 into a float64 buffer.  Neither the file's whole text nor a D = 1024 state
 as 2 D^2 Python floats (about 64 MB against the 16 MB complex matrix) is ever
-held.  Text the walk does not take (an integer outside int64, duplicate keys,
-any syntax error, ...) is parsed again by ``read_json``, so its errors and
-values are those of ``json.load``.
+held.  A file of at least ``SPLIT_BYTES``, read by a process allowed to run
+on two or more CPUs, is walked by two processes at once: a forked helper
+decodes rows 1, 3, 5, ... and sends them down a pipe, while the reading
+process decodes the even ones; each steps over the other's rows.  Text the
+walk does not take (an integer outside int64, duplicate keys, any syntax
+error, ...) is parsed again by ``read_json``, so its errors and values are
+those of ``json.load``.
 
 The Bell-plane scan CSV takes few distinct values per column, so each
 distinct value of a scan column (told apart by its bit pattern, so ``-0.0``
@@ -52,6 +56,7 @@ import json
 import math
 import os
 import re
+import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -261,12 +266,28 @@ _NUMBERS = {float, int}
 
 # Characters of a problem file read at a time; the walk holds about two
 # chunks of text plus the row it is decoding (24,000 characters at D = 1024).
-# From 16 KiB to 1 MiB the walk takes the same time, best of 5, on a
+# Each process of a split walk (``SPLIT_BYTES``) reads the whole file this
+# way.  From 16 KiB to 1 MiB the walk takes the same time, best of 5, on a
 # ladder-exact D = 1024 file (47.8 MiB, 0.80-0.87 s) and, best of 30, on a
 # rational-blocks 13 x 13 one (1.3 MiB, 21-23 ms).  Its traced peak grows with
 # the chunk: 16.4 MiB at 64 KiB against 21.1 MiB at 1 MiB on the first, 0.8
 # against 4.5 MiB on the second.  Smaller chunks save less than 0.3 MiB more.
 PROBLEM_CHUNK = 1 << 16
+
+# Bytes from which a problem file's state rows are decoded by two processes,
+# where this one may run on two CPUs: a forked helper takes every other row.
+# Measured end to end (2 vCPUs, Python 3.11.7), the split wins from 1.8 MB
+# on.  ``python -m sec_transfer.cli`` on ladder files, 30 alternating runs
+# each, split against one process, best and median: ``analyze --seed 1`` at
+# 1.8 MB 0.201/0.300 s against 0.208/0.313 s, at 2.4 MB 0.207/0.283 against
+# 0.214/0.337, at 3.1 MB 0.210/0.315 against 0.232/0.320; ``optimize
+# --method diagonal`` at 1.8 MB 0.227/0.294 against 0.242/0.316.  At 1.36 MB
+# (a rational-blocks 13 x 13 file) it lost, 0.193/0.225 against 0.191/0.211,
+# and the benchmark's rational-blocks rounds ran slower with it.  Timed in
+# process, ``_read_problem`` alone already wins from about 0.6 MB (best of
+# 100, over two or three such runs: 0.57 MB split 8.2-9.4 ms against 8.9-9.5
+# ms, 0.69 MB 8.5-10.6 against 10.1-10.9).
+SPLIT_BYTES = 3 << 19
 
 
 class _Unwalkable(Exception):
@@ -341,6 +362,16 @@ class _Text:
                     return value
             self.more(2 * (len(self.text) - self.at))
 
+    def skip(self) -> None:
+        """Step over the row at the next character, up to and past its first ``]``."""
+        self.take("[")
+        while (end := self.text.find("]", self.at)) < 0:
+            if self.ended:
+                raise _Unwalkable
+            self.at = len(self.text)  # the text stepped over is dropped, not held
+            self.more(math.inf, "]")
+        self.at = end + 1
+
     def row(self):
         """:meth:`value`, once a ``]`` is read: a row of numbers is decoded once."""
         if self.text.find("]", self.at) < 0:
@@ -386,28 +417,38 @@ def _walk_object(text: _Text, member) -> dict:
             return members
 
 
-def _walk_rows(text: _Text, size: int) -> np.ndarray:
+def _walk_rows(text: _Text, size: int, part: tuple[int, int]) -> np.ndarray:
     """A square array of number rows, as float64, each row decoded once.
 
     Only one row's Python numbers are alive at once.  The buffer is
     allocated from the first row's length, once ``size`` (the file's bytes)
     could hold that many rows (each entry takes at least one character), so
-    it is never more than eight bytes per byte of the file.
+    it is never more than eight bytes per byte of the file.  Of the other
+    rows, only those of ``part`` (``(index, count)``: the rows ``i`` with
+    ``i % count == index``) are decoded and checked; the rest are stepped
+    over to their first ``]`` and left unset, for the process that decodes
+    them to check.
     """
+    index, count = part
     text.take("[")
     rows = None
     filled = 0
     while True:
-        row = text.row()
-        if type(row) is not list or not _numbers(row):
+        if rows is not None and filled == len(rows):
             raise _Unwalkable
-        if rows is None:
-            if len(row) ** 2 > size:
+        if rows is None or filled % count == index:
+            row = text.row()
+            if type(row) is not list or not _numbers(row):
                 raise _Unwalkable
-            rows = np.empty((len(row), len(row)))
-        if filled == len(rows) or len(row) != len(rows):
-            raise _Unwalkable
-        rows[filled] = row
+            if rows is None:
+                if len(row) ** 2 > size:
+                    raise _Unwalkable
+                rows = np.empty((len(row), len(row)))
+            if len(row) != len(rows):
+                raise _Unwalkable
+            rows[filled] = row
+        else:
+            text.skip()
         filled += 1
         if text.take(",]") == "]":
             break
@@ -416,11 +457,13 @@ def _walk_rows(text: _Text, size: int) -> np.ndarray:
     return rows
 
 
-def _walk_problem(source, size: int | None = None) -> dict:
+def _walk_problem(source, size: int | None = None, part: tuple[int, int] = (0, 1)) -> dict:
     """``json.load(source)``, with the state's ``re`` and ``im`` as float64 arrays.
 
     ``source`` is a text file, read ``PROBLEM_CHUNK`` characters at a time,
     with ``size`` its size in bytes; or a whole str, whose length is its size.
+    ``part`` picks the rows of ``re`` and ``im`` decoded besides row 0, as
+    :func:`_walk_rows` reads it; by default, all of them.
     Raises :class:`_Unwalkable` (or json's own error) on any text it does
     not take: not an object, a duplicate key in the problem or state
     object, a ``re``/``im`` that is not a square array of numbers, or text
@@ -431,7 +474,7 @@ def _walk_problem(source, size: int | None = None) -> dict:
     text = _Text(source)
 
     def state_member(key: str):
-        return _walk_rows(text, size) if key in ("re", "im") else text.value()
+        return _walk_rows(text, size, part) if key in ("re", "im") else text.value()
 
     def member(key: str):
         if key == "state" and text.peek() == "{":
@@ -444,15 +487,107 @@ def _walk_problem(source, size: int | None = None) -> dict:
     return data
 
 
+def _state_rows(data: dict) -> list[np.ndarray]:
+    """The state's walked ``re`` and ``im`` buffers, in the order the walk met them."""
+    state = data.get("state")
+    if type(state) is not dict:
+        return []
+    return [value for value in state.values() if type(value) is np.ndarray]
+
+
+def _help_walk(path, shared: int, size: int, read_end: int, write_end: int):
+    """The forked helper's whole life: walk the odd rows, send them down the pipe, exit.
+
+    It opens ``path`` again, for a file position of its own, and walks it
+    only if that is still the file open as ``shared`` in the parent.  It
+    never returns, so it never prints, flushes the stdio it inherited or
+    runs its caller's code; any exception ends it with status 1, which the
+    parent sees as a short read.  Per walked array it sends the row count
+    as eight bytes, then rows 1, 3, 5, ... as float64 bytes.
+    """
+    code = 1
+    try:
+        os.close(read_end)
+        with open(path, "r", encoding="utf-8") as handle, open(write_end, "wb") as pipe:
+            if not os.path.samestat(os.fstat(handle.fileno()), os.fstat(shared)):
+                raise _Unwalkable
+            for rows in _state_rows(_walk_problem(handle, size, (1, 2))):
+                pipe.write(len(rows).to_bytes(8, "little"))
+                for row in rows[1::2]:
+                    pipe.write(row)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _walk_split(path, handle, size: int) -> dict:
+    """:func:`_walk_problem` on ``handle``, with a forked helper decoding the odd rows.
+
+    This process decodes rows 0, 2, 4, ... of ``re`` and ``im``, then reads
+    the helper's rows straight into its own buffers.  A helper that fails
+    its walk, sends a different shape or exits other than cleanly raises
+    :class:`_Unwalkable`.  The helper is reaped before this returns or
+    raises; on any failure it is killed first.  If no pipe or process can be
+    had, the whole walk runs here.
+    """
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return _walk_problem(handle, size)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn on fork in a process with threads (BLAS's);
+            # the helper calls no BLAS
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _walk_problem(handle, size)
+    if pid == 0:
+        _help_walk(path, handle.fileno(), size, read_end, write_end)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        try:
+            data = _walk_problem(handle, size, (0, 2))
+            for rows in _state_rows(data):
+                if pipe.read(8) != len(rows).to_bytes(8, "little"):
+                    raise _Unwalkable
+                for row in rows[1::2]:
+                    if pipe.readinto(row) != row.nbytes:
+                        raise _Unwalkable
+            if pipe.read(1):
+                raise _Unwalkable
+        except BaseException:
+            import signal  # only here: a module every other run would load for nothing
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    if os.waitpid(pid, 0)[1]:
+        raise _Unwalkable
+    return data
+
+
 def _read_problem(path) -> dict:
     """A problem file's JSON, streamed, with its state arrays read row by row where possible.
 
-    Any text the walk does not take is parsed again by :func:`read_json`,
-    so every rejection, message and line/column report is read_json's.
+    A file of at least ``SPLIT_BYTES`` is split with :func:`_walk_split`
+    when this process may run on two or more CPUs.  Any text the walk does
+    not take is parsed again by :func:`read_json`, so every rejection,
+    message and line/column report is read_json's.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return _walk_problem(handle, os.fstat(handle.fileno()).st_size)
+            size = os.fstat(handle.fileno()).st_size
+            if (
+                size >= SPLIT_BYTES
+                and hasattr(os, "fork")
+                and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2
+            ):
+                return _walk_split(path, handle, size)
+            return _walk_problem(handle, size)
     except (_Unwalkable, ValueError, ValidationError, RecursionError):
         pass  # leaving the handler frees the walk's text and rows before read_json reads the file
     return read_json(path)
@@ -465,9 +600,11 @@ def load_problem(
 
     The file is streamed, ``PROBLEM_CHUNK`` characters at a time, and the
     state's ``re`` and ``im`` arrays are decoded one row at a time into
-    float64 buffers.  So neither the file's whole text nor the 2 D^2 Python
-    floats of a whole parsed tree (four times the complex matrix) are ever
-    held; text that is not a plain problem object with square arrays of
+    float64 buffers.  From ``SPLIT_BYTES`` on, in a process allowed to run on
+    two or more CPUs, a forked helper decodes the odd rows at the same time;
+    it is reaped before this returns or raises.  So neither the file's whole
+    text nor the 2 D^2 Python floats of a whole parsed tree (four times the
+    complex matrix) are ever held; text that is not a plain problem object with square arrays of
     numbers goes through :func:`read_json` as a whole.  The float buffers
     are released before the state is admitted, and the admitted state keeps
     the freshly built matrix without a copy, so admission's three D x D

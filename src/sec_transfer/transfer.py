@@ -190,20 +190,26 @@ def analyze(
     """Bundle direct, diagonal, and coherent transfers into one report.
 
     Raises :class:`NumericalInvariantError` if the three quantities fail to
-    satisfy ``total = diagonal + coherent`` within ``split_tol``; that bound
-    holding is exactly what makes the block-wise paths trustworthy.  The
-    bound is absolute, while the residual's rounding grows with the level
-    energies: at a level spacing of 10**6 a valid problem leaves residuals
-    near 1e-10, so the CLI exits 3 unless run with ``--tolerance split=...``.
+    satisfy ``total = diagonal + coherent`` within ``split_tol`` times
+    ``max(1, spread)``, where ``spread`` is the target's ``max E - min E``;
+    that bound holding is exactly what makes the block-wise paths
+    trustworthy.  The residual is rounding in sums weighted by the target's
+    level energies, so it grows with them: divided by the spread it stays
+    near 1e-16 from level spacings of 1 to 10**9.  At a spread of at most 1
+    the bound is ``split_tol`` itself.
     The dense reference runs first, so its D x D work buffers are gone
     before the decomposition's copy of the state is made.
     """
     total = transfer_direct(state, u, target)
     split = _split(decompose(state, u.spectrum), u, target)
     residual = abs(total - split.diagonal - split.coherent)
-    if residual > split_tol:
+    levels = (u.spectrum.h_a if target == "A" else u.spectrum.h_b).energies
+    spread = float(max(levels) - min(levels))
+    bound = split_tol * max(1.0, spread)
+    if residual > bound:
+        scaled = f" ({split_tol:g} x level spread {spread:g})" if bound != split_tol else ""
         raise NumericalInvariantError(
             f"transfer split violated: |total - diagonal - coherent| = "
-            f"{residual:.3e} exceeds {split_tol:g}"
+            f"{residual:.3e} exceeds {bound:g}{scaled}"
         )
     return replace(split, total=total)

@@ -5,13 +5,15 @@ one node of its JSON tree (or one entry or row of the state's ``re``/``im``
 arrays) and runs a subcommand on it, sometimes with a ``--tolerance``
 override.  No exception may escape ``main``, and every report printed on
 exit 0 must parse as JSON without a non-finite value.  The mutated problem
-files are also read in chunks of a few characters, which must give what
-``read_json`` gives.
+files are also read in chunks of a few characters, and split between this
+process and a forked helper, which must give what ``read_json`` gives; the
+split runs through ``main`` too, and must leave no process behind.
 """
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -186,6 +188,35 @@ def test_mutated_problem_files_read_in_tiny_chunks(data, dims, seed, rows, chunk
         with mock.patch.object(formats, "_read_problem", formats.read_json):
             parsed = _load_outcome(path)
     assert walked == parsed
+
+
+@FUZZ
+@given(data=st.data(), dims=DIMS, seed=st.integers(0, 3), command=PROBLEM_COMMANDS,
+       rows=st.booleans(), chunk=st.sampled_from([formats.PROBLEM_CHUNK, 1, 3]))
+def test_mutated_problem_files_split_between_two_processes(data, dims, seed, command, rows,
+                                                            chunk):
+    problem = _problem(dims, seed)
+    if rows:
+        _mutate_rows(data, problem["state"])
+    else:
+        problem = _mutate(data, problem)
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "problem.json", problem)
+        with mock.patch.object(formats, "_read_problem", formats.read_json):
+            parsed = _load_outcome(path)
+        # split every file, as on two CPUs
+        with mock.patch.object(formats, "PROBLEM_CHUNK", chunk), \
+                mock.patch.object(formats, "SPLIT_BYTES", 0), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            walked = _load_outcome(path)
+            _run([*command, "--input", path])
+    assert walked == parsed
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        raise AssertionError("a helper process was left behind")
 
 
 @FUZZ

@@ -1,8 +1,12 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,8 +302,8 @@ WALK_CASES = {
     ),
     "overflow": (_swap(_ROW0, "[0.25, 1e400, -0.0, -0.0]"), True),
     "underflow-to-zero": (_swap(_ROW0, "[0.25, -1e-400, -0.0, -0.0]"), True),
-    # every "-0.0" becomes "0", "-0.0625" too: "0625" is not JSON
-    "integer-entries": (_swap("-0.0", "0", -1), False),
+    "integer-entries": (_with_state(re=[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                                    im=[[0] * 4] * 4), True),
     "one-integer": (_swap("0.25", "1", 1), True),
     "integer-zeros": (re.sub(r"-0\.0(?=[],])", "0", NEGATIVE_ZERO_PROBLEM), True),
     # read as +0.0 on both paths, so the admitted state's bits tell them apart from -0.0
@@ -443,6 +447,189 @@ def test_problem_walk_in_tiny_chunks_matches_read_json(case, chunk, tmp_path, mo
     monkeypatch.setattr(formats, "PROBLEM_CHUNK", chunk)
     assert _load_outcome(path) == parsed
     assert _walk_takes(path.read_text(encoding="utf-8")) is walks
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _open_fds() -> int | None:
+    fds = Path("/proc/self/fd")
+    return len(list(fds.iterdir())) if fds.is_dir() else None
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split walk forks")
+
+
+def _force_split(monkeypatch) -> list:
+    """Split every problem file, as on two CPUs; the list returned grows by one per fork."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(formats, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@needs_fork
+@pytest.mark.parametrize("chunk", (formats.PROBLEM_CHUNK,) + TINY_CHUNKS)
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_split_walk_matches_read_json(case, chunk, tmp_path, monkeypatch):
+    """Every file split between this process and a forked helper gives read_json's outcome."""
+    text, _ = WALK_CASES[case]
+    path = tmp_path / "problem.json"
+    path.write_bytes(text.encode("utf-8"))
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_read_problem", formats.read_json)
+        parsed = _load_outcome(path)
+    monkeypatch.setattr(formats, "PROBLEM_CHUNK", chunk)
+    forks = _force_split(monkeypatch)
+    fds = _open_fds()
+    assert _load_outcome(path) == parsed
+    assert forks == [1] and _no_child_left() and _open_fds() == fds
+
+
+def _with_row(key: str, index: int, row: list) -> str:
+    rows = json.loads(NEGATIVE_ZERO_PROBLEM)["state"][key]
+    rows[index] = row
+    return _with_state(**{key: rows})
+
+
+# rows a process that steps over them does not refuse: each is taken to its first "]"
+REFUSED_ROWS = {
+    "string": [0, "x", 0, 0],
+    "null": [0, None, 0, 0],
+    "bool": [0.0, True, 0.0, 0.0],
+    "short": [0.25, 0.0, 0.0],
+    "long": [0.25, 0.0, 0.0, 0.0, 0.0],
+    "huge-integer": [0, 2**63, 0, 0],
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("index", [1, 2, 3])
+@pytest.mark.parametrize("key", ["re", "im"])
+@pytest.mark.parametrize("name", list(REFUSED_ROWS))
+def test_split_walk_refuses_a_row_in_whichever_process_decodes_it(name, key, index, tmp_path,
+                                                                  monkeypatch):
+    """A bad odd row is refused by the helper alone, a bad even row by this process alone."""
+    text = _with_row(key, index, REFUSED_ROWS[name])
+    mine, helpers = (0, 2), (1, 2)
+    decoder, stepper = (helpers, mine) if index % 2 else (mine, helpers)
+    formats._walk_problem(text, part=stepper)
+    with pytest.raises((formats._Unwalkable, ValueError, ValidationError)):
+        formats._walk_problem(text, part=decoder)
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_read_problem", formats.read_json)
+        parsed = _load_outcome(path)
+    forks = _force_split(monkeypatch)
+    assert _load_outcome(path) == parsed
+    assert forks == [1] and _no_child_left()
+
+
+@needs_fork
+def test_split_walk_helper_walks_only_the_file_this_process_opened(tmp_path, monkeypatch):
+    """A file replaced at its path before the helper opens it is read whole, never mixed."""
+    path, other = tmp_path / "problem.json", tmp_path / "other.json"
+    path.write_text(NEGATIVE_ZERO_PROBLEM, encoding="utf-8")
+    other.write_text(_with_row("re", 1, [-0.0, 0.5, 0.125, -0.0]), encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_read_problem", formats.read_json)
+        parsed = _load_outcome(path)
+    opened = []
+
+    def replaced(file, *args, **kwargs):
+        if file == path:
+            opened.append(file)
+            file = other if len(opened) > 1 else file
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(formats, "open", replaced, raising=False)
+    forks = _force_split(monkeypatch)
+    assert _load_outcome(path) == parsed
+    assert forks == [1] and _no_child_left()
+
+
+def test_split_walk_needs_two_cpus_and_falls_back_when_fork_fails(tmp_path, monkeypatch):
+    path = tmp_path / "problem.json"
+    path.write_text(NEGATIVE_ZERO_PROBLEM, encoding="utf-8")
+    alone = _load_outcome(path)
+    forks = []
+
+    def failing():
+        forks.append(1)
+        raise OSError("no process")
+
+    monkeypatch.setattr(formats, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "fork", failing, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fds = _open_fds()
+    assert _load_outcome(path) == alone and forks == [1] and _open_fds() == fds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _load_outcome(path) == alone and forks == [1]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _load_outcome(path) == alone and forks == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork")
+    assert _load_outcome(path) == alone and forks == [1]
+
+
+SRC = Path(formats.__file__).resolve().parents[1]
+# a CLI run that would split every problem file, its output held unflushed
+# across any fork, the number of forks last on stderr; given "split", it runs
+# as on two CPUs
+SPLIT_CLI = """\
+import os, sys
+from sec_transfer import formats
+from sec_transfer.cli import main
+formats.SPLIT_BYTES = 0
+if sys.argv.pop(1) == "split":
+    os.sched_getaffinity = lambda pid: {0, 1}
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+sys.stdout.write("<")
+code = main(sys.argv[1:])
+sys.stdout.write(">")
+sys.stderr.write(f"forks {len(forks)}\\n")
+sys.exit(code)
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a run to one CPU")
+@pytest.mark.parametrize("problem", ["plain", "odd-row", "even-row"])
+def test_split_cli_run_prints_nothing_from_the_helper(problem, tmp_path):
+    """Split, or pinned to one CPU, a CLI run prints the same; the helper prints nothing."""
+    text = {
+        "plain": NEGATIVE_ZERO_PROBLEM,
+        "odd-row": _with_row("re", 1, REFUSED_ROWS["string"]),
+        "even-row": _with_row("im", 2, REFUSED_ROWS["short"]),
+    }[problem]
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    split, alone = (
+        subprocess.run([sys.executable, "-c", SPLIT_CLI, how, "decompose", "--input", str(path)],
+                       env=env, capture_output=True, timeout=120, preexec_fn=pin)
+        for how, pin in [("split", None), ("alone", lambda: os.sched_setaffinity(0, {0}))]
+    )
+    assert split.stderr.endswith(b"forks 1\n") and alone.stderr.endswith(b"forks 0\n")
+    assert split.returncode == alone.returncode == (0 if problem == "plain" else 2)
+    assert split.stdout == alone.stdout and split.stdout.count(b"<") == 1
+    assert split.stdout.endswith(b">")
+    assert split.stderr[:-8] == alone.stderr[:-8] and b"Traceback" not in split.stderr
 
 
 def test_problem_walk_decodes_each_row_once_in_tiny_chunks(monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from sec_transfer import (
     partial_trace,
     plane_scan,
 )
+from sec_transfer import formats, tolerances, transfer
+from sec_transfer.cli import main
 from sec_transfer.fixtures import (
     DIMENSION_CLASSES,
     ladder_spectrum,
@@ -285,3 +289,51 @@ def test_array_holding_results_compare_by_identity(rng):
         result = build()
         assert (result == result) is True
         assert (result == build()) is False
+
+
+def _spaced_problem(tmp_path, num: int, den: int) -> str:
+    """A 3 x 3 ladder with level spacing ``num/den`` on both sides and a random state."""
+    energies = [[k * num, den] for k in range(3)]
+    state = random_state((3, 3), np.random.default_rng(num % 1009))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"h_a": {"energies": energies}, "h_b": {"energies": energies},
+                                "state": formats.state_to_json(state)}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("target", ["A", "B"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spacing", [10**3, 10**6, 10**9])
+def test_split_check_scales_with_the_level_spread(spacing, seed, target, tmp_path, capsys):
+    """Valid problems at large level spacings pass the default split check."""
+    path = _spaced_problem(tmp_path, spacing, 1)
+    assert main(["analyze", "--input", path, "--target", target, "--seed", str(seed)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    residual = abs(report["total"] - report["diagonal"] - report["coherent"])
+    assert residual <= tolerances.SPLIT * 2 * spacing
+
+
+@pytest.mark.parametrize(
+    "num, den", [(1, 4), (1, 2), (1, 1), (10**3, 1), (10**6, 1), (10**9, 1)]
+)
+def test_split_check_refuses_twice_its_scaled_bound(num, den, tmp_path, monkeypatch, capsys):
+    """A kernel off by twice ``split x max(1, spread)`` exits 3, naming the bound.
+
+    At a spread of at most 1 the bound and the message are the unscaled ones.
+    """
+    spread = 2 * num / den
+    bound = tolerances.SPLIT * max(1, spread)
+    kernel = transfer.batch_transfers
+
+    def perturbed(*args):
+        result = kernel(*args)
+        result.diagonal += 2 * bound
+        return result
+
+    monkeypatch.setattr(transfer, "batch_transfers", perturbed)
+    path = _spaced_problem(tmp_path, num, den)
+    assert main(["analyze", "--input", path, "--target", "A", "--seed", "1"]) == 3
+    message = capsys.readouterr().err
+    assert "transfer split violated" in message and f"exceeds {bound:g}" in message
+    scaled = f"({tolerances.SPLIT:g} x level spread {spread:g})"
+    assert (scaled in message) is (spread > 1)

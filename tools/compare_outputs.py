@@ -20,8 +20,14 @@ are compared on that file too: ``analyze`` with neither ``--unitary`` nor
 monte-carlo`` without ``--seed``, ``classify`` with both ``--beta-a`` and
 ``--probs-a``, and ``decompose --tolerance split=1``.  Then, on each file,
 ``optimize --method diagonal`` runs and the ``unitary`` of the change's
-report is given back to ``analyze --unitary``.  ``verify --output`` at its
-default seed, and ``bell-scan`` without ``--output``, are compared once.
+report is given back to ``analyze --unitary``.  Each such file is also
+run through ``decompose`` twice under the change tree alone: once pinned to
+one CPU (``os.sched_setaffinity`` in the child before it starts), so that it
+walks the file in one process, and once unpinned, so that a file of at least
+``formats.SPLIT_BYTES`` is split between the CLI process and a forked
+helper; both runs must give the same exit code, stdout, stderr and output
+bytes.  ``verify --output`` at its default seed, and ``bell-scan`` without
+``--output``, are compared once.
 Last, every ``demos/*.py`` of either tree runs as that tree's own script
 against that tree's ``src``, each run in a fresh working directory; both runs
 must give the same exit code, stdout, stderr and files left in that
@@ -56,11 +62,18 @@ def _env(tree: Path, threads: int | None) -> dict:
     return env
 
 
-def _run(tree: Path, argv: list[str], output: Path, threads: int | None) -> tuple:
+def _one_cpu() -> None:
+    """Let the calling process run on one CPU only, so it never splits a walk."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _run(tree: Path, argv: list[str], output: Path, threads: int | None,
+         pinned: bool = False) -> tuple:
     """Exit code, stdout, stderr and output bytes of one CLI run under ``tree``."""
     output.unlink(missing_ok=True)
     done = subprocess.run([sys.executable, "-m", "sec_transfer.cli", *argv],
-                          env=_env(tree, threads), capture_output=True, timeout=600)
+                          env=_env(tree, threads), capture_output=True, timeout=600,
+                          preexec_fn=_one_cpu if pinned else None)
     written = output.read_bytes() if output.exists() else None
     output.unlink(missing_ok=True)
     return done.returncode, done.stdout, done.stderr, written
@@ -95,10 +108,14 @@ STATE_COMMANDS = ("decompose", "analyze", "optimize")
 UNITARY = "unitary.json"
 
 
-def _state_runs(jobs, work: Path) -> list[tuple[list[str], Path]]:
+def _state_problems(jobs) -> list[str]:
+    """Every problem file given to a job that needs a state."""
+    return sorted({job.argv[job.argv.index("--input") + 1]
+                   for job in jobs if job.argv[0] in STATE_COMMANDS})
+
+
+def _state_runs(problems: list[str], work: Path) -> list[tuple[list[str], Path]]:
     """The extra runs, as the module docstring lists them, on every problem with a state."""
-    problems = sorted({job.argv[job.argv.index("--input") + 1]
-                       for job in jobs if job.argv[0] in STATE_COMMANDS})
     csv, report = work / "extra.csv", work / "extra.json"
     runs = []
     for problem in problems:
@@ -148,9 +165,19 @@ def main(argv: list[str]) -> int:
                 same = sum(_compare(trees, job.argv, job.output, job.threads) for job in jobs)
                 differing += len(jobs) - same
                 print(f"{name} seed {seed}: {same}/{len(jobs)} jobs identical", flush=True)
-                runs = _state_runs(jobs, work)
-                if not runs:
+                problems = _state_problems(jobs)
+                if not problems:
                     continue
+                same = 0
+                for problem in problems:
+                    decompose = ["decompose", "--input", problem]
+                    pinned, unpinned = (_run(trees[1], decompose, work / "extra.json", None, pin)
+                                        for pin in (True, False))
+                    same += _same(" ".join(decompose) + " pinned to one CPU", pinned, unpinned)
+                differing += len(problems) - same
+                print(f"{name} seed {seed}: {same}/{len(problems)} decompose runs identical "
+                      f"pinned to one CPU and not", flush=True)
+                runs = _state_runs(problems, work)
                 same = failing = refused = 0
                 for run_argv, output in runs:
                     parent, change = (_run(tree, run_argv, output, None) for tree in trees)
