@@ -16,7 +16,6 @@ from sec_transfer import (
     Hamiltonian,
     build_joint_spectrum,
     decompose,
-    e_local_energies,
 )
 
 qutrit = Hamiltonian((0, 1, 2))
@@ -26,8 +25,9 @@ spec = build_joint_spectrum(qutrit, qubit)
 print("qutrit (0,1,2) coupled to qubit (0,1)")
 for block in spec.blocks:
     print(f"  total energy {block.energy}: members {block.members}")
-print("  A-side energies of the E=2 block:", e_local_energies(spec, 2, "A"))
-print("  B-side energies of the E=2 block:", e_local_energies(spec, 2, "B"))
+block = spec.block(2)
+print("  A-side energies of the E=2 block:", [qutrit.energies[a] for a, _ in block.members])
+print("  B-side energies of the E=2 block:", [qubit.energies[b] for _, b in block.members])
 print()
 
 # a correlated pure state touching several blocks

@@ -41,7 +41,6 @@ _HOMES = {
         "NotTwoQubit",
         "NotUnitary",
         "NumericalInvariantError",
-        "RationalSnapError",
         "SecTransferError",
         "Unphysical",
         "ValidationError",
@@ -68,7 +67,6 @@ _HOMES = {
         "plane_scan",
         "plane_scan_gradient",
         "second_order_check",
-        "two_qubit_hamiltonian",
         "two_qubit_spectrum",
     ),
     "spectra": (
@@ -76,8 +74,6 @@ _HOMES = {
         "Hamiltonian",
         "JointSpectrum",
         "build_joint_spectrum",
-        "e_local_energies",
-        "snap_to_rational",
     ),
     "states": (
         "BipartiteState",

@@ -68,9 +68,5 @@ class NotTwoQubit(ValidationError):
     """Operation is defined for 2 x 2 systems only."""
 
 
-class RationalSnapError(ValidationError):
-    """A float could not be snapped to a unique exact rational."""
-
-
 class NegativeTemperatureWarning(UserWarning):
     """A thermal constructor was called with a negative inverse temperature."""

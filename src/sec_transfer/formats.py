@@ -40,7 +40,8 @@ decodes rows 1, 3, 5, ... and sends them down a pipe, while the reading
 process decodes the even ones; each steps over the other's rows.  Text the
 walk does not take (an integer outside int64, duplicate keys, any syntax
 error, ...) is parsed again by ``read_json``, so its errors and values are
-those of ``json.load``.
+those of ``json.load``.  Only a regular file is walked: any other (a pipe)
+is parsed whole, as it is read.
 
 The Bell-plane scan CSV takes few distinct values per column, so each
 distinct value of a scan column (told apart by its bit pattern, so ``-0.0``
@@ -56,6 +57,7 @@ import json
 import math
 import os
 import re
+import stat
 import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -63,7 +65,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BlockMismatch, ValidationError
-from .jsonio import _reject_constant, _require, dump_json, read_json
+from .jsonio import _reject_constant, _require, dump_json, load_json, read_json
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState, StateDecomposition, _Handover
 from .tolerances import ADMISSION
@@ -575,21 +577,25 @@ def _read_problem(path) -> dict:
     A file of at least ``SPLIT_BYTES`` is split with :func:`_walk_split`
     when this process may run on two or more CPUs.  Any text the walk does
     not take is parsed again by :func:`read_json`, so every rejection,
-    message and line/column report is read_json's.
+    message and line/column report is read_json's.  A file that is not a
+    regular file (a pipe, say), which has no size and can be read only
+    once, is parsed whole by :func:`load_json`, never walked.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            size = os.fstat(handle.fileno()).st_size
+    with open(path, "r", encoding="utf-8") as handle:
+        status = os.fstat(handle.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            return load_json(handle, path)
+        try:
             if (
-                size >= SPLIT_BYTES
+                status.st_size >= SPLIT_BYTES
                 and hasattr(os, "fork")
                 and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2
             ):
-                return _walk_split(path, handle, size)
-            return _walk_problem(handle, size)
-    except (_Unwalkable, ValueError, ValidationError, RecursionError):
-        pass  # leaving the handler frees the walk's text and rows before read_json reads the file
+                return _walk_split(path, handle, status.st_size)
+            return _walk_problem(handle, status.st_size)
+        except (_Unwalkable, ValueError, ValidationError, RecursionError):
+            pass  # leaving the handler frees the walk's text and rows before read_json reads the file
     return read_json(path)
 
 

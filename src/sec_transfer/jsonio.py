@@ -48,24 +48,29 @@ def read_json(path):
     naming the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle, parse_constant=_reject_constant)
-        except UnicodeDecodeError as exc:
-            # json.load decodes the whole file at once, so exc.start is a file offset
-            raise ValidationError(
-                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
-                f"at offset {exc.start})"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: malformed JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"
-            ) from None
-        except ValueError as exc:
-            # int() refuses a literal over sys.get_int_max_str_digits() digits
-            detail = str(exc).partition(";")[0]
-            raise ValidationError(f"{path}: JSON number too long to read ({detail})") from None
-        except RecursionError:
-            raise ValidationError(f"{path}: JSON nested too deeply to read") from None
+        return load_json(handle, path)
+
+
+def load_json(handle, path):
+    """:func:`read_json` on ``handle``, a UTF-8 text file not yet read, opened on ``path``."""
+    try:
+        return json.load(handle, parse_constant=_reject_constant)
+    except UnicodeDecodeError as exc:
+        # json.load decodes the whole file at once, so exc.start is a file offset
+        raise ValidationError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start})"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: malformed JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"
+        ) from None
+    except ValueError as exc:
+        # int() refuses a literal over sys.get_int_max_str_digits() digits
+        detail = str(exc).partition(";")[0]
+        raise ValidationError(f"{path}: JSON number too long to read ({detail})") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply to read") from None
 
 
 def format_json(payload: dict) -> str:

@@ -39,13 +39,9 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def two_qubit_hamiltonian() -> Hamiltonian:
-    """The resonant qubit spectrum {0, 1}."""
-    return Hamiltonian((0, 1), labels=("g", "e"))
-
-
 def two_qubit_spectrum() -> JointSpectrum:
-    h = two_qubit_hamiltonian()
+    """The joint spectrum of two resonant qubits, each with levels {0, 1}."""
+    h = Hamiltonian((0, 1), labels=("g", "e"))
     return build_joint_spectrum(h, h)
 
 

@@ -15,9 +15,8 @@ one permuted array, and per-block loops address block ``i`` by
 
 Energies are exact rationals (``fractions.Fraction``), in units where the
 fundamental quantum of energy is 1, so membership of a pair in a block is an
-exact equality test.  Floats are only accepted through an explicit snapping
-path that fails loudly when the target rational is not unique at the given
-tolerance.
+exact equality test.  They enter only as exact values (int, ``Fraction`` or a
+``"p/q"`` string); a float is refused, never rounded to a rational.
 """
 
 from __future__ import annotations
@@ -25,27 +24,18 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import tolerances
-from .errors import (
-    DegenerateSpectrum,
-    RationalSnapError,
-    UnknownBlock,
-    ValidationError,
-)
+from .errors import DegenerateSpectrum, UnknownBlock, ValidationError
 from .twoqubit import check_system
-
-MAX_DENOMINATOR = 10**6  # the largest denominator snap_to_rational returns
 
 
 def as_fraction(value) -> Fraction:
     """Coerce an exact representation (int, Fraction, 'p/q' string) to Fraction.
 
-    Floats are rejected here on purpose; use :func:`snap_to_rational` or
-    ``Hamiltonian.from_floats`` for the lossy path.
+    Floats are refused: an energy is never rounded to a rational.
     """
     if isinstance(value, Fraction):
         return value
@@ -61,55 +51,9 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise ValidationError(
             f"refusing to interpret float {value!r} exactly; "
-            "use snap_to_rational / Hamiltonian.from_floats"
+            "give an energy as an int, a Fraction or a 'p/q' string"
         )
     raise ValidationError(f"cannot interpret {type(value).__name__} as an exact rational")
-
-
-def _convergents(value: Fraction):
-    """Continued-fraction convergents of a rational, simplest first."""
-    h_prev, h_cur = 1, int(value // 1)
-    k_prev, k_cur = 0, 1
-    remainder = value - (value // 1)
-    yield Fraction(h_cur, k_cur)
-    while remainder != 0:
-        flipped = 1 / remainder
-        digit = int(flipped // 1)
-        remainder = flipped - digit
-        h_prev, h_cur = h_cur, digit * h_cur + h_prev
-        k_prev, k_cur = k_cur, digit * k_cur + k_prev
-        yield Fraction(h_cur, k_cur)
-
-
-def snap_to_rational(value: float, rel_tol: float = tolerances.SNAP_REL) -> Fraction:
-    """Snap a float to the unique simple rational within ``rel_tol``.
-
-    Walks the continued-fraction convergents of ``value``, up to denominator
-    ``MAX_DENOMINATOR``, and returns the first one within
-    ``rel_tol * max(1, |value|)``.  The result is accepted
-    only when the tolerance ball cannot contain a second rational of equal
-    or lower denominator (two rationals with denominators up to ``q`` are at
-    least ``1/q**2`` apart); otherwise the call is ambiguous and raises
-    :class:`RationalSnapError`.
-    """
-    if not np.isfinite(value):
-        raise RationalSnapError(f"cannot snap non-finite value {value!r}")
-    tol = rel_tol * max(1.0, abs(value))
-    for candidate in _convergents(Fraction(float(value))):
-        if candidate.denominator > MAX_DENOMINATOR:
-            break
-        if abs(float(candidate) - value) <= tol:
-            qc = candidate.denominator
-            if tol >= 0.5 / (qc * qc):
-                raise RationalSnapError(
-                    f"snapping {value!r} is ambiguous: tolerance {tol:g} admits "
-                    f"more than one rational with denominator <= {qc}"
-                )
-            return candidate
-    raise RationalSnapError(
-        f"no rational with denominator <= {MAX_DENOMINATOR} lies within "
-        f"relative tolerance {rel_tol:g} of {value!r}"
-    )
 
 
 @dataclass(frozen=True)
@@ -135,9 +79,12 @@ class Hamiltonian:
             if lo > hi:
                 raise ValidationError("energies must be strictly increasing")
         try:
-            float(max(energies[-1], -energies[0]))  # the largest magnitude
+            # the largest magnitude, and the spread, which bounds every transfer
+            float(max(energies[-1], -energies[0], energies[-1] - energies[0]))
         except OverflowError:
-            raise ValidationError("Hamiltonian energies must lie within double range") from None
+            raise ValidationError(
+                "Hamiltonian energies and their spread must lie within double range"
+            ) from None
         if self.labels is not None:
             labels = tuple(self.labels)
             if isinstance(self.labels, str) or not all(isinstance(x, str) for x in labels):
@@ -152,17 +99,6 @@ class Hamiltonian:
 
     def energies_float(self) -> np.ndarray:
         return np.array([float(e) for e in self.energies], dtype=float)
-
-    @classmethod
-    def from_floats(
-        cls, values: Iterable[float], labels: Sequence[str] | None = None
-    ) -> "Hamiltonian":
-        """Build from floats by snapping each to an exact rational.
-
-        Each value is snapped within the relative window ``tolerances.SNAP_REL``.
-        """
-        energies = tuple(snap_to_rational(float(v)) for v in values)
-        return cls(energies, labels)
 
 
 @dataclass(frozen=True)
@@ -295,16 +231,3 @@ class JointSpectrum:
 def build_joint_spectrum(h_a: Hamiltonian, h_b: Hamiltonian) -> JointSpectrum:
     """The joint spectrum of two local Hamiltonians; see :class:`JointSpectrum`."""
     return JointSpectrum(h_a, h_b)
-
-
-def e_local_energies(spec: JointSpectrum, energy, system: str) -> list[Fraction]:
-    """Exact local energies of one side of a block, in member order.
-
-    For system A the list is increasing; for system B it is the energies
-    paired with the A levels, hence decreasing.
-    """
-    check_system(system)
-    block = spec.block(energy)
-    if system == "A":
-        return [spec.h_a.energies[a] for a, _ in block.members]
-    return [spec.h_b.energies[b] for _, b in block.members]

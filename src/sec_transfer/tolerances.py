@@ -11,9 +11,8 @@ keys are the entries of ``DEFAULTS``:
 Their default values also serve, without override, every other probability
 sum (``TRACE``) and the sign check on populations the optimizers rearrange
 (``PSD``).  The other values are fixed: no function takes a parameter that
-overrides one, except the snapping window ``SNAP_REL``, which
-``snap_to_rational`` also takes as ``rel_tol``.  The thresholds of individual
-``verify`` properties live with those properties, not here.
+overrides one.  The thresholds of individual ``verify`` properties live with
+those properties, not here.
 ``DEFAULT_SEED``, the seed ``verify`` runs when given none, is kept here so
 the command line can name it without importing the registry and numpy.
 """
@@ -45,8 +44,6 @@ PASSIVITY_EQ = 1e-12
 TRANSFER_NOISE = 1e-12
 # how far a two-qubit closed-form input may stray outside its domain
 QUBIT_DOMAIN = 1e-12
-# relative window in which a float is snapped to a rational energy
-SNAP_REL = 1e-9
 
 DEFAULT_SEED = 20240801
 

@@ -8,6 +8,7 @@ stderr.
 import errno
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -225,6 +226,33 @@ def test_two_keys_naming_one_energy_keep_the_later_block(swap_last, tmp_path, ca
 def test_problem_file_must_be_an_object(tmp_path, capsys):
     path = _write(tmp_path, [1, 2])
     assert _exit_code(["decompose", "--input", path], capsys) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="reads /dev/stdin")
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (json.dumps(_problem(state=_state())).encode(), 0),
+        (b'{"h_a":\n  [1, 2,]}', 2),
+        (b'{"h_a": "caf\xff"}', 2),
+    ],
+    ids=["valid", "malformed", "not-utf8"],
+)
+def test_problem_file_read_from_a_pipe_reads_as_by_path(text, code, tmp_path):
+    """A pipe has no size and reads once: it is parsed whole, as the same file by path."""
+    path = tmp_path / "problem.json"
+    path.write_bytes(text)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    piped, by_path = (
+        subprocess.run([sys.executable, "-m", "sec_transfer.cli", "decompose", "--input", name],
+                       input=text, env=env, capture_output=True, timeout=120)
+        for name in ["/dev/stdin", str(path)]
+    )
+    assert piped.returncode == by_path.returncode == code
+    assert piped.stdout == by_path.stdout
+    assert piped.stderr == by_path.stderr.replace(str(path).encode(), b"/dev/stdin")
+    if code:
+        assert piped.stderr.count(b"\n") == 1 and b"/dev/stdin: " in piped.stderr
 
 
 def test_monte_carlo_rejects_zero_samples(tmp_path, capsys):
@@ -475,6 +503,22 @@ def test_numbers_too_large_for_a_double_exit_2(tmp_path, capsys):
     assert _exit_code(["decompose", "--input", problem], capsys) == 2
     with pytest.raises(ValidationError, match="within double range"):
         formats.hamiltonian_from_json(huge)
+    # each level within range, their spread past it: a transfer would overflow
+    wide = {"energies": [[-15 * 10**307, 1], [15 * 10**307, 1]]}
+    on_01 = np.zeros((4, 4))
+    on_01[1, 1] = 1
+    runs = [
+        (_problem(h_a=wide, state=_state()), ["analyze", "--target", "A", "--seed", "1"]),
+        ({"h_a": wide, "h_b": wide, "state": _state(re=on_01.tolist())},
+         ["optimize", "--target", "A"]),
+        ({"h_a": wide, "h_b": wide, "state": _state(re=on_01.tolist())},
+         ["classify", "--target", "A", "--beta-a", "0", "--beta-b", "0"]),
+    ]
+    for payload, argv in runs:
+        problem = _write(tmp_path, payload)
+        assert _exit_code(argv + ["--input", problem], capsys) == 2
+    with pytest.raises(ValidationError, match="spread must lie within double range"):
+        formats.hamiltonian_from_json(wide)
 
 
 @pytest.mark.parametrize(

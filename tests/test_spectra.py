@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from sec_transfer import (
     DegenerateSpectrum,
     Hamiltonian,
-    RationalSnapError,
-    UnknownBlock,
     ValidationError,
     build_joint_spectrum,
-    e_local_energies,
-    snap_to_rational,
 )
 
 
@@ -59,23 +55,6 @@ def test_blocks_sorted_and_members_by_a_energy():
         assert a_indices == sorted(a_indices)
 
 
-def test_e_local_energies_two_qubit():
-    spec = spectrum([0, 1], [0, 1])
-    assert e_local_energies(spec, 1, "A") == [0, 1]
-
-
-def test_e_local_energies_qutrit_qubit():
-    spec = spectrum([0, 1, 2], [0, 1])
-    assert e_local_energies(spec, 2, "A") == [1, 2]
-    assert e_local_energies(spec, 2, "B") == [1, 0]
-
-
-def test_e_local_energies_unknown_block():
-    spec = spectrum([0, 1], [0, 1])
-    with pytest.raises(UnknownBlock):
-        e_local_energies(spec, Fraction(7, 2), "A")
-
-
 def test_degenerate_spectrum_rejected():
     with pytest.raises(DegenerateSpectrum):
         Hamiltonian((0, 1, 1))
@@ -91,39 +70,16 @@ def test_single_level_rejected():
         Hamiltonian((0,))
 
 
-def test_float_energies_need_snapping_path():
-    with pytest.raises(ValidationError):
+def test_float_energies_are_refused():
+    with pytest.raises(ValidationError, match="an int, a Fraction or a 'p/q' string"):
         Hamiltonian((0.0, 1.0))
-    h = Hamiltonian.from_floats([0.0, 0.5, 1.0])
-    assert h.energies == (Fraction(0), Fraction(1, 2), Fraction(1))
+    with pytest.raises(ValidationError, match="float 0.5"):
+        Hamiltonian((0, 0.5))
 
 
 def test_rational_energies_from_strings():
     h = Hamiltonian(("0", "1/3", "2/3"))
     assert h.energies[1] == Fraction(1, 3)
-
-
-def test_snap_exact_thirds():
-    assert snap_to_rational(1 / 3) == Fraction(1, 3)
-    assert snap_to_rational(0.5) == Fraction(1, 2)
-    assert snap_to_rational(-2.25) == Fraction(-9, 4)
-
-
-def test_snap_rejects_unresolvable():
-    # needs denominator ~1e8, beyond both the cap and the ambiguity guard
-    with pytest.raises(RationalSnapError):
-        snap_to_rational(0.333333331234, rel_tol=1e-12)
-
-
-def test_snap_rejects_ambiguous_tolerance():
-    # the nearest convergent is 9/73, but at rel_tol 1e-3 the window also
-    # holds simpler fractions such as 8/65
-    with pytest.raises(RationalSnapError, match="ambiguous"):
-        snap_to_rational(0.123456789, rel_tol=1e-3)
-
-
-def test_snap_accepts_unambiguous_loose_tolerance():
-    assert snap_to_rational(0.3337777, rel_tol=2e-3) == Fraction(1, 3)
 
 
 def test_block_dimensions_sum_to_total(qutrit_qubit_spec):
@@ -187,19 +143,11 @@ def qutrit_qubit_spec():
     "labels", ["ge", (None, True), ("g", 1), [b"g", b"e"]],
     ids=["bare-string", "null-and-bool", "mixed", "bytes"],
 )
-@pytest.mark.parametrize("build", ["exact", "from-floats"])
-def test_labels_are_strings_never_coerced(labels, build):
+def test_labels_are_strings_never_coerced(labels):
     with pytest.raises(ValidationError, match="labels"):
-        if build == "exact":
-            Hamiltonian((0, 1), labels=labels)
-        else:
-            Hamiltonian.from_floats([0.0, 1.0], labels=labels)
+        Hamiltonian((0, 1), labels=labels)
 
 
-@pytest.mark.parametrize("build", ["exact", "from-floats"])
-def test_labels_given_as_strings_are_kept_as_a_tuple(build):
-    if build == "exact":
-        h = Hamiltonian((0, 1), labels=["g", "e"])
-    else:
-        h = Hamiltonian.from_floats([0.0, 1.0], labels=["g", "e"])
+def test_labels_given_as_strings_are_kept_as_a_tuple():
+    h = Hamiltonian((0, 1), labels=["g", "e"])
     assert h.labels == ("g", "e")

@@ -8,6 +8,7 @@ byte for byte (at 80 columns).
 """
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -32,8 +33,8 @@ PUBLIC = {
     "errors": [
         "BlockMismatch", "DegenerateSpectrum", "DimensionMismatch", "LengthMismatch",
         "NegativeTemperatureWarning", "NotAState", "NotMaxActive", "NotPassive", "NotTwoQubit",
-        "NotUnitary", "NumericalInvariantError", "RationalSnapError", "SecTransferError",
-        "Unphysical", "ValidationError", "UnknownBlock",
+        "NotUnitary", "NumericalInvariantError", "SecTransferError", "Unphysical",
+        "ValidationError", "UnknownBlock",
     ],
     "optimize": [
         "OptimizationResult", "check_coherence_bound", "max_active_rearrange",
@@ -43,12 +44,10 @@ PUBLIC = {
         "BellDiagParams", "PlaneScan", "SecParams2Q", "bell_correlations",
         "bell_diagonal_state", "concurrence_bell_diagonal", "concurrence_directional_derivative",
         "concurrence_wootters", "max_transfer_vs_concurrence", "plane_scan",
-        "plane_scan_gradient", "second_order_check", "two_qubit_hamiltonian",
-        "two_qubit_spectrum",
+        "plane_scan_gradient", "second_order_check", "two_qubit_spectrum",
     ],
     "spectra": [
         "EnergyBlock", "Hamiltonian", "JointSpectrum", "build_joint_spectrum",
-        "e_local_energies", "snap_to_rational",
     ],
     "states": [
         "BipartiteState", "StateDecomposition", "decompose", "local_energy", "partial_trace",
@@ -125,9 +124,9 @@ def _cli(tmp_path, argv: list[str]) -> tuple[subprocess.CompletedProcess, bool]:
     return done, report.read_text() == "True"
 
 
-def test_all_is_the_71_public_names():
+def test_all_is_the_67_public_names():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 71
+    assert len(names) == 67
     assert sorted(sec_transfer.__all__) == names
 
 
@@ -136,6 +135,27 @@ def test_public_names_are_the_objects_of_their_home_modules(home):
     module = importlib.import_module(f"sec_transfer.{home}")
     for name in PUBLIC[home]:
         assert getattr(sec_transfer, name) is getattr(module, name), name
+
+
+def test_every_tolerance_parameter_is_one_the_command_line_reaches():
+    # README: the only tolerance parameters are those --tolerance sets
+    callables = []
+    for name in sec_transfer.__all__:
+        value = getattr(sec_transfer, name)
+        if inspect.isclass(value):
+            for attr in vars(value).values():
+                attr = getattr(attr, "__func__", attr)  # classmethod and staticmethod
+                if inspect.isfunction(attr):
+                    callables.append(attr)
+        elif callable(value):
+            callables.append(value)
+    found = {
+        param
+        for func in callables
+        for param in inspect.signature(func).parameters
+        if param.endswith("_tol")
+    }
+    assert found == {"herm_tol", "trace_tol", "psd_tol", "split_tol"}
 
 
 @pytest.mark.parametrize("new, old, names", MOVED, ids=[f"{old}-{new}" for new, old, _ in MOVED])

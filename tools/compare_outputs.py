@@ -26,8 +26,11 @@ one CPU (``os.sched_setaffinity`` in the child before it starts), so that it
 walks the file in one process, and once unpinned, so that a file of at least
 ``formats.SPLIT_BYTES`` is split between the CLI process and a forked
 helper; both runs must give the same exit code, stdout, stderr and output
-bytes.  ``verify --output`` at its default seed, and ``bell-scan`` without
-``--output``, are compared once.
+bytes.  A third ``decompose`` under the change tree reads the same file as
+``--input /dev/stdin``, fed from a pipe, which is never walked or split but
+parsed whole; it must give the same exit code, stdout and stderr as the
+unpinned run by path.  ``verify --output`` at its default seed, and
+``bell-scan`` without ``--output``, are compared once.
 Last, every ``demos/*.py`` of either tree runs as that tree's own script
 against that tree's ``src``, each run in a fresh working directory; both runs
 must give the same exit code, stdout, stderr and files left in that
@@ -68,12 +71,15 @@ def _one_cpu() -> None:
 
 
 def _run(tree: Path, argv: list[str], output: Path, threads: int | None,
-         pinned: bool = False) -> tuple:
-    """Exit code, stdout, stderr and output bytes of one CLI run under ``tree``."""
+         pinned: bool = False, piped: bytes | None = None) -> tuple:
+    """Exit code, stdout, stderr and output bytes of one CLI run under ``tree``.
+
+    ``piped``, if given, is written to the run's stdin through a pipe.
+    """
     output.unlink(missing_ok=True)
     done = subprocess.run([sys.executable, "-m", "sec_transfer.cli", *argv],
                           env=_env(tree, threads), capture_output=True, timeout=600,
-                          preexec_fn=_one_cpu if pinned else None)
+                          preexec_fn=_one_cpu if pinned else None, input=piped)
     written = output.read_bytes() if output.exists() else None
     output.unlink(missing_ok=True)
     return done.returncode, done.stdout, done.stderr, written
@@ -168,15 +174,19 @@ def main(argv: list[str]) -> int:
                 problems = _state_problems(jobs)
                 if not problems:
                     continue
-                same = 0
+                same = same_piped = 0
                 for problem in problems:
                     decompose = ["decompose", "--input", problem]
                     pinned, unpinned = (_run(trees[1], decompose, work / "extra.json", None, pin)
                                         for pin in (True, False))
                     same += _same(" ".join(decompose) + " pinned to one CPU", pinned, unpinned)
-                differing += len(problems) - same
+                    piped = _run(trees[1], ["decompose", "--input", "/dev/stdin"],
+                                 work / "extra.json", None, piped=Path(problem).read_bytes())
+                    same_piped += _same(" ".join(decompose) + " fed from a pipe", unpinned, piped)
+                differing += 2 * len(problems) - same - same_piped
                 print(f"{name} seed {seed}: {same}/{len(problems)} decompose runs identical "
-                      f"pinned to one CPU and not", flush=True)
+                      f"pinned to one CPU and not, {same_piped}/{len(problems)} fed from a "
+                      f"pipe and by path", flush=True)
                 runs = _state_runs(problems, work)
                 same = failing = refused = 0
                 for run_argv, output in runs:
