@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sec_transfer import (
     DegenerateSpectrum,
     Hamiltonian,
+    UnknownBlock,
     ValidationError,
     build_joint_spectrum,
 )
@@ -55,6 +56,30 @@ def test_blocks_sorted_and_members_by_a_energy():
         assert a_indices == sorted(a_indices)
 
 
+def local_energies(spec, energy):
+    """The A and B level of every member of the block at ``energy``."""
+    members = spec.block(energy).members
+    return [spec.h_a.energies[a] for a, _ in members], [spec.h_b.energies[b] for _, b in members]
+
+
+def test_block_members_give_local_energies_two_qubit():
+    assert local_energies(spectrum([0, 1], [0, 1]), 1) == ([0, 1], [1, 0])
+
+
+def test_block_members_give_local_energies_qutrit_qubit():
+    spec = spectrum([0, 1, 2], [0, 1])
+    assert local_energies(spec, 2) == ([1, 2], [1, 0])
+    assert local_energies(spec, "3") == ([2], [1])
+
+
+def test_block_of_an_unknown_energy_is_refused():
+    spec = spectrum([0, 1], [0, 1])
+    with pytest.raises(UnknownBlock, match="no block with total energy 7/2"):
+        spec.block(Fraction(7, 2))
+    with pytest.raises(ValidationError, match="float 1.0"):
+        spec.block(1.0)
+
+
 def test_degenerate_spectrum_rejected():
     with pytest.raises(DegenerateSpectrum):
         Hamiltonian((0, 1, 1))
@@ -75,6 +100,41 @@ def test_float_energies_are_refused():
         Hamiltonian((0.0, 1.0))
     with pytest.raises(ValidationError, match="float 0.5"):
         Hamiltonian((0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.float64(0.5), "an int, a Fraction or a 'p/q' string"),
+        (float("nan"), "float nan"),
+        (float("inf"), "float inf"),
+        (True, "cannot interpret True as an exact rational"),
+        (None, "cannot interpret NoneType as an exact rational"),
+        ("1/0", "cannot parse '1/0' as a rational"),
+        ("1e", "cannot parse '1e' as a rational"),
+    ],
+    ids=["numpy-float", "nan", "inf", "bool", "none", "zero-denominator", "not-a-number"],
+)
+def test_energies_that_are_not_exact_rationals_are_refused(value, message):
+    with pytest.raises(ValidationError, match=message):
+        Hamiltonian((-1, value))
+
+
+@pytest.mark.parametrize(
+    "energies",
+    [(-15 * 10**307, 15 * 10**307), (-8 * 10**307, 0, 10**308)],
+    ids=["two-levels", "three-levels"],
+)
+def test_level_spread_past_double_range_is_refused(energies):
+    # every level is a finite double; max E - min E, which bounds a transfer, is not
+    assert all(abs(float(e)) < float("inf") for e in energies)
+    with pytest.raises(ValidationError, match="spread must lie within double range"):
+        Hamiltonian(energies)
+
+
+def test_level_spread_within_double_range_is_kept():
+    h = Hamiltonian((-8 * 10**307, 0, 8 * 10**307))
+    assert float(h.energies[-1] - h.energies[0]) == 1.6e308
 
 
 def test_rational_energies_from_strings():
