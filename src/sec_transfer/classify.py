@@ -170,7 +170,9 @@ def gibbs_probabilities(h: Hamiltonian, beta: float) -> np.ndarray:
     """Thermal populations exp(-beta*e)/Z, computed with overflow shifting."""
     energies = h.energies_float()
     shift = energies.min() if beta >= 0 else energies.max()
-    weights = np.exp(-beta * (energies - shift))
+    # an exponent (at most 0) that overflows to -inf gives weight 0, the exact limit
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * (energies - shift))
     return weights / weights.sum()
 
 
@@ -194,7 +196,7 @@ def thermal_product(
                 stacklevel=2,
             )
     probs = np.kron(gibbs_probabilities(h_a, beta_a), gibbs_probabilities(h_b, beta_b))
-    return BipartiteState.diagonal(probs, (h_a.dim, h_b.dim))
+    return BipartiteState(np.diag(probs.astype(complex)), (h_a.dim, h_b.dim), validate=False)
 
 
 def passive_max_active_product(
@@ -223,7 +225,7 @@ def passive_max_active_product(
             raise ValidationError(f"{name} must be nonnegative")
         if abs(p.sum() - 1.0) > tolerances.TRACE:
             raise ValidationError(
-                f"{name} must sum to 1 within {tolerances.TRACE:g}, got {p.sum()!r}"
+                f"{name} must sum to 1 within {tolerances.TRACE:g}, got {float(p.sum())!r}"
             )
     eq = tolerances.PASSIVITY_EQ
     if np.any(pa[1:] > pa[:-1] + eq):
@@ -234,5 +236,7 @@ def passive_max_active_product(
         raise NotMaxActive(
             f"probs_b must be non-decreasing with energy (slack {eq:g}) to be maximally active"
         )
-    return BipartiteState.diagonal(np.kron(pa, pb), (h_a.dim, h_b.dim))
+    # not admitted again: its trace may stray by both sums' bounds, a state no input named
+    return BipartiteState(np.diag(np.kron(pa, pb).astype(complex)), (h_a.dim, h_b.dim),
+                          validate=False)
 

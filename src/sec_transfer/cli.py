@@ -17,13 +17,15 @@ that samples requires an explicit ``--seed``.  ``--help`` and ``qubit-max``
 run without importing numpy: this module imports only numpy-free modules, and
 reads every other public name from the package, which imports only that
 name's home module, on first use.  :func:`run` calls those layers as
-attributes of this module, so a wrapper set on it is the one that runs.  The
-SEC_TRANSFER_THREADS environment variable caps worker threads inside the
-Monte-Carlo search.  It does not govern the problem-file walk: a file of at
-least ``formats.SPLIT_BYTES`` read by a process allowed on two or more CPUs
-is decoded with one forked helper process, which never returns into this
-module and is reaped before the state is admitted (``taskset -c 0`` keeps
-the walk in one process).
+attributes of this module, so a wrapper set on it is the one that runs.
+
+A problem file's state is judged once, at admission under the run's
+tolerances; no later step refuses it.  The CPUs this process may run on
+(``os.sched_getaffinity``; ``taskset -c 0`` narrows them to one) size all
+parallel work: the Monte-Carlo search runs one thread per chunk of samples
+up to that count, and a file of at least ``formats.SPLIT_BYTES`` read on
+two or more CPUs is decoded with one forked helper process, which never
+returns into this module and is reaped before the state is admitted.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ def _write_report(args: argparse.Namespace, payload: dict, dump) -> None:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
     tol = _parse_tolerances(args)
+    if args.input is not None and args.command in ("bell-scan", "verify"):
+        raise ValidationError(f"{args.command} does not use --input")
 
     if args.command == "qubit-max":
         if args.input is None:
@@ -128,7 +132,6 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "decompose":
         _, _, spec, state = _load_state(args, tol)
         decomp = cli.decompose(state, spec)
-        decomp.validate(trace_tol=tol["trace"])
         names = [formats.fraction_key(e) for e in spec.energies]
         probs = [decomp.probs[spec.layout.span(i)] for i in range(len(names))]
         payload = {

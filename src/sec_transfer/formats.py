@@ -35,13 +35,14 @@ arrays one row at a time, each row checked to hold only numbers and copied
 into a float64 buffer.  Neither the file's whole text nor a D = 1024 state
 as 2 D^2 Python floats (about 64 MB against the 16 MB complex matrix) is ever
 held.  A file of at least ``SPLIT_BYTES``, read by a process allowed to run
-on two or more CPUs, is walked by two processes at once: a forked helper
-decodes rows 1, 3, 5, ... and sends them down a pipe, while the reading
-process decodes the even ones; each steps over the other's rows.  Text the
-walk does not take (an integer outside int64, duplicate keys, any syntax
-error, ...) is parsed again by ``read_json``, so its errors and values are
-those of ``json.load``.  Only a regular file is walked: any other (a pipe)
-is parsed whole, as it is read.
+on two or more CPUs (the count that also sizes the Monte-Carlo search), is
+walked by two processes at once: a forked helper decodes rows 1, 3, 5, ...
+and sends them down a pipe, while the reading process decodes the even
+ones; each steps over the other's rows.  Text the walk does not take (an
+integer outside int64, duplicate keys, any syntax error, ...) is parsed
+again by ``read_json``, so its errors and values are those of
+``json.load``.  Only a regular file is walked: any other (a pipe) is parsed
+whole, as it is read.
 
 The Bell-plane scan CSV takes few distinct values per column, so each
 distinct value of a scan column (told apart by its bit pattern, so ``-0.0``
@@ -67,7 +68,7 @@ import numpy as np
 from .errors import BlockMismatch, ValidationError
 from .jsonio import _reject_constant, _require, dump_json, load_json, read_json
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
-from .states import BipartiteState, StateDecomposition, _Handover
+from .states import BipartiteState, StateDecomposition, _Handover, _usable_cpus
 from .tolerances import ADMISSION
 
 if TYPE_CHECKING:  # the report types, named only in annotations
@@ -575,9 +576,10 @@ def _read_problem(path) -> dict:
     """A problem file's JSON, streamed, with its state arrays read row by row where possible.
 
     A file of at least ``SPLIT_BYTES`` is split with :func:`_walk_split`
-    when this process may run on two or more CPUs.  Any text the walk does
-    not take is parsed again by :func:`read_json`, so every rejection,
-    message and line/column report is read_json's.  A file that is not a
+    when this process may run on two or more CPUs, as
+    :func:`~sec_transfer.states._usable_cpus` counts them.  Any text the
+    walk does not take is parsed again by :func:`read_json`, so every
+    rejection, message and line/column report is read_json's.  A file that is not a
     regular file (a pipe, say), which has no size and can be read only
     once, is parsed whole by :func:`load_json`, never walked.
     """
@@ -586,12 +588,7 @@ def _read_problem(path) -> dict:
         if not stat.S_ISREG(status.st_mode):
             return load_json(handle, path)
         try:
-            if (
-                status.st_size >= SPLIT_BYTES
-                and hasattr(os, "fork")
-                and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2
-            ):
+            if status.st_size >= SPLIT_BYTES and hasattr(os, "fork") and _usable_cpus() >= 2:
                 return _walk_split(path, handle, status.st_size)
             return _walk_problem(handle, status.st_size)
         except (_Unwalkable, ValueError, ValidationError, RecursionError):

@@ -27,7 +27,6 @@ conserved, so the two transfers are opposite.  This is how
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +34,9 @@ import numpy as np
 from . import tolerances
 from .errors import BlockMismatch, LengthMismatch, ValidationError
 from .spectra import JointSpectrum, check_system
-from .states import BipartiteState, StateDecomposition, decompose
+from .states import BipartiteState, StateDecomposition, _usable_cpus, decompose
 from .transfer import batch_transfers, transfer_direct
 from .unitaries import SAMPLE_CHUNK, SecUnitary, sample_haar_blocks
-
-THREADS_ENV = "SEC_TRANSFER_THREADS"
 
 METHOD_DIAGONAL = "diagonal_exact"
 METHOD_BLOCK_EIGEN = "block_eigen_exact"
@@ -56,39 +53,20 @@ class OptimizationResult:
     samples: int | None = None
 
 
-def thread_count() -> int:
-    """Worker cap for sampling loops, from the SEC_TRANSFER_THREADS env var.
-
-    Unset or empty means one thread, and so does any value below 1.
-    """
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw.strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def max_active_rearrange(probs, energies) -> tuple[list[int], np.ndarray]:
     """Pair the largest probability with the largest energy.
 
     Returns ``(perm, rearranged)`` with ``rearranged[m] = probs[perm[m]]``;
     the rearranged vector is the maximum-energy ordering of the given
     populations.  Ties keep index order, so an input that is already
-    maximally active over increasing energies maps to the identity.
+    maximally active over increasing energies maps to the identity.  The
+    populations are taken as they are: those of an admitted state may dip
+    below zero by as much as its ``psd`` tolerance allows.
     """
     probs = np.asarray(probs, dtype=float)
     if len(probs) != len(energies):
         raise LengthMismatch(
             f"{len(probs)} probabilities paired with {len(energies)} energies"
-        )
-    # tolerate the same slack that state admission grants the spectrum
-    if np.any(probs < -tolerances.PSD):
-        raise ValidationError(
-            "probabilities must be nonnegative "
-            f"(slack {tolerances.PSD:g} for admitted states)"
         )
     positions = sorted(range(len(probs)), key=lambda m: (energies[m], m))
     order = sorted(range(len(probs)), key=lambda i: (probs[i], i))
@@ -180,11 +158,12 @@ def monte_carlo_max(
 ) -> OptimizationResult:
     """Best transfer over ``n_samples`` Haar-random unitaries.
 
-    Samples are drawn and evaluated in chunks of ``SAMPLE_CHUNK``, on
-    SEC_TRANSFER_THREADS threads; ties go to the earliest sample, whatever the
-    schedule, so the result is deterministic for a given seed.  The winner's
-    blocks are copied so no chunk outlives its turn, and the reported value
-    is re-evaluated through dense evolution of that unitary.
+    Samples are drawn and evaluated in chunks of ``SAMPLE_CHUNK``, on one
+    thread per chunk up to the CPUs this process may run on; ties go to the
+    earliest sample, whatever the schedule, so the result is deterministic
+    for a given seed.  The winner's blocks are copied so no chunk outlives
+    its turn, and the reported value is re-evaluated through dense
+    evolution of that unitary.
     """
     check_system(target)
     if n_samples < 1:
@@ -203,8 +182,8 @@ def monte_carlo_max(
         blocks = [stack[inner].copy() for stack in batch]
         return float(totals[inner]), start + inner, blocks
 
-    workers = thread_count()
-    if workers > 1 and len(chunks) > 1:
+    workers = min(len(chunks), _usable_cpus())
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -33,7 +33,10 @@ factorisation's rounding, so a certified state is one the lowest
 eigenvalue would admit too.  When the factorisation fails,
 ``eigvalsh`` decides and its lowest eigenvalue words the rejection, so
 every accept or reject decision and every message is that of the
-eigenvalue test.  The checks share one D x D work buffer.
+eigenvalue test.  The checks share one D x D work buffer.  Admission is
+the one judge of a state, under the run's tolerances: nothing built from
+an admitted state (its decomposition, the populations an optimizer
+rearranges) is checked again.
 
 Conventions
 -----------
@@ -46,6 +49,8 @@ Conventions
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -67,6 +72,11 @@ class _Handover:
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (1 where unknown): the width of all parallel work."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class BipartiteState:
@@ -288,32 +298,6 @@ class StateDecomposition:
     def diagonal_state(self) -> BipartiteState:
         """The dephased state: diagonal part only."""
         return self.reassemble(False, False)
-
-    def validate(self, trace_tol: float = tolerances.TRACE) -> None:
-        """Check the structural invariants; raises ValidationError on failure."""
-        layout = self.spectrum.layout
-        spans = [layout.span(i) for i in range(len(layout.dims))]
-        total = sum(float(self.probs[span].sum()) for span in spans)
-        if abs(total - 1.0) > trace_tol:
-            raise ValidationError(
-                f"block probabilities sum to {total!r}, off by more than {trace_tol:g}"
-            )
-        for i in self._same:
-            alpha, energy = self._same[i], self.spectrum.energies[i]
-            diag = np.abs(np.diag(alpha))
-            if diag.max(initial=0.0) != 0.0:
-                raise ValidationError(
-                    f"same-energy coherence block E={energy} has nonzero diagonal"
-                )
-            probs = self.probs[spans[i]]
-            bound = np.outer(probs, probs)
-            # 2x2 principal minors of a positive matrix
-            if np.any(np.abs(alpha) ** 2 > bound + tolerances.POPULATION_BOUND):
-                raise ValidationError(
-                    f"coherence magnitudes in block E={energy} exceed the "
-                    "population bound |alpha_ij|^2 <= p_i p_j "
-                    f"(slack {tolerances.POPULATION_BOUND:g})"
-                )
 
 
 def decompose(state: BipartiteState, spec: JointSpectrum) -> StateDecomposition:

@@ -4,15 +4,14 @@ Four of them can be overridden per run with ``--tolerance KEY=VAL``; their
 keys are the entries of ``DEFAULTS``:
 
 * ``herm`` - state admission, max ``|rho - rho^dagger|``;
-* ``trace`` - state admission and the block-probability sum, ``|sum - 1|``;
+* ``trace`` - state admission, ``|trace - 1|``;
 * ``psd`` - state admission, how far the lowest eigenvalue may dip below 0;
 * ``split`` - the transfer split, ``|total - diagonal - coherent|``.
 
-Their default values also serve, without override, every other probability
-sum (``TRACE``) and the sign check on populations the optimizers rearrange
-(``PSD``).  The other values are fixed: no function takes a parameter that
-overrides one.  The thresholds of individual ``verify`` properties live with
-those properties, not here.
+The default of ``trace`` also bounds, without override, every other
+probability sum (``TRACE``).  The other values are fixed: no function takes
+a parameter that overrides one.  The thresholds of individual ``verify``
+properties live with those properties, not here.
 ``DEFAULT_SEED``, the seed ``verify`` runs when given none, is kept here so
 the command line can name it without importing the registry and numpy.
 """
@@ -30,7 +29,7 @@ SPLIT = 1e-12
 
 # entries of a decomposition below this magnitude are stored as exact zeros
 ZERO = 1e-15
-# |alpha_ij|^2 <= p_i p_j may be exceeded by this much (2x2 principal minors)
+# |alpha|^2 <= p01 p10 of two-qubit parameters may be exceeded by this much
 POPULATION_BOUND = 1e-12
 # max |U^dagger U - I| of an admitted block unitary
 UNITARITY = 1e-12

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -561,3 +562,84 @@ def test_coherence_too_large_to_square_exits_2(tmp_path, capsys):
     assert _exit_code(["qubit-max", "--input", path, "--target", "A"], capsys) == 2
     with pytest.raises(ValidationError, match="coherence too large"):
         TwoQubitParams(0.25, 0.25, 0.25, 0.25, alpha=complex(1e200, 0.0))
+
+
+LADDER_3 = {"energies": [[0, 1], [1, 1], [2, 1]]}
+# a 3 x 3 ladder state whose flat trace admission reads as exactly 1 at trace=0,
+# while its block sums, added in block order, give 0.9999999999999998
+BLOCK_ORDER_SUM = np.diag([
+    0.2055887832918213, 0.1915047953483203, 0.03590512016677543, 0.02339526104813214,
+    0.13578994394768917, 0.05975588516890474, 0.0948730597760198, 0.11641186405933618,
+    0.13677528719300086,
+])
+# the |01><10| coherence passes p01 p10 by 4e-11: lowest eigenvalue -8e-11, within psd
+POPULATION_BOUND = np.diag([0.25, 0.3, 0.2, 0.25])
+POPULATION_BOUND[1, 2] = POPULATION_BOUND[2, 1] = np.sqrt(0.06 + 4e-11)
+# admitted states, each at the edge of a bound that a second check could apply
+EDGE_STATES = {
+    "block-order-sum": (
+        {"h_a": LADDER_3, "h_b": LADDER_3, "state": {
+            "dims": [3, 3], "re": BLOCK_ORDER_SUM.tolist(), "im": np.zeros((9, 9)).tolist()}},
+        ["--tolerance", "trace=0"],
+    ),
+    "population-bound": (_problem(state=_state(re=POPULATION_BOUND.tolist())), []),
+    "negative-population": (
+        _problem(state=_state(re=np.diag([0.4, -5e-7, 0.3, 0.3 + 5e-7]).tolist())),
+        ["--tolerance", "psd=1e-6"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_STATES))
+def test_an_admitted_state_is_never_judged_again(case, tmp_path, capsys):
+    payload, flags = EDGE_STATES[case]
+    path = _write(tmp_path, payload)
+    for argv in (["decompose"], ["analyze", "--seed", "1", "--target", "A"],
+                 ["optimize", "--target", "A"], ["classify", "--target", "A"],
+                 ["optimize", "--method", "diagonal", "--target", "A"]):
+        assert main(argv + ["--input", path] + flags) == 0, argv
+        assert capsys.readouterr().err == ""
+
+
+def test_a_product_of_checked_marginals_is_not_admitted_again(tmp_path, capsys):
+    # each marginal is within its own 1e-12 sum bound; their product's trace is not
+    path = _write(tmp_path, _problem())
+    argv = ["classify", "--input", path, "--target", "A",
+            "--probs-a", "0.6,0.4000000000009", "--probs-b", "0.3,0.7000000000009"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["direction"] == "A_from_B"
+
+
+@pytest.mark.parametrize("command", ["bell-scan", "verify"])
+def test_input_a_subcommand_never_reads_is_refused(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--input", str(tmp_path / "missing.json"), "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"validation error: {command} does not use --input\n"
+    assert not out.exists()
+
+
+def test_thermal_weight_that_overflows_to_zero_is_silent(tmp_path, capsys):
+    from sec_transfer import Hamiltonian, gibbs_probabilities
+
+    wide = {"energies": [[0, 1], [17 * 10**307, 1]]}
+    path = _write(tmp_path, {"h_a": wide, "h_b": wide})
+    argv = ["classify", "--input", path, "--target", "B", "--beta-a", "1e300", "--beta-b", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+        probs = gibbs_probabilities(Hamiltonian([0, 17 * 10**307]), 1e300)
+    assert capsys.readouterr().err == ""
+    assert probs.tolist() == [1.0, 0.0]
+
+
+def test_unnormalised_marginal_is_named_with_a_plain_float(tmp_path, capsys):
+    path = _write(tmp_path, _problem())
+    argv = ["classify", "--input", path, "--target", "A",
+            "--probs-a", "0.6,0.4000001", "--probs-b", "0.3,0.7"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "validation error: probs_a must sum to 1 within 1e-12, got 1.0000001\n"
+    )

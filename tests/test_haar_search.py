@@ -2,8 +2,10 @@
 
 The search must return what a single unchunked pass over all samples
 returns: the largest total, the earliest sample on ties, and that sample's
-exact blocks, whatever the thread count.
+exact blocks, whatever the number of CPUs the process may run on.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -26,12 +28,9 @@ def _one_pass(state, spec, n, seed):
     return batch, batch_transfers(decompose(state, spec), batch, "A").total
 
 
-@pytest.fixture(params=[None, "2"], ids=["threads-unset", "threads-2"])
+@pytest.fixture(params=[{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
 def threads(request, monkeypatch):
-    if request.param is None:
-        monkeypatch.delenv("SEC_TRANSFER_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SEC_TRANSFER_THREADS", request.param)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: request.param, raising=False)
 
 
 @pytest.mark.parametrize("n", COUNTS)
@@ -61,15 +60,29 @@ def test_monte_carlo_draws_nothing_after_the_search(rng, monkeypatch):
     assert drawn == [(0, SAMPLE_CHUNK), (SAMPLE_CHUNK, 10)]
 
 
-def test_an_empty_thread_variable_counts_as_unset(rng, monkeypatch):
+def test_result_bytes_do_not_depend_on_the_cpu_count(rng, monkeypatch):
+    import concurrent.futures
+
     spec = ladder_spectrum(3, 2)
     state = random_state((3, 2), rng)
-    n = SAMPLE_CHUNK + 3
-    monkeypatch.delenv("SEC_TRANSFER_THREADS", raising=False)
-    unset = monte_carlo_max(state, spec, "A", n, seed=4)
-    monkeypatch.setenv("SEC_TRANSFER_THREADS", "")
-    assert optimize.thread_count() == 1
-    result = monte_carlo_max(state, spec, "A", n, seed=4)
-    assert result.value == unset.value
-    for i in range(len(spec.energies)):
-        assert result.unitary.blocks[i].tobytes() == unset.unitary.blocks[i].tobytes()
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    results = []
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        result = monte_carlo_max(state, spec, "A", 2 * SAMPLE_CHUNK, seed=4)
+        results.append([result.value.hex()] + [b.tobytes() for b in result.unitary.blocks])
+    # one worker per chunk, up to the CPUs: never more workers than chunks
+    assert pools == [2, 2]
+    assert results[0] == results[1] == results[2]
+    # without sched_getaffinity the search runs in this thread
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    result = monte_carlo_max(state, spec, "A", 2 * SAMPLE_CHUNK, seed=4)
+    assert pools == [2, 2]
+    assert [result.value.hex()] + [b.tobytes() for b in result.unitary.blocks] == results[0]

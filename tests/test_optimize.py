@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import permutations
 
@@ -225,21 +226,11 @@ def test_monte_carlo_deterministic(two_qubit_spec, rng):
 
 def test_monte_carlo_thread_cap_does_not_change_result(two_qubit_spec, rng, monkeypatch):
     state = random_state((2, 2), rng)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     base = monte_carlo_max(state, two_qubit_spec, "A", n_samples=9000, seed=2)
-    monkeypatch.setenv("SEC_TRANSFER_THREADS", "4")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     threaded = monte_carlo_max(state, two_qubit_spec, "A", n_samples=9000, seed=2)
     assert base.value == threaded.value
-
-
-def test_thread_env_var_must_be_integer(monkeypatch):
-    from sec_transfer.errors import ValidationError
-    from sec_transfer.optimize import thread_count
-
-    monkeypatch.setenv("SEC_TRANSFER_THREADS", "many")
-    with pytest.raises(ValidationError, match="SEC_TRANSFER_THREADS"):
-        thread_count()
-    monkeypatch.setenv("SEC_TRANSFER_THREADS", "0")
-    assert thread_count() == 1
 
 
 def test_antisymmetry_of_optima(rng):

@@ -73,7 +73,6 @@ def test_coherence_bounded_by_populations(dims, seed):
     spec = ladder_spectrum(*dims)
     state = random_state(dims, np.random.default_rng(seed))
     decomp = decompose(state, spec)
-    decomp.validate()
     for i, alpha in decomp.useful_coherence_blocks().items():
         probs = decomp.probs[spec.layout.span(i)]
         assert np.all(np.abs(alpha) ** 2 <= np.outer(probs, probs) + 1e-12)

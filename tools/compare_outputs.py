@@ -7,8 +7,8 @@ Usage (from the root of a checkout; nothing needs to be installed)::
 For every workload of ``bench/workloads.py`` and every seed, the inputs are
 generated once into a fresh temporary directory.  Each job, warm-ups
 included, then runs as ``python -m sec_transfer.cli`` once with each tree's
-``src`` first on ``PYTHONPATH`` (and the job's thread count, as the benchmark
-sets it).  Both runs must give the same exit code, stdout, stderr and output
+``src`` first on ``PYTHONPATH``, on all the CPUs this process may run on.
+Both runs must give the same exit code, stdout, stderr and output
 file bytes.  No job writes a ``decompose --csv`` table or classifies a state
 that fails the one-way rule, so every problem file that carries a state (the
 input of a ``decompose``, ``analyze`` or ``optimize`` job) is also run through
@@ -54,15 +54,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
-THREADS_ENV = "SEC_TRANSFER_THREADS"
 
-
-def _env(tree: Path, threads: int | None) -> dict:
-    env = {key: value for key, value in os.environ.items() if key != THREADS_ENV}
-    env["PYTHONPATH"] = str(tree / "src")
-    if threads is not None:
-        env[THREADS_ENV] = str(threads)
-    return env
+def _env(tree: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(tree / "src")}
 
 
 def _one_cpu() -> None:
@@ -70,15 +64,15 @@ def _one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def _run(tree: Path, argv: list[str], output: Path, threads: int | None,
-         pinned: bool = False, piped: bytes | None = None) -> tuple:
+def _run(tree: Path, argv: list[str], output: Path, pinned: bool = False,
+         piped: bytes | None = None) -> tuple:
     """Exit code, stdout, stderr and output bytes of one CLI run under ``tree``.
 
     ``piped``, if given, is written to the run's stdin through a pipe.
     """
     output.unlink(missing_ok=True)
     done = subprocess.run([sys.executable, "-m", "sec_transfer.cli", *argv],
-                          env=_env(tree, threads), capture_output=True, timeout=600,
+                          env=_env(tree), capture_output=True, timeout=600,
                           preexec_fn=_one_cpu if pinned else None, input=piped)
     written = output.read_bytes() if output.exists() else None
     output.unlink(missing_ok=True)
@@ -89,7 +83,7 @@ def _run_demo(tree: Path, name: str, work: Path) -> tuple:
     """Exit code, stdout, stderr and left files of ``tree``'s demo ``name``, run in ``work``."""
     work.mkdir()
     done = subprocess.run([sys.executable, str(tree / "demos" / name)], cwd=work,
-                          env=_env(tree, None), capture_output=True, timeout=600)
+                          env=_env(tree), capture_output=True, timeout=600)
     written = {path.relative_to(work).as_posix(): path.read_bytes()
                for path in sorted(work.rglob("*")) if path.is_file()}
     return done.returncode, done.stdout, done.stderr, written
@@ -103,8 +97,8 @@ def _same(what: str, parent: tuple, change: tuple) -> bool:
     return True
 
 
-def _compare(trees: list[Path], argv: list[str], output: Path, threads=None) -> bool:
-    parent, change = (_run(tree, argv, output, threads) for tree in trees)
+def _compare(trees: list[Path], argv: list[str], output: Path) -> bool:
+    parent, change = (_run(tree, argv, output) for tree in trees)
     return _same(" ".join(argv), parent, change)
 
 
@@ -168,7 +162,7 @@ def main(argv: list[str]) -> int:
                 work.mkdir()
                 workload = build(work, seed, False)
                 jobs = workload.warmup + workload.jobs
-                same = sum(_compare(trees, job.argv, job.output, job.threads) for job in jobs)
+                same = sum(_compare(trees, job.argv, job.output) for job in jobs)
                 differing += len(jobs) - same
                 print(f"{name} seed {seed}: {same}/{len(jobs)} jobs identical", flush=True)
                 problems = _state_problems(jobs)
@@ -177,11 +171,11 @@ def main(argv: list[str]) -> int:
                 same = same_piped = 0
                 for problem in problems:
                     decompose = ["decompose", "--input", problem]
-                    pinned, unpinned = (_run(trees[1], decompose, work / "extra.json", None, pin)
+                    pinned, unpinned = (_run(trees[1], decompose, work / "extra.json", pin)
                                         for pin in (True, False))
                     same += _same(" ".join(decompose) + " pinned to one CPU", pinned, unpinned)
                     piped = _run(trees[1], ["decompose", "--input", "/dev/stdin"],
-                                 work / "extra.json", None, piped=Path(problem).read_bytes())
+                                 work / "extra.json", piped=Path(problem).read_bytes())
                     same_piped += _same(" ".join(decompose) + " fed from a pipe", unpinned, piped)
                 differing += 2 * len(problems) - same - same_piped
                 print(f"{name} seed {seed}: {same}/{len(problems)} decompose runs identical "
@@ -190,7 +184,7 @@ def main(argv: list[str]) -> int:
                 runs = _state_runs(problems, work)
                 same = failing = refused = 0
                 for run_argv, output in runs:
-                    parent, change = (_run(tree, run_argv, output, None) for tree in trees)
+                    parent, change = (_run(tree, run_argv, output) for tree in trees)
                     same += _same(" ".join(run_argv), parent, change)
                     failing += run_argv[0] == "classify" and _failing_report(change[3])
                     refused += change[0] != 0
