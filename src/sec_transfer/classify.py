@@ -196,7 +196,7 @@ def thermal_product(
                 stacklevel=2,
             )
     probs = np.kron(gibbs_probabilities(h_a, beta_a), gibbs_probabilities(h_b, beta_b))
-    return BipartiteState(np.diag(probs.astype(complex)), (h_a.dim, h_b.dim), validate=False)
+    return BipartiteState.diagonal(probs, (h_a.dim, h_b.dim), validate=False)
 
 
 def passive_max_active_product(
@@ -237,6 +237,5 @@ def passive_max_active_product(
             f"probs_b must be non-decreasing with energy (slack {eq:g}) to be maximally active"
         )
     # not admitted again: its trace may stray by both sums' bounds, a state no input named
-    return BipartiteState(np.diag(np.kron(pa, pb).astype(complex)), (h_a.dim, h_b.dim),
-                          validate=False)
+    return BipartiteState.diagonal(np.kron(pa, pb), (h_a.dim, h_b.dim), validate=False)
 

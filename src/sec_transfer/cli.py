@@ -22,10 +22,10 @@ attributes of this module, so a wrapper set on it is the one that runs.
 A problem file's state is judged once, at admission under the run's
 tolerances; no later step refuses it.  The CPUs this process may run on
 (``os.sched_getaffinity``; ``taskset -c 0`` narrows them to one) size all
-parallel work: the Monte-Carlo search runs one thread per chunk of samples
-up to that count, and a file of at least ``formats.SPLIT_BYTES`` read on
-two or more CPUs is decoded with one forked helper process, which never
-returns into this module and is reaped before the state is admitted.
+parallel work: the Monte-Carlo search draws a chunk's blocks on one thread
+per block up to that count, and a file of at least ``formats.SPLIT_BYTES``
+read on two or more CPUs is decoded with one forked helper process, which
+never returns into this module and is reaped before the state is admitted.
 """
 
 from __future__ import annotations

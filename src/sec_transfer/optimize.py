@@ -158,12 +158,13 @@ def monte_carlo_max(
 ) -> OptimizationResult:
     """Best transfer over ``n_samples`` Haar-random unitaries.
 
-    Samples are drawn and evaluated in chunks of ``SAMPLE_CHUNK``, on one
-    thread per chunk up to the CPUs this process may run on; ties go to the
-    earliest sample, whatever the schedule, so the result is deterministic
-    for a given seed.  The winner's blocks are copied so no chunk outlives
-    its turn, and the reported value is re-evaluated through dense
-    evolution of that unitary.
+    Samples are drawn and evaluated in chunks of ``SAMPLE_CHUNK``, one at a
+    time, so one chunk of block matrices is held whatever the CPU count.  With
+    more than one chunk, a chunk's blocks are drawn on one thread per block
+    up to the CPUs this process may run on.  Ties go to the earliest sample,
+    so the result is deterministic for a given seed.  The winner's blocks are
+    copied so no chunk outlives its turn, and the reported value is
+    re-evaluated through dense evolution of that unitary.
     """
     check_system(target)
     if n_samples < 1:
@@ -174,22 +175,22 @@ def monte_carlo_max(
         for start in range(0, n_samples, SAMPLE_CHUNK)
     ]
 
-    def evaluate(chunk: tuple[int, int]) -> tuple[float, int, list[np.ndarray]]:
+    def evaluate(chunk: tuple[int, int], pool) -> tuple[float, int, list[np.ndarray]]:
         start, count = chunk
-        batch = sample_haar_blocks(spec, seed, count, start=start)
+        batch = sample_haar_blocks(spec, seed, count, start=start, pool=pool)
         totals = batch_transfers(decomp, batch, target).total
         inner = int(np.argmax(totals))
         blocks = [stack[inner].copy() for stack in batch]
         return float(totals[inner]), start + inner, blocks
 
-    workers = min(len(chunks), _usable_cpus())
+    workers = min(len(spec.blocks), _usable_cpus()) if len(chunks) > 1 else 1
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, chunks))
+            results = [evaluate(chunk, pool) for chunk in chunks]
     else:
-        results = [evaluate(chunk) for chunk in chunks]
+        results = [evaluate(chunk, None) for chunk in chunks]
     _, _, blocks = max(results, key=lambda r: (r[0], -r[1]))
     unitary = SecUnitary(blocks, spec, validate=False)
     return OptimizationResult(

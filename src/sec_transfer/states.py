@@ -163,10 +163,10 @@ class BipartiteState:
         return cls(np.outer(psi, psi.conj()), dims, validate=False)
 
     @classmethod
-    def diagonal(cls, probs, dims: tuple[int, int]) -> "BipartiteState":
+    def diagonal(cls, probs, dims: tuple[int, int], validate: bool = True) -> "BipartiteState":
         """Diagonal state from a probability vector over the product basis."""
         p = np.asarray(probs, dtype=float)
-        return cls(np.diag(p.astype(complex)), dims)
+        return cls(np.diag(p.astype(complex)), dims, validate=validate)
 
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()

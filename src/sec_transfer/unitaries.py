@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,7 +34,11 @@ from .errors import BlockMismatch, DimensionMismatch, NotUnitary, ValidationErro
 from .spectra import JointSpectrum
 from .states import BipartiteState, _Handover
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor  # loads logging: not at import
+
 SAMPLE_CHUNK = 4096
+DRAW_BATCH = 256
 
 
 def _refuse_mapping(blocks, what: str) -> None:
@@ -141,42 +146,41 @@ def _haar_slice(seed: int, energy: Fraction, dim: int, start: int, count: int) -
 
     Each 4096-sample chunk has its own generator, and within a chunk the
     draws are a prefix of the chunk's stream, so any slice is reproducible
-    without generating what precedes or follows it.
+    without generating what precedes or follows it.  The samples kept are
+    drawn and orthonormalized ``DRAW_BATCH`` at a time, so the scratch
+    beside the result stays small.
     """
     out = np.empty((count, dim, dim), dtype=complex)
-    filled = 0
-    chunk = start // SAMPLE_CHUNK
-    while filled < count:
+    for chunk in range(start // SAMPLE_CHUNK, (start + count - 1) // SAMPLE_CHUNK + 1):
         base = chunk * SAMPLE_CHUNK
         lo = max(start, base) - base
         hi = min(start + count, base + SAMPLE_CHUNK) - base
         rng = _chunk_generator(seed, chunk, energy)
-        z = rng.standard_normal((hi, dim, dim, 2))
-        gaussian = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-        q, r = np.linalg.qr(gaussian)
-        diag = np.einsum("nii->ni", r)
-        phases = diag / np.abs(diag)
-        unitaries = q * phases[:, None, :]
-        out[filled : filled + hi - lo] = unitaries[lo:hi]
-        filled += hi - lo
-        chunk += 1
+        rng.standard_normal((lo, dim, dim, 2))  # the chunk's samples before the slice
+        for first in range(lo, hi, DRAW_BATCH):
+            z = rng.standard_normal((min(DRAW_BATCH, hi - first), dim, dim, 2))
+            q, r = np.linalg.qr((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0))
+            diag = np.einsum("nii->ni", r)
+            at = base + first - start
+            out[at : at + len(z)] = q * (diag / np.abs(diag))[:, None, :]
     return out
 
 
 def sample_haar_blocks(
-    spec: JointSpectrum, seed: int, count: int, start: int = 0
+    spec: JointSpectrum, seed: int, count: int, start: int = 0, pool: Executor | None = None
 ) -> tuple[np.ndarray, ...]:
     """Raw per-block stacks of Haar samples, for vectorized oracles.
 
     ``result[k][i]`` is block ``k`` (in the spectrum's block order) of sample
     ``start + i``, an ``(count, d_k, d_k)`` stack per block; a given sample
-    index is the same for a given seed no matter the requested range.
+    index is the same for a given seed no matter the requested range.  Given
+    a ``pool``, the blocks are drawn on its threads; each block has its own
+    stream, so the result is the same.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    return tuple(
-        _haar_slice(seed, block.energy, block.dim, start, count) for block in spec.blocks
-    )
+    draw = pool.map if pool else map
+    return tuple(draw(lambda b: _haar_slice(seed, b.energy, b.dim, start, count), spec.blocks))
 
 
 def sample_haar(spec: JointSpectrum, seed: int) -> SecUnitary:

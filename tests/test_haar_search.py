@@ -2,10 +2,14 @@
 
 The search must return what a single unchunked pass over all samples
 returns: the largest total, the earliest sample on ties, and that sample's
-exact blocks, whatever the number of CPUs the process may run on.
+exact blocks, whatever the number of CPUs the process may run on, and it
+must hold no more than one chunk of sampled matrices at a time.
 """
 
 import os
+import threading
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from sec_transfer import (
     monte_carlo_max,
     optimize,
     transfer_direct,
+    unitaries,
 )
 from sec_transfer.fixtures import ladder_spectrum, random_state
 from sec_transfer.transfer import batch_transfers
@@ -51,9 +56,9 @@ def test_monte_carlo_draws_nothing_after_the_search(rng, monkeypatch):
     state = random_state((2, 2), rng)
     drawn = []
 
-    def counting(spec, seed, count, start=0):
+    def counting(spec, seed, count, start=0, pool=None):
         drawn.append((start, count))
-        return sample_haar_blocks(spec, seed, count, start=start)
+        return sample_haar_blocks(spec, seed, count, start=start, pool=pool)
 
     monkeypatch.setattr(optimize, "sample_haar_blocks", counting)
     monte_carlo_max(state, spec, "A", SAMPLE_CHUNK + 10, seed=3)
@@ -78,11 +83,57 @@ def test_result_bytes_do_not_depend_on_the_cpu_count(rng, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         result = monte_carlo_max(state, spec, "A", 2 * SAMPLE_CHUNK, seed=4)
         results.append([result.value.hex()] + [b.tobytes() for b in result.unitary.blocks])
-    # one worker per chunk, up to the CPUs: never more workers than chunks
-    assert pools == [2, 2]
+    # one worker per block, up to the CPUs; none on one CPU
+    assert pools == [2, 3]
     assert results[0] == results[1] == results[2]
     # without sched_getaffinity the search runs in this thread
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     result = monte_carlo_max(state, spec, "A", 2 * SAMPLE_CHUNK, seed=4)
-    assert pools == [2, 2]
+    assert pools == [2, 3]
     assert [result.value.hex()] + [b.tobytes() for b in result.unitary.blocks] == results[0]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}], ids=["one-cpu", "four-cpus"])
+def test_block_matrices_in_flight_stay_one_chunk(cpus, rng, monkeypatch):
+    # every sampled block matrix is counted from its draw until it is freed
+    spec = ladder_spectrum(3, 3)
+    state = random_state((3, 3), rng)
+    lock = threading.Lock()
+    live, peak = [0], [0]
+    draw = unitaries._haar_slice
+
+    def release(n):
+        with lock:
+            live[0] -= n
+
+    def counted(*args):
+        out = draw(*args)
+        with lock:
+            live[0] += len(out)
+            peak[0] = max(peak[0], live[0])
+        weakref.finalize(out, release, len(out))
+        return out
+
+    monkeypatch.setattr(unitaries, "_haar_slice", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monte_carlo_max(state, spec, "A", 3 * SAMPLE_CHUNK, seed=6)
+    assert peak[0] == len(spec.blocks) * SAMPLE_CHUNK
+    assert live[0] == 0
+
+
+@pytest.mark.parametrize("start,count", [(0, 1), (0, SAMPLE_CHUNK), (255, 2), (300, 600),
+                                         (SAMPLE_CHUNK - 1, 258), (1000, 2 * SAMPLE_CHUNK)])
+def test_haar_slice_is_one_draw_of_each_chunk_bit_for_bit(start, count):
+    # the stream read DRAW_BATCH samples at a time gives the matrices of one
+    # draw of the chunk's prefix, orthonormalized all at once
+    energy, dim = Fraction(5, 3), 3
+    expected = []
+    for chunk in range(start // SAMPLE_CHUNK, (start + count - 1) // SAMPLE_CHUNK + 1):
+        base = chunk * SAMPLE_CHUNK
+        hi = min(start + count, base + SAMPLE_CHUNK) - base
+        z = unitaries._chunk_generator(8, chunk, energy).standard_normal((hi, dim, dim, 2))
+        q, r = np.linalg.qr((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0))
+        diag = np.einsum("nii->ni", r)
+        expected.append((q * (diag / np.abs(diag))[:, None, :])[max(start, base) - base :])
+    got = unitaries._haar_slice(8, energy, dim, start, count)
+    assert got.tobytes() == np.concatenate(expected).tobytes()
