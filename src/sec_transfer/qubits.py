@@ -13,6 +13,10 @@ coordinates (c_x, c_y, c_z) with c_x = c_y; on it the optimal transfer is
 ``c_x / 2``, the concurrence is ``max(0, c_x - (1 + c_z)/2)``, and along the
 maximum-coherence edge the optimum equals ``(1 + C)/4``.  ``plane_scan``
 tabulates all of this on a grid for external plotting.
+
+The SEC layers (``spectra``, ``states``, ``unitaries``) load on first use,
+inside the functions that build a spectrum, a state or a unitary, so a
+Bell-plane scan never imports ``unitaries`` or the ``hashlib`` it needs.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ import numpy as np
 
 from . import tolerances
 from .errors import NotTwoQubit, Unphysical, ValidationError
-from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
-from .states import BipartiteState
 from .twoqubit import TWO_PI
-from .unitaries import SecUnitary
 
-if TYPE_CHECKING:  # named only in an annotation
+if TYPE_CHECKING:  # named only in annotations
+    from .spectra import JointSpectrum
+    from .states import BipartiteState
     from .twoqubit import TwoQubitParams
+    from .unitaries import SecUnitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -41,6 +45,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def two_qubit_spectrum() -> JointSpectrum:
     """The joint spectrum of two resonant qubits, each with levels {0, 1}."""
+    from .spectra import Hamiltonian, build_joint_spectrum
+
     h = Hamiltonian((0, 1), labels=("g", "e"))
     return build_joint_spectrum(h, h)
 
@@ -68,6 +74,8 @@ class SecParams2Q:
         object.__setattr__(self, "thetas", tuple(float(t) % TWO_PI for t in self.thetas))
 
     def to_sec_unitary(self, spec: JointSpectrum | None = None) -> SecUnitary:
+        from .unitaries import SecUnitary
+
         spec = spec if spec is not None else two_qubit_spectrum()
         if spec.dims != (2, 2):
             raise NotTwoQubit(f"expected a 2x2 joint spectrum, got dims {spec.dims}")
@@ -146,6 +154,8 @@ class BellDiagParams:
 
 def bell_diagonal_state(c: BellDiagParams) -> BipartiteState:
     """Two-qubit state (I + c_x XX + c_y YY + c_z ZZ)/4; requires physicality."""
+    from .states import BipartiteState
+
     lams = c.bell_eigenvalues()
     if lams.min() < -tolerances.QUBIT_DOMAIN:
         raise Unphysical(
@@ -237,6 +247,10 @@ class PlaneScan:
     optimal transfer ``c_x / 2``, the closed-form concurrence, and the
     separability flag (concurrence exactly zero).  Grid step bookkeeping
     (``x_index``, ``z_index``, ``resolution``) supports finite differencing.
+
+    ``plane_scan`` makes every column read-only; ``c_y`` is ``c_x`` itself
+    (one buffer, since the plane is c_x = c_y), and the grid indices are
+    ``int32``, as every index lies below ``resolution``.
     """
 
     resolution: int
@@ -267,19 +281,29 @@ def plane_scan(resolution: int = 201) -> PlaneScan:
     zs = np.linspace(-1.0, 1.0, resolution)
     # zs is sorted, so each c_x column keeps a prefix of it
     counts = np.searchsorted(zs, 1.0 - 2.0 * xs + tolerances.QUBIT_DOMAIN, side="right")
-    idx_x = np.repeat(np.arange(resolution), counts)
+    # row counts and positions stay int64; only the per-row grid indices narrow
+    idx_x = np.repeat(np.arange(resolution, dtype=np.int32), counts)
     idx_z = np.arange(len(idx_x)) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx_z = idx_z.astype(np.int32)
     c_x = xs[idx_x]
     c_z = zs[idx_z]
-    concurrence = np.maximum(0.0, c_x - 0.5 * (1.0 + c_z))
+    # c_x - (1 + c_z)/2 in one buffer, bit for bit
+    concurrence = c_z + 1.0
+    concurrence *= -0.5
+    concurrence += c_x
+    np.maximum(concurrence, 0.0, out=concurrence)
+    max_transfer = 0.5 * c_x
+    separable = concurrence == 0.0
+    for array in (c_x, c_z, max_transfer, concurrence, separable, idx_x, idx_z):
+        array.setflags(write=False)
     return PlaneScan(
         resolution=resolution,
         c_x=c_x,
-        c_y=c_x.copy(),
+        c_y=c_x,
         c_z=c_z,
-        max_transfer=0.5 * c_x,
+        max_transfer=max_transfer,
         concurrence=concurrence,
-        separable=concurrence == 0.0,
+        separable=separable,
         x_index=idx_x,
         z_index=idx_z,
     )
@@ -291,11 +315,15 @@ def _neighbour_rows(scan: PlaneScan, dx: int, dz: int) -> tuple[np.ndarray, np.n
     Rows are sorted by ``(x_index, z_index)``, so a binary search on the key
     ``ix * res + iz`` finds each neighbour; a z index off the grid would
     alias the next column and is ruled out.  Missing neighbours get any row.
+    The indices widen to int64 first: a key reaches res^2, past int32's range
+    from res = 46,341 on.
     """
     res = scan.resolution
-    keys = scan.x_index * res + scan.z_index
-    iz = scan.z_index + dz
-    wanted = (scan.x_index + dx) * res + iz
+    ix = scan.x_index.astype(np.int64)
+    iz = scan.z_index.astype(np.int64)
+    keys = ix * res + iz
+    iz = iz + dz
+    wanted = (ix + dx) * res + iz
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     return at, (iz >= 0) & (iz < res) & (keys[at] == wanted)
 

@@ -385,6 +385,20 @@ def test_plane_scan_rows_match_the_grid_loop(resolution):
     assert scan.c_z.tolist() == [row[3] for row in kept]
 
 
+def test_plane_scan_layout_at_resolution_801():
+    """Eight read-only columns in seven buffers: c_y is c_x, the indices are int32."""
+    scan = plane_scan(801)
+    columns = [scan.c_x, scan.c_y, scan.c_z, scan.max_transfer, scan.concurrence,
+               scan.separable, scan.x_index, scan.z_index]
+    bases = [column if column.base is None else column.base for column in columns]
+    buffers = {id(base): base for base in bases}
+    assert len(scan) == 321201
+    assert sum(buffer.nbytes for buffer in buffers.values()) == 13169241
+    assert np.shares_memory(scan.c_x, scan.c_y)
+    assert not any(column.flags.writeable for column in columns)
+    assert scan.x_index.dtype == scan.z_index.dtype == np.int32
+
+
 def test_plane_scan_rejects_tiny_resolution():
     with pytest.raises(ValidationError):
         plane_scan(1)

@@ -307,3 +307,17 @@ def test_decompose_imports_only_the_layers_it_calls(tmp_path):
     unwanted = {"sec_transfer.verify", "sec_transfer.qubits", "sec_transfer.classify",
                 "concurrent.futures"}
     assert not unwanted & loaded
+
+
+def test_bell_scan_loads_no_unitary_layer_and_no_hashlib(tmp_path):
+    """A Bell-plane scan loads neither the SEC unitary layers nor OpenSSL's hashlib."""
+    report, scan = tmp_path / "modules.json", tmp_path / "scan.csv"
+    argv = ["bell-scan", "--resolution", "11", "--output", str(scan)]
+    done = _python(MODULES_DRIVER, str(report), *argv)
+    assert done.returncode == 0, done.stderr.decode()
+    assert scan.read_text().startswith("c_x,c_y,c_z,")
+    loaded = set(json.loads(report.read_text()))
+    assert {"numpy", "sec_transfer.formats", "sec_transfer.qubits"} <= loaded
+    unwanted = {"sec_transfer.unitaries", "sec_transfer.transfer", "sec_transfer.optimize",
+                "hashlib", "_hashlib"}
+    assert not unwanted & loaded

@@ -36,6 +36,14 @@ against that tree's ``src``, each run in a fresh working directory; both runs
 must give the same exit code, stdout, stderr and files left in that
 directory.
 
+Every run goes through a small reaper process (``python3 -S``) that starts
+the job, reaps it with ``os.wait4`` and reports its ``ru_maxrss``: on Linux a
+child's figure also covers the process it was forked from, and this process
+holds the generated inputs (about 250 MB).  For each workload and seed, the
+job or extra run whose peak RSS moved most between the two trees is printed
+with both figures (MB of 1024 KiB, as ``bench/run.py`` reports
+``peak_rss_mb``).  That line is for information only.
+
 Prints one line per mismatch and a count per workload and seed; exits 1 if
 anything differs.
 """
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -64,29 +73,67 @@ def _one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
+# runs the command after the report path, reaps it with os.wait4, writes its
+# ru_maxrss (KiB) to the report and exits with its exit code (128 + signal if
+# it was killed)
+REAPER = """
+import os, sys
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as report:
+    report.write(str(usage.ru_maxrss))
+code = os.waitstatus_to_exitcode(status)
+sys.exit(code if code >= 0 else 128 - code)
+"""
+
+
+def _spawn(argv: list[str], piped: bytes | None = None, **popen) -> tuple[tuple, int]:
+    """Exit code, stdout and stderr of ``argv`` run through ``REAPER``, and its peak RSS in KiB.
+
+    ``piped``, if given, is written to the run's stdin through a pipe.  The
+    reaper and the job share a new session, so a timeout kills both.
+    """
+    handle, report = tempfile.mkstemp()
+    os.close(handle)
+    try:
+        with subprocess.Popen([sys.executable, "-S", "-c", REAPER, report, *argv],
+                              stdin=None if piped is None else subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True, **popen) as child:
+            try:
+                stdout, stderr = child.communicate(piped, timeout=600)
+            except subprocess.TimeoutExpired:
+                os.killpg(child.pid, signal.SIGKILL)
+                raise
+        return (child.returncode, stdout, stderr), int(Path(report).read_text())
+    finally:
+        os.unlink(report)
+
+
 def _run(tree: Path, argv: list[str], output: Path, pinned: bool = False,
-         piped: bytes | None = None) -> tuple:
+         piped: bytes | None = None, peaks: list | None = None) -> tuple:
     """Exit code, stdout, stderr and output bytes of one CLI run under ``tree``.
 
-    ``piped``, if given, is written to the run's stdin through a pipe.
+    ``piped``, if given, is written to the run's stdin through a pipe.  If
+    ``peaks`` is given, the run's peak RSS in KiB is appended to it.
     """
     output.unlink(missing_ok=True)
-    done = subprocess.run([sys.executable, "-m", "sec_transfer.cli", *argv],
-                          env=_env(tree), capture_output=True, timeout=600,
-                          preexec_fn=_one_cpu if pinned else None, input=piped)
+    done, maxrss_kib = _spawn([sys.executable, "-m", "sec_transfer.cli", *argv], piped,
+                              env=_env(tree), preexec_fn=_one_cpu if pinned else None)
     written = output.read_bytes() if output.exists() else None
     output.unlink(missing_ok=True)
-    return done.returncode, done.stdout, done.stderr, written
+    if peaks is not None:
+        peaks.append(maxrss_kib)
+    return (*done, written)
 
 
 def _run_demo(tree: Path, name: str, work: Path) -> tuple:
     """Exit code, stdout, stderr and left files of ``tree``'s demo ``name``, run in ``work``."""
     work.mkdir()
-    done = subprocess.run([sys.executable, str(tree / "demos" / name)], cwd=work,
-                          env=_env(tree), capture_output=True, timeout=600)
+    done, _ = _spawn([sys.executable, str(tree / "demos" / name)], cwd=work, env=_env(tree))
     written = {path.relative_to(work).as_posix(): path.read_bytes()
                for path in sorted(work.rglob("*")) if path.is_file()}
-    return done.returncode, done.stdout, done.stderr, written
+    return (*done, written)
 
 
 def _same(what: str, parent: tuple, change: tuple) -> bool:
@@ -97,9 +144,23 @@ def _same(what: str, parent: tuple, change: tuple) -> bool:
     return True
 
 
-def _compare(trees: list[Path], argv: list[str], output: Path) -> bool:
-    parent, change = (_run(tree, argv, output) for tree in trees)
-    return _same(" ".join(argv), parent, change)
+def _both(trees: list[Path], argv: list[str], output: Path, moves: list) -> tuple:
+    """The parent's and the change's run; appends ``(argv, parent KiB, change KiB)`` to ``moves``."""
+    peaks = []
+    parent, change = (_run(tree, argv, output, peaks=peaks) for tree in trees)
+    moves.append((" ".join(argv), *peaks))
+    return parent, change
+
+
+def _compare(trees: list[Path], argv: list[str], output: Path, moves: list) -> bool:
+    return _same(" ".join(argv), *_both(trees, argv, output, moves))
+
+
+def _print_largest_move(label: str, moves: list) -> None:
+    """The run of ``moves`` whose peak RSS moved most between the two trees."""
+    what, old, new = max(moves, key=lambda move: abs(move[2] - move[1]))
+    print(f"{label}: peak RSS moved most on {what}: {old / 1024:.2f} -> {new / 1024:.2f} MB",
+          flush=True)
 
 
 # subcommands whose --input must carry a state
@@ -162,11 +223,13 @@ def main(argv: list[str]) -> int:
                 work.mkdir()
                 workload = build(work, seed, False)
                 jobs = workload.warmup + workload.jobs
-                same = sum(_compare(trees, job.argv, job.output) for job in jobs)
+                moves = []
+                same = sum(_compare(trees, job.argv, job.output, moves) for job in jobs)
                 differing += len(jobs) - same
                 print(f"{name} seed {seed}: {same}/{len(jobs)} jobs identical", flush=True)
                 problems = _state_problems(jobs)
                 if not problems:
+                    _print_largest_move(f"{name} seed {seed}", moves)
                     continue
                 same = same_piped = 0
                 for problem in problems:
@@ -184,7 +247,7 @@ def main(argv: list[str]) -> int:
                 runs = _state_runs(problems, work)
                 same = failing = refused = 0
                 for run_argv, output in runs:
-                    parent, change = (_run(tree, run_argv, output) for tree in trees)
+                    parent, change = _both(trees, run_argv, output, moves)
                     same += _same(" ".join(run_argv), parent, change)
                     failing += run_argv[0] == "classify" and _failing_report(change[3])
                     refused += change[0] != 0
@@ -194,9 +257,10 @@ def main(argv: list[str]) -> int:
                 print(f"{name} seed {seed}: {same}/{len(runs)} extra runs identical, "
                       f"{failing} classify reports list failing blocks, {refused} runs "
                       f"exited nonzero", flush=True)
+                _print_largest_move(f"{name} seed {seed}", moves)
         output = Path(scratch) / "verify.json"
         for once in (["verify", "--output", str(output)], ["bell-scan"]):
-            same = _compare(trees, once, output)
+            same = _compare(trees, once, output, [])
             differing += not same
             print(f"{' '.join(once[:2])}: {'identical' if same else 'differs'}")
         demos = sorted({path.name for tree in trees for path in (tree / "demos").glob("*.py")})
