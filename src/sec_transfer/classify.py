@@ -205,11 +205,13 @@ def passive_max_active_product(
     """Product of a passive A state with a maximally active B state.
 
     ``probs_a`` must be non-increasing and ``probs_b`` non-decreasing along
-    their (increasing) local spectra, up to ``tolerances.PASSIVITY_EQ``, and
-    both normalized within ``tolerances.TRACE``.  Within every block
-    the resulting A-side populations decrease with energy, so the product is
-    a member of the one-way class for target A: every energy-conserving
-    unitary moves energy toward A, out of the inverted B populations.
+    their (increasing) local spectra, as :func:`is_e_passive` judges a block
+    (each level within ``tolerances.PASSIVITY_EQ`` of the extreme population
+    below it), and both normalized within ``tolerances.TRACE``.  Within every
+    block the resulting A-side populations decrease with energy, so the
+    product is a member of the one-way class for target A: every
+    energy-conserving unitary moves energy toward A, out of the inverted B
+    populations.
     """
     pa = np.asarray(probs_a, dtype=float)
     pb = np.asarray(probs_b, dtype=float)
@@ -227,12 +229,13 @@ def passive_max_active_product(
             raise ValidationError(
                 f"{name} must sum to 1 within {tolerances.TRACE:g}, got {float(p.sum())!r}"
             )
+    # judged as classify_flow judges a block, so the slack cannot add up over levels
     eq = tolerances.PASSIVITY_EQ
-    if np.any(pa[1:] > pa[:-1] + eq):
+    if not is_e_passive(pa, h_a.energies):
         raise NotPassive(
             f"probs_a must be non-increasing with energy (slack {eq:g}) to be passive"
         )
-    if np.any(pb[1:] < pb[:-1] - eq):
+    if not is_e_passive(pb, [-e for e in h_b.energies]):
         raise NotMaxActive(
             f"probs_b must be non-decreasing with energy (slack {eq:g}) to be maximally active"
         )

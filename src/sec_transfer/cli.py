@@ -10,7 +10,12 @@ the offending tolerance.
 ``--tolerance KEY=VAL`` overrides one of the four keys of
 :mod:`sec_transfer.tolerances` (``herm``, ``trace``, ``psd``, ``split``); an
 unknown key, a value that is not a finite, nonnegative float, or a key the
-subcommand never reads exits 2.
+subcommand never reads exits 2.  Each subcommand's parser, in
+:func:`build_parser`, states the tolerance keys it reads (``reads``) and
+whether it reads an ``--input`` file (``takes_input``); :func:`run` checks
+both before anything else, so an ``--input`` missing where one is needed, or
+given where none is read, exits 2 before any file is opened.  Every other
+check of the flags alone also runs before the problem file is read.
 
 Identical configuration and seed produce byte-identical reports; any command
 that samples requires an explicit ``--seed``.  ``--help`` and ``qubit-max``
@@ -47,27 +52,14 @@ def __getattr__(name: str):
     return getattr(package, name)
 
 
-# the --tolerance keys each subcommand applies; overriding any other is refused
-_TOLERANCES_READ = {
-    "decompose": tolerances.ADMISSION,
-    "analyze": tolerances.ADMISSION + ("split",),
-    "optimize": tolerances.ADMISSION,
-    "classify": tolerances.ADMISSION,
-    "qubit-max": (),
-    "bell-scan": (),
-    "verify": (),
-}
-
-
 def _parse_tolerances(args: argparse.Namespace) -> dict[str, float]:
     tol = tolerances.parse(args.tolerance)
-    read = _TOLERANCES_READ.get(args.command, ())
     for pair in args.tolerance or []:
         key = pair.partition("=")[0]
-        if key not in read:
+        if key not in args.reads:
             raise ValidationError(
                 f"{args.command} does not use tolerance {key!r}; "
-                f"it reads {', '.join(read) or 'none'}"
+                f"it reads {', '.join(args.reads) or 'none'}"
             )
     return tol
 
@@ -82,8 +74,6 @@ def _parse_probs(raw: str | None) -> list[float] | None:
 
 
 def _load_state(args: argparse.Namespace, tol: dict, require_state: bool = True):
-    if args.input is None:
-        raise ValidationError(f"command {args.command!r} requires --input")
     from . import formats
 
     h_a, h_b, spec, state = formats.load_problem(args.input, tol)
@@ -103,12 +93,11 @@ def _write_report(args: argparse.Namespace, payload: dict, dump) -> None:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
     tol = _parse_tolerances(args)
-    if args.input is not None and args.command in ("bell-scan", "verify"):
-        raise ValidationError(f"{args.command} does not use --input")
+    if (args.input is None) == args.takes_input:
+        rule = "requires" if args.takes_input else "does not use"
+        raise ValidationError(f"{args.command} {rule} --input")
 
     if args.command == "qubit-max":
-        if args.input is None:
-            raise ValidationError("qubit-max requires --input with two-qubit parameters")
         params = two_qubit_params_from_json(read_json(args.input))
         optimum = max_transfer_2q(params, args.target, optimize_alpha=not args.fixed_alpha)
         payload = {
@@ -147,18 +136,20 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "analyze":
+        if args.unitary is None and args.seed is None:
+            raise ValidationError("analyze needs --unitary FILE or --seed N")
         _, _, spec, state = _load_state(args, tol)
         if args.unitary is not None:
             u = formats.sec_unitary_from_json(read_json(args.unitary), spec)
-        elif args.seed is not None:
-            u = cli.sample_haar(spec, args.seed)
         else:
-            raise ValidationError("analyze needs --unitary FILE or --seed N")
+            u = cli.sample_haar(spec, args.seed)
         report = cli.analyze(state, u, args.target, split_tol=tol["split"])
         _write_report(args, formats.transfer_report_to_json(report, spec), formats.dump_json)
         return 0
 
     if args.command == "optimize":
+        if args.method == "monte-carlo" and args.seed is None:
+            raise ValidationError("optimize --method monte-carlo requires --seed")
         _, _, spec, state = _load_state(args, tol)
         if args.method == "exact":
             result = cli.maximize_transfer_exact(state, spec, args.target)
@@ -169,34 +160,28 @@ def run(args: argparse.Namespace) -> int:
             unitary = cli.optimal_diagonal_unitary(cli.decompose(state, spec), spec, args.target)
             value = cli.transfer_direct(state, unitary, args.target)
             result = OptimizationResult(value, unitary, METHOD_DIAGONAL)
-        elif args.method == "monte-carlo":
-            if args.seed is None:
-                raise ValidationError("optimize --method monte-carlo requires --seed")
-            result = cli.monte_carlo_max(state, spec, args.target, args.samples, args.seed)
         else:
-            raise ValidationError(f"unknown optimize method {args.method!r}")
+            result = cli.monte_carlo_max(state, spec, args.target, args.samples, args.seed)
         _write_report(args, formats.optimization_result_to_json(result), formats.dump_json)
         return 0
 
     if args.command == "classify":
         probs_a = _parse_probs(args.probs_a)
         probs_b = _parse_probs(args.probs_b)
-        h_a, h_b, spec, state = _load_state(args, tol, require_state=False)
-        constructors = [
-            args.beta_a is not None or args.beta_b is not None,
-            probs_a is not None or probs_b is not None,
-        ]
-        if sum(constructors) > 1:
+        thermal = args.beta_a is not None or args.beta_b is not None
+        passive = probs_a is not None or probs_b is not None
+        if thermal and passive:
             raise ValidationError("choose one of thermal or passive/max-active flags")
-        if constructors[0]:
-            if args.beta_a is None or args.beta_b is None:
-                raise ValidationError("thermal constructor needs both --beta-a and --beta-b")
+        if thermal and (args.beta_a is None or args.beta_b is None):
+            raise ValidationError("thermal constructor needs both --beta-a and --beta-b")
+        if passive and (probs_a is None or probs_b is None):
+            raise ValidationError(
+                "passive/max-active constructor needs both --probs-a and --probs-b"
+            )
+        h_a, h_b, spec, state = _load_state(args, tol, require_state=False)
+        if thermal:
             state = cli.thermal_product(h_a, h_b, args.beta_a, args.beta_b)
-        elif constructors[1]:
-            if probs_a is None or probs_b is None:
-                raise ValidationError(
-                    "passive/max-active constructor needs both --probs-a and --probs-b"
-                )
+        elif passive:
             state = cli.passive_max_active_product(probs_a, probs_b, h_a, h_b)
         elif state is None:
             raise ValidationError(
@@ -213,27 +198,25 @@ def run(args: argparse.Namespace) -> int:
         formats.write_plane_scan_csv(scan, args.output)
         return 0
 
-    if args.command == "verify":
-        from . import verify
+    # verify, the last subcommand; the parser admits no other
+    from . import verify
 
-        results = verify.run_all(args.seed)
-        print(verify.format_table(results))
-        if args.output is not None:
-            formats.dump_json(
-                {
-                    "seed": args.seed,
-                    "checks": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results
-                    ],
-                },
-                args.output,
-            )
-        if not all(r.passed for r in results):
-            return 3
-        return 0
-
-    raise ValidationError(f"unknown command {args.command!r}")
+    results = verify.run_all(args.seed)
+    print(verify.format_table(results))
+    if args.output is not None:
+        formats.dump_json(
+            {
+                "seed": args.seed,
+                "checks": [
+                    {"name": r.name, "passed": r.passed, "detail": r.detail}
+                    for r in results
+                ],
+            },
+            args.output,
+        )
+    if not all(r.passed for r in results):
+        return 3
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd, target=False, seed=False):
+    # reads: the --tolerance keys the subcommand applies (overriding any other
+    # is refused); takes_input: whether it requires --input or refuses it
+    def common(cmd, reads=(), takes_input=True, target=False, seed=False):
+        cmd.set_defaults(reads=reads, takes_input=takes_input)
         cmd.add_argument("--input", type=str, default=None, help="problem JSON file")
         cmd.add_argument("--output", type=str, default=None, help="report path (default stdout)")
         cmd.add_argument(
@@ -261,15 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--seed", type=int, default=None)
 
     decompose_cmd = sub.add_parser("decompose", help="split a state into energy blocks")
-    common(decompose_cmd)
+    common(decompose_cmd, reads=tolerances.ADMISSION)
     decompose_cmd.add_argument("--csv", type=str, default=None, help="also write a CSV summary")
 
     analyze_cmd = sub.add_parser("analyze", help="transfer report for one unitary")
-    common(analyze_cmd, target=True, seed=True)
+    common(analyze_cmd, reads=tolerances.ADMISSION + ("split",), target=True, seed=True)
     analyze_cmd.add_argument("--unitary", type=str, default=None, help="block-unitary JSON file")
 
     optimize_cmd = sub.add_parser("optimize", help="maximize the transfer to one side")
-    common(optimize_cmd, target=True, seed=True)
+    common(optimize_cmd, reads=tolerances.ADMISSION, target=True, seed=True)
     optimize_cmd.add_argument(
         "--method", choices=("exact", "diagonal", "monte-carlo"), default="exact"
     )
@@ -278,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     classify_cmd = sub.add_parser("classify", help="one-way energy-flow membership")
-    common(classify_cmd, target=True)
+    common(classify_cmd, reads=tolerances.ADMISSION, target=True)
     classify_cmd.add_argument("--beta-a", type=float, default=None)
     classify_cmd.add_argument("--beta-b", type=float, default=None)
     classify_cmd.add_argument("--probs-a", type=str, default=None, help="comma-separated")
@@ -293,11 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     scan_cmd = sub.add_parser("bell-scan", help="CSV scan of the Bell-diagonal plane")
-    common(scan_cmd)
+    common(scan_cmd, takes_input=False)
     scan_cmd.add_argument("--resolution", type=int, default=201)
 
     verify_cmd = sub.add_parser("verify", help="run the property registry at fast strength")
-    common(verify_cmd, seed=True)
+    common(verify_cmd, takes_input=False, seed=True)
     verify_cmd.set_defaults(seed=tolerances.DEFAULT_SEED)
 
     return parser

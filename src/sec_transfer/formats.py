@@ -691,9 +691,11 @@ def write_plane_scan_csv(scan: PlaneScan, path) -> None:
     The bytes are those of ``csv.writer``'s default dialect: CRLF line ends,
     and no field ever needs quoting.
     """
-    columns = [
-        _distinct_texts(values)
-        for values in (scan.c_x, scan.c_y, scan.c_z, scan.max_transfer, scan.concurrence)
+    c_x = _distinct_texts(scan.c_x)
+    # plane_scan's c_y is c_x itself: one buffer, formatted once
+    c_y = c_x if scan.c_y is scan.c_x else _distinct_texts(scan.c_y)
+    columns = [c_x, c_y] + [
+        _distinct_texts(values) for values in (scan.c_z, scan.max_transfer, scan.concurrence)
     ]
     flags = np.asarray(scan.separable, dtype=bool).view(np.uint8)
     rows = len(scan)

@@ -209,6 +209,25 @@ def test_passive_constructor_rejects_bad_inputs():
         passive_max_active_product([0.8, 0.2], [0.7, 0.3], spec.h_a, spec.h_b)
 
 
+# each step up is 9.9e-13, inside the 1e-12 slack; the three steps add up to 2.97e-12
+CREEPING_UP = [0.249999999998515, 0.249999999999505, 0.250000000000495, 0.250000000001485]
+
+
+def test_passive_constructor_slack_does_not_add_up_over_levels():
+    spec = ladder_spectrum(4, 4)
+    creeping_down = CREEPING_UP[::-1]
+    with pytest.raises(NotPassive):
+        passive_max_active_product(CREEPING_UP, creeping_down, spec.h_a, spec.h_b)
+    with pytest.raises(NotMaxActive):
+        passive_max_active_product(creeping_down, creeping_down, spec.h_a, spec.h_b)
+    # the refused product is one classify_flow refuses too
+    state = BipartiteState.diagonal(np.kron(CREEPING_UP, creeping_down), (4, 4), validate=False)
+    assert classify_flow(state, spec, "A").direction == "none"
+    # the mirror image, passive A times active B, is built and classified a member
+    state = passive_max_active_product(creeping_down, CREEPING_UP, spec.h_a, spec.h_b)
+    assert classify_flow(state, spec, "A").direction == "A_from_B"
+
+
 def test_cross_coherent_member_classifies(rng):
     spec = ladder_spectrum(3, 2)
     state = cross_coherent_member(spec, rng)

@@ -643,3 +643,47 @@ def test_unnormalised_marginal_is_named_with_a_plain_float(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "validation error: probs_a must sum to 1 within 1e-12, got 1.0000001\n"
     )
+
+
+@pytest.mark.parametrize("command", ["decompose", "analyze", "optimize", "classify", "qubit-max"])
+def test_a_subcommand_that_reads_a_file_requires_input(command, capsys):
+    argv = [command] if command == "decompose" else [command, "--target", "A"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"validation error: {command} requires --input\n"
+
+
+# flags refused on their own, whatever the problem file holds
+FLAG_REFUSALS = {
+    "analyze-no-unitary-or-seed": (["analyze"], "analyze needs --unitary FILE or --seed N"),
+    "monte-carlo-no-seed": (["optimize", "--method", "monte-carlo"],
+                            "optimize --method monte-carlo requires --seed"),
+    "two-constructors": (["classify", "--beta-a", "1", "--probs-a", "1"],
+                         "choose one of thermal or passive/max-active flags"),
+    "one-beta": (["classify", "--beta-a", "1"],
+                 "thermal constructor needs both --beta-a and --beta-b"),
+    "one-marginal": (["classify", "--probs-b", "1"],
+                     "passive/max-active constructor needs both --probs-a and --probs-b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_REFUSALS))
+def test_flag_errors_are_reported_before_the_file_is_read(case, tmp_path, capsys):
+    flags, message = FLAG_REFUSALS[case]
+    argv = flags + ["--target", "A", "--input", str(tmp_path / "missing.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_constructor_refuses_marginals_whose_slack_adds_up(tmp_path, capsys):
+    ladder = {"energies": [[k, 1] for k in range(4)]}
+    path = _write(tmp_path, {"h_a": ladder, "h_b": ladder})
+    # each step up is inside the 1e-12 passivity slack, the three together are not
+    creeping = ["0.249999999998515", "0.249999999999505", "0.250000000000495",
+                "0.250000000001485"]
+    argv = ["classify", "--input", path, "--target", "A",
+            "--probs-a", ",".join(creeping), "--probs-b", ",".join(creeping[::-1])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "validation error: probs_a must be non-increasing with energy (slack 1e-12) "
+        "to be passive\n"
+    )

@@ -5,6 +5,7 @@ give the same bytes.
 """
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ def test_signed_zeros_and_mixed_values_keep_their_own_text(tmp_path):
     rows = text.split("\r\n")
     assert rows[1].split(",")[:2] == ["0.0", "-0.0"]
     assert rows[2].split(",")[:2] == ["-0.0", "0.0"]
+
+
+def test_a_c_y_of_its_own_writes_its_own_column(tmp_path):
+    # plane_scan shares one buffer between c_x and c_y, which the writer formats once
+    scan = plane_scan(51)
+    assert scan.c_y is scan.c_x
+    own = dataclasses.replace(scan, c_y=scan.c_x[::-1].copy())
+    assert not np.array_equal(own.c_y, own.c_x)
+    assert_same_bytes(own, tmp_path)
 
 
 def test_empty_scan_writes_only_the_header(tmp_path):

@@ -18,9 +18,11 @@ failing blocks and a witness (their count is printed).  The CLI's refusals
 are compared on that file too: ``analyze`` with neither ``--unitary`` nor
 ``--seed``, ``analyze --seed 1 --tolerance split=0``, ``optimize --method
 monte-carlo`` without ``--seed``, ``classify`` with both ``--beta-a`` and
-``--probs-a``, and ``decompose --tolerance split=1``.  Then, on each file,
-``optimize --method diagonal`` runs and the ``unitary`` of the change's
-report is given back to ``analyze --unitary``.  Each such file is also
+``--probs-a``, ``decompose``, ``optimize`` and ``classify`` each with
+``--tolerance split=1``, and ``bell-scan --input`` (with ``--output``).
+Then, on each file, ``optimize --method diagonal`` runs and the
+``unitary`` of the change's report is given back to ``analyze
+--unitary``.  Each such file is also
 run through ``decompose`` twice under the change tree alone: once pinned to
 one CPU (``os.sched_setaffinity`` in the child before it starts), so that it
 walks the file in one process, and once unpinned, so that a file of at least
@@ -191,6 +193,9 @@ def _state_runs(problems: list[str], work: Path) -> list[tuple[list[str], Path]]
             ["optimize", *given, "--target", "A", "--method", "monte-carlo"],
             ["classify", *given, "--target", "A", "--beta-a", "1", "--probs-a", "1"],
             ["decompose", *given, "--tolerance", "split=1"],
+            ["optimize", *given, "--target", "A", "--tolerance", "split=1"],
+            ["classify", *given, "--target", "A", "--tolerance", "split=1"],
+            ["bell-scan", *given, "--output", str(report)],
             ["optimize", *given, "--target", "A", "--method", "diagonal", "--output", str(report)],
             ["analyze", *given, "--target", "A", "--unitary", str(work / UNITARY)],
         )]
