@@ -39,7 +39,7 @@ from .errors import (
     NotPassive,
     ValidationError,
 )
-from .optimize import _block_eigen_optimum
+from .optimize import _block_optimum
 from .spectra import Hamiltonian, JointSpectrum, check_system
 from .states import BipartiteState, decompose
 from .unitaries import SecUnitary
@@ -151,7 +151,7 @@ def classify_flow(state: BipartiteState, spec: JointSpectrum, target: str) -> Fl
     )
     other = "B" if target == "A" else "A"
     # 0.0 - x rather than -x, so an exact zero reads 0.0 and never -0.0
-    min_transfer = 0.0 - _block_eigen_optimum(decomp, useful, other).value
+    min_transfer = 0.0 - _block_optimum(decomp, useful, other).value
     member = not failing and not has_useful
     if member:
         direction = DIRECTION_A_FROM_B if target == "A" else DIRECTION_B_FROM_A

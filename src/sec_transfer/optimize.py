@@ -2,20 +2,19 @@
 
 Because both transfer components depend only on what each block unitary does
 inside its own block, maximizing the transfer decouples into independent
-per-block problems:
+per-block problems, which one block optimizer solves:
 
-* ``optimal_diagonal_unitary`` maximizes the population-sourced part alone.
-  Within each block this is a rearrangement problem: permute the one-sided
-  populations so the largest sits at the highest target-side level.  The
-  result is a block permutation unitary, which is incapable of converting
-  coherence into populations, so its coherent transfer vanishes identically.
 * ``maximize_transfer_exact`` maximizes the full transfer.  Within each block
   the reachable population vectors are exactly the diagonals of unitary
   conjugations of the block's restricted matrix (populations plus same-energy
   coherences); by the trace rearrangement inequality the optimum pairs the
   eigenvalues of that matrix, largest first, with the target-side levels,
-  highest energy first.  On incoherent states this reduces to the
-  rearrangement above.
+  highest energy first.  A block without useful coherence is its own
+  eigenbasis, so only blocks with useful coherence are eigendecomposed.
+* ``optimal_diagonal_unitary`` is that optimum with the coherences dropped:
+  the block permutation sending the largest one-sided population to the
+  highest target-side level, by the same pairing and tie rule.  It cannot
+  convert coherence into populations, so its coherent transfer vanishes.
 * ``monte_carlo_max`` is the sampling oracle: the maximum of the dense-
   evolution transfer over Haar-random block unitaries.  It can approach but,
   up to float noise, never exceed the exact optimizer.
@@ -57,11 +56,12 @@ def max_active_rearrange(probs, energies) -> tuple[list[int], np.ndarray]:
     """Pair the largest probability with the largest energy.
 
     Returns ``(perm, rearranged)`` with ``rearranged[m] = probs[perm[m]]``;
-    the rearranged vector is the maximum-energy ordering of the given
-    populations.  Ties keep index order, so an input that is already
-    maximally active over increasing energies maps to the identity.  The
-    populations are taken as they are: those of an admitted state may dip
-    below zero by as much as its ``psd`` tolerance allows.
+    the rearranged vector is the maximum-energy ordering of the given values:
+    a block's populations, or the eigenvalues of its restricted matrix.  Ties
+    keep index order, so an input that is already maximally active over
+    increasing energies maps to the identity.  The values are taken as they
+    are: populations may dip below zero by as much as the ``psd`` tolerance
+    allows.
     """
     probs = np.asarray(probs, dtype=float)
     if len(probs) != len(energies):
@@ -81,24 +81,15 @@ def optimal_diagonal_unitary(
 ) -> SecUnitary:
     """Block permutation unitary maximizing the population-sourced transfer.
 
-    Each block sends its one-sided populations to their maximum-energy
-    rearrangement for the target system.  The returned unitary never passes
-    the coherence-capability test, so its coherent transfer is exactly zero
-    for every state.
+    This is the exact optimum with the coherences dropped: each block sends
+    its one-sided populations to their maximum-energy rearrangement for the
+    target system.  The returned unitary never passes the coherence-capability
+    test, so its coherent transfer is exactly zero for every state.
     """
     check_system(target)
     if spec != decomp.spectrum:
         raise BlockMismatch("decomposition was built over a different joint spectrum")
-    layout = spec.layout
-    all_energies = spec.ordered_local_energies(target)
-    blocks = []
-    for i in range(len(layout.dims)):
-        span = layout.span(i)
-        perm, _ = max_active_rearrange(decomp.probs[span], all_energies[span])
-        mat = np.zeros((len(perm), len(perm)), dtype=complex)
-        mat[np.arange(len(perm)), perm] = 1.0
-        blocks.append(mat)
-    return SecUnitary(blocks, spec, validate=False)
+    return _block_optimum(decomp, {}, target).unitary
 
 
 def maximize_transfer_exact(
@@ -109,15 +100,16 @@ def maximize_transfer_exact(
     Per block: eigendecompose the restricted matrix (populations plus
     same-energy coherences), pair eigenvalues with the target-side levels in
     maximum-energy order, and map the eigenbasis onto the level basis
-    accordingly.  Eigenvalue ties are broken by stable index order (they make
-    the optimum non-unique, never wrong).
+    accordingly.  Ties keep index order, as in :func:`max_active_rearrange`
+    (they make the optimum non-unique, never wrong), so a block already in
+    maximum-energy order maps to the identity.
     """
     check_system(target)
     decomp = decompose(state, spec)
-    return _block_eigen_optimum(decomp, decomp.useful_coherence_blocks(), target)
+    return _block_optimum(decomp, decomp.useful_coherence_blocks(), target)
 
 
-def _block_eigen_optimum(
+def _block_optimum(
     decomp: StateDecomposition, useful: dict[int, np.ndarray], target: str
 ) -> OptimizationResult:
     """:func:`maximize_transfer_exact` on the populations plus the given coherences."""
@@ -127,21 +119,18 @@ def _block_eigen_optimum(
     blocks = []
     value = 0.0
     for i in range(len(layout.dims)):
-        span, d = layout.span(i), int(layout.dims[i])
+        span = layout.span(i)
         probs, energies = decomp.probs[span], all_energies[span]
-        restricted = np.diag(probs.astype(complex))
         alpha = useful.get(i)
-        if alpha is not None:
-            restricted = restricted + alpha
-        eigenvalues, vectors = np.linalg.eigh(restricted)
-        eig_order = sorted(range(d), key=lambda k: (-eigenvalues[k], k))
-        pos_order = sorted(range(d), key=lambda m: (-energies[m], m))
-        mat = np.zeros((d, d), dtype=complex)
-        for eig_idx, pos in zip(eig_order, pos_order):
-            mat[pos, :] = vectors[:, eig_idx].conj()
-            value += eigenvalues[eig_idx] * energies[pos]
+        if alpha is None:  # the level basis is the eigenbasis
+            weights, vectors = probs, np.eye(len(probs))
+        else:
+            weights, vectors = np.linalg.eigh(np.diag(probs.astype(complex)) + alpha)
+        perm, rearranged = max_active_rearrange(weights, energies)
+        for pos in sorted(range(len(perm)), key=lambda m: energies[m], reverse=True):
+            value += rearranged[pos] * energies[pos]
         value -= float(energies @ probs)
-        blocks.append(mat)
+        blocks.append(vectors[:, perm].conj().T)
     return OptimizationResult(
         value=float(value),
         unitary=SecUnitary(blocks, spec, validate=False),
@@ -161,37 +150,37 @@ def monte_carlo_max(
     Samples are drawn and evaluated in chunks of ``SAMPLE_CHUNK``, one at a
     time, so one chunk of block matrices is held whatever the CPU count.  With
     more than one chunk, a chunk's blocks are drawn on one thread per block
-    up to the CPUs this process may run on.  Ties go to the earliest sample,
-    so the result is deterministic for a given seed.  The winner's blocks are
-    copied so no chunk outlives its turn, and the reported value is
-    re-evaluated through dense evolution of that unitary.
+    up to the CPUs this process may run on.  One running best is kept, and
+    ties go to the earliest sample, so the result is deterministic for a
+    given seed.  Its blocks are copied so no chunk outlives its turn, and the
+    reported value is re-evaluated through dense evolution of that unitary.
     """
     check_system(target)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     decomp = decompose(state, spec)
-    chunks = [
-        (start, min(SAMPLE_CHUNK, n_samples - start))
-        for start in range(0, n_samples, SAMPLE_CHUNK)
-    ]
 
-    def evaluate(chunk: tuple[int, int], pool) -> tuple[float, int, list[np.ndarray]]:
-        start, count = chunk
+    def chunk_best(start: int, pool) -> tuple[float, list[np.ndarray]]:
+        count = min(SAMPLE_CHUNK, n_samples - start)
         batch = sample_haar_blocks(spec, seed, count, start=start, pool=pool)
         totals = batch_transfers(decomp, batch, target).total
         inner = int(np.argmax(totals))
-        blocks = [stack[inner].copy() for stack in batch]
-        return float(totals[inner]), start + inner, blocks
+        return float(totals[inner]), [stack[inner].copy() for stack in batch]
 
-    workers = min(len(spec.blocks), _usable_cpus()) if len(chunks) > 1 else 1
+    def search(pool) -> list[np.ndarray]:
+        # max walks the chunks lazily, keeps one running best and, comparing
+        # with strict >, the first of equal totals
+        starts = range(0, n_samples, SAMPLE_CHUNK)
+        return max((chunk_best(start, pool) for start in starts), key=lambda r: r[0])[1]
+
+    workers = min(len(spec.blocks), _usable_cpus()) if n_samples > SAMPLE_CHUNK else 1
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [evaluate(chunk, pool) for chunk in chunks]
+            blocks = search(pool)
     else:
-        results = [evaluate(chunk, None) for chunk in chunks]
-    _, _, blocks = max(results, key=lambda r: (r[0], -r[1]))
+        blocks = search(None)
     unitary = SecUnitary(blocks, spec, validate=False)
     return OptimizationResult(
         value=transfer_direct(state, unitary, target),
@@ -213,6 +202,6 @@ def check_coherence_bound(
     """
     check_system(target)
     decomp = decompose(state, spec)
-    lhs = _block_eigen_optimum(decomp, decomp.useful_coherence_blocks(), target).value
-    rhs = _block_eigen_optimum(decomp, {}, target).value
+    lhs = _block_optimum(decomp, decomp.useful_coherence_blocks(), target).value
+    rhs = _block_optimum(decomp, {}, target).value
     return lhs, rhs, lhs >= rhs - tolerances.TRANSFER_NOISE

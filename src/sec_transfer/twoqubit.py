@@ -181,11 +181,9 @@ def max_transfer_2q(
         phi_star = (-cmath.phase(params.alpha)) % TWO_PI
     else:
         phi_star = (math.pi - cmath.phase(params.alpha)) % TWO_PI
-    if strength == 0.0:
-        if gap > 0.0:
-            return TwoQubitOptimum(gap, 1.0, phi_star, params.alpha)
-        return TwoQubitOptimum(0.0, 0.0, phi_star, params.alpha)
     spread = math.hypot(gap, 2.0 * strength)
+    if spread == 0.0:  # equal populations and no coherence: nothing moves
+        return TwoQubitOptimum(0.0, 0.0, phi_star, params.alpha)
     x_star = 0.5 * (1.0 + gap / spread)
     return TwoQubitOptimum(
         value=0.5 * (gap + spread),

@@ -8,6 +8,7 @@ must hold no more than one chunk of sampled matrices at a time.
 
 import os
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -119,6 +120,33 @@ def test_block_matrices_in_flight_stay_one_chunk(cpus, rng, monkeypatch):
     monte_carlo_max(state, spec, "A", 3 * SAMPLE_CHUNK, seed=6)
     assert peak[0] == len(spec.blocks) * SAMPLE_CHUNK
     assert live[0] == 0
+
+
+def test_search_memory_does_not_grow_with_the_chunk_count(rng, monkeypatch):
+    # one-sample chunks, so a short search spans a hundred of them; the draws
+    # stay keyed by unitaries.SAMPLE_CHUNK, so the winner is the same sample
+    spec = ladder_spectrum(10, 10)
+    state = random_state((10, 10), rng)
+    whole = monte_carlo_max(state, spec, "A", 100, seed=2)
+    monkeypatch.setattr(optimize, "SAMPLE_CHUNK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            result = monte_carlo_max(state, spec, "A", n_samples, seed=2)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, few = peak(10)
+    result, many = peak(100)
+    assert [b.tobytes() for b in result.unitary.blocks] == [
+        b.tobytes() for b in whole.unitary.blocks
+    ]
+    # keeping every chunk's winner would hold 100 copies of these blocks
+    winner = sum(block.nbytes for block in result.unitary.blocks)
+    assert many - few < 10 * winner
 
 
 @pytest.mark.parametrize("start,count", [(0, 1), (0, SAMPLE_CHUNK), (255, 2), (300, 600),

@@ -12,6 +12,7 @@ from sec_transfer import (
     LengthMismatch,
     SecUnitary,
     check_coherence_bound,
+    classify_flow,
     decompose,
     is_potentially_coherent,
     max_active_rearrange,
@@ -19,11 +20,17 @@ from sec_transfer import (
     monte_carlo_max,
     optimal_diagonal_unitary,
     sample_haar_blocks,
+    thermal_product,
     transfer_coherent,
     transfer_diagonal,
     transfer_direct,
 )
-from sec_transfer.fixtures import ladder_spectrum, max_coherence_params, random_state
+from sec_transfer.fixtures import (
+    DIMENSION_CLASSES,
+    ladder_spectrum,
+    max_coherence_params,
+    random_state,
+)
 from sec_transfer.transfer import batch_transfers
 
 
@@ -149,6 +156,65 @@ def test_maximize_exact_reduces_to_rearrangement_on_diagonal(rng):
             u = optimal_diagonal_unitary(decomp, spec, "A")
             value, _ = transfer_diagonal(decomp, u, "A")
             assert exact == pytest.approx(value, abs=1e-14)
+
+
+@pytest.mark.parametrize("dims", DIMENSION_CLASSES)
+def test_exact_optimum_of_incoherent_states_is_the_diagonal_optimum(dims, rng):
+    # one block optimizer: without coherences the exact optimum is the
+    # population rearrangement, bit for bit
+    spec = ladder_spectrum(*dims)
+    for _ in range(3):
+        state = random_state(dims, rng, coherent=False)
+        for target in ("A", "B"):
+            exact = maximize_transfer_exact(state, spec, target).unitary
+            diagonal = optimal_diagonal_unitary(decompose(state, spec), spec, target)
+            assert [b.tobytes() for b in exact.blocks] == [b.tobytes() for b in diagonal.blocks]
+
+
+@pytest.mark.parametrize(
+    "dims,probs",
+    [((2, 2), [0.3, 0.2, 0.2, 0.3]), ((3, 3), [1 / 9] * 9)],
+    ids=["tied-two-qubit", "maximally-mixed-3x3"],
+)
+def test_tied_populations_in_max_energy_order_give_identity_blocks(dims, probs):
+    spec = ladder_spectrum(*dims)
+    state = BipartiteState.diagonal(probs, dims)
+    result = maximize_transfer_exact(state, spec, "A")
+    assert result.value == 0.0
+    for block in result.unitary.blocks:
+        assert np.array_equal(block, np.eye(len(block)))
+    diagonal = optimal_diagonal_unitary(decompose(state, spec), spec, "A")
+    assert [b.tobytes() for b in result.unitary.blocks] == [b.tobytes() for b in diagonal.blocks]
+
+
+def _count_eigh(monkeypatch) -> list:
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_thermal_classification_eigendecomposes_nothing(monkeypatch):
+    spec = ladder_spectrum(4, 4)
+    state = thermal_product(spec.h_a, spec.h_b, 2.0, 1.0)
+    calls = _count_eigh(monkeypatch)
+    assert classify_flow(state, spec, "A").direction == "A_from_B"
+    assert calls == []
+
+
+def test_exact_optimum_eigendecomposes_only_coherent_blocks(rng, monkeypatch):
+    spec = ladder_spectrum(4, 3)
+    state = random_state((4, 3), rng)
+    useful = decompose(state, spec).useful_coherence_blocks()
+    assert 0 < len(useful) < len(spec.blocks)
+    calls = _count_eigh(monkeypatch)
+    maximize_transfer_exact(state, spec, "A")
+    assert sorted(calls) == sorted(alpha.shape for alpha in useful.values())
 
 
 def test_maximize_exact_dominates_sampling(rng):

@@ -95,6 +95,14 @@ def test_reversal_threshold_at_fixed_mixing(r, side, theta):
     assert dense == pytest.approx(closed, abs=1e-12)
 
 
+@pytest.mark.parametrize("target", ["A", "B"])
+def test_equal_populations_without_coherence_move_nothing(target):
+    # gap and coherence both vanish, so the closed form's spread is zero
+    params = TwoQubitParams(0.2, 0.3, 0.3, 0.2)
+    best = max_transfer_2q(params, target, optimize_alpha=False)
+    assert (best.value.hex(), best.r_star.hex()) == ((0.0).hex(), (0.0).hex())
+
+
 @pytest.mark.parametrize("magnitude", [0.0, 1e-3, 0.05, 0.2])
 def test_any_coherence_reverses_the_flow_over_all_unitaries(magnitude):
     params = TwoQubitParams(*HOT_A, alpha=complex(0.0, magnitude))

@@ -47,7 +47,9 @@ with both figures (MB of 1024 KiB, as ``bench/run.py`` reports
 ``peak_rss_mb``).  That line is for information only.
 
 Prints one line per mismatch and a count per workload and seed; exits 1 if
-anything differs.
+anything differs.  A mismatch line ends in ``(equal as parsed JSON)`` when
+both sides of the differing stdout or output parse as JSON to equal values,
+as when only the sign of a zero moved; it still counts as a mismatch.
 """
 
 from __future__ import annotations
@@ -138,10 +140,19 @@ def _run_demo(tree: Path, name: str, work: Path) -> tuple:
     return (*done, written)
 
 
+def _equal_as_json(old, new) -> bool:
+    """Whether both sides parse as JSON to equal values (so ``-0.0`` equals ``0.0``)."""
+    try:
+        return json.loads(old) == json.loads(new)
+    except (TypeError, ValueError):
+        return False
+
+
 def _same(what: str, parent: tuple, change: tuple) -> bool:
     for field, old, new in zip(("exit code", "stdout", "stderr", "output"), parent, change):
         if old != new:
-            print(f"differs in {field}: {what}")
+            note = " (equal as parsed JSON)" if _equal_as_json(old, new) else ""
+            print(f"differs in {field}: {what}{note}")
             return False
     return True
 
