@@ -49,7 +49,6 @@ _HOMES = {
     "optimize": (
         "OptimizationResult",
         "check_coherence_bound",
-        "max_active_rearrange",
         "maximize_transfer_exact",
         "monte_carlo_max",
         "optimal_diagonal_unitary",

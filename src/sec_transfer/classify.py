@@ -116,9 +116,8 @@ def _swap_witness(
             continue
         failing.append(i)
         for low in range(d):
-            for high in range(d):
-                if energies[high] <= energies[low]:
-                    continue
+            # the members above ``low`` in target energy (see spectra)
+            for high in range(low + 1, d) if target == "A" else range(low):
                 # swapping members (low, high) changes the target energy by
                 # -(p_high - p_low) * (e_high - e_low)
                 gain = (probs[high] - probs[low]) * (energies[high] - energies[low])

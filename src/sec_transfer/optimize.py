@@ -9,7 +9,10 @@ per-block problems, which one block optimizer solves:
   conjugations of the block's restricted matrix (populations plus same-energy
   coherences); by the trace rearrangement inequality the optimum pairs the
   eigenvalues of that matrix, largest first, with the target-side levels,
-  highest energy first.  A block without useful coherence is its own
+  highest energy first.  The spectrum fixes the order of a block's levels
+  (:mod:`sec_transfer.spectra`), so no energy is sorted; tied weights keep
+  that order, so a block already in maximum-energy order maps to the
+  identity for either target.  A block without useful coherence is its own
   eigenbasis, so only blocks with useful coherence are eigendecomposed.
 * ``optimal_diagonal_unitary`` is that optimum with the coherences dropped:
   the block permutation sending the largest one-sided population to the
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import BlockMismatch, LengthMismatch, ValidationError
+from .errors import BlockMismatch, ValidationError
 from .spectra import JointSpectrum, check_system
 from .states import BipartiteState, StateDecomposition, _usable_cpus, decompose
 from .transfer import batch_transfers, transfer_direct
@@ -50,30 +53,6 @@ class OptimizationResult:
     unitary: SecUnitary
     method: str
     samples: int | None = None
-
-
-def max_active_rearrange(probs, energies) -> tuple[list[int], np.ndarray]:
-    """Pair the largest probability with the largest energy.
-
-    Returns ``(perm, rearranged)`` with ``rearranged[m] = probs[perm[m]]``;
-    the rearranged vector is the maximum-energy ordering of the given values:
-    a block's populations, or the eigenvalues of its restricted matrix.  Ties
-    keep index order, so an input that is already maximally active over
-    increasing energies maps to the identity.  The values are taken as they
-    are: populations may dip below zero by as much as the ``psd`` tolerance
-    allows.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if len(probs) != len(energies):
-        raise LengthMismatch(
-            f"{len(probs)} probabilities paired with {len(energies)} energies"
-        )
-    positions = sorted(range(len(probs)), key=lambda m: (energies[m], m))
-    order = sorted(range(len(probs)), key=lambda i: (probs[i], i))
-    perm = [0] * len(probs)
-    for pos, src in zip(positions, order):
-        perm[pos] = src
-    return perm, probs[perm]
 
 
 def optimal_diagonal_unitary(
@@ -100,9 +79,9 @@ def maximize_transfer_exact(
     Per block: eigendecompose the restricted matrix (populations plus
     same-energy coherences), pair eigenvalues with the target-side levels in
     maximum-energy order, and map the eigenbasis onto the level basis
-    accordingly.  Ties keep index order, as in :func:`max_active_rearrange`
+    accordingly.  Tied eigenvalues keep the order of the target's levels
     (they make the optimum non-unique, never wrong), so a block already in
-    maximum-energy order maps to the identity.
+    maximum-energy order maps to the identity for either target.
     """
     check_system(target)
     decomp = decompose(state, spec)
@@ -118,17 +97,21 @@ def _block_optimum(
     all_energies = spec.ordered_local_energies(target)
     blocks = []
     value = 0.0
-    for i in range(len(layout.dims)):
+    for i, d in enumerate(layout.dims.tolist()):
         span = layout.span(i)
         probs, energies = decomp.probs[span], all_energies[span]
         alpha = useful.get(i)
         if alpha is None:  # the level basis is the eigenbasis
-            weights, vectors = probs, np.eye(len(probs))
+            weights, vectors = probs, np.eye(d)
         else:
             weights, vectors = np.linalg.eigh(np.diag(probs.astype(complex)) + alpha)
-        perm, rearranged = max_active_rearrange(weights, energies)
-        for pos in sorted(range(len(perm)), key=lambda m: energies[m], reverse=True):
-            value += rearranged[pos] * energies[pos]
+        # the block's positions by rising target level (see spectra); the
+        # stable sort keeps tied weights in that order
+        rising = np.arange(d) if target == "A" else np.arange(d - 1, -1, -1)
+        perm = np.empty(d, dtype=int)
+        perm[rising] = rising[np.argsort(weights[rising], kind="stable")]
+        for pos in rising[::-1]:
+            value += weights[perm[pos]] * energies[pos]
         value -= float(energies @ probs)
         blocks.append(vectors[:, perm].conj().T)
     return OptimizationResult(

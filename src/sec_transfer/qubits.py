@@ -68,9 +68,13 @@ class SecParams2Q:
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
             raise ValidationError(f"r must lie in [0, 1], got {self.r!r}")
+        if not math.isfinite(self.phi):
+            raise ValidationError(f"phi must be finite, got {self.phi!r}")
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
         if len(self.thetas) != 4:
             raise ValidationError("thetas must hold four phases (t00, t01, t10, t11)")
+        if not all(math.isfinite(t) for t in self.thetas):
+            raise ValidationError(f"thetas must be finite, got {self.thetas!r}")
         object.__setattr__(self, "thetas", tuple(float(t) % TWO_PI for t in self.thetas))
 
     def to_sec_unitary(self, spec: JointSpectrum | None = None) -> SecUnitary:

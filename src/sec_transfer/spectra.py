@@ -8,6 +8,10 @@ energy E splits the product basis into a block of pairs (a, b) with
 index and vice versa.  Every other module works block by block on top of this
 partition, which :class:`JointSpectrum` builds from the two Hamiltonians
 alone, so equal Hamiltonians always give the same blocks in the same order.
+A block's members run by rising A level, and ``eps_a + eps_b == E`` inside
+it, so along every block A's levels strictly rise and B's strictly fall; the
+optimizers and the passivity witness read a block's level order from this
+and sort no energy.
 :class:`BlockLayout` holds that partition as one permutation of the flat
 basis into block order, so block-structured arrays are contiguous slices of
 one permuted array, and per-block loops address block ``i`` by
@@ -22,7 +26,7 @@ exact equality test.  They enter only as exact values (int, ``Fraction`` or a
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,11 +66,12 @@ class Hamiltonian:
 
     ``energies`` must be strictly increasing exact rationals (at least two
     levels).  ``labels`` optionally names the basis states: a sequence of
-    strings, one per level (a bare string is refused, not split).
+    strings, one per level (a bare string is refused, not split).  Labels
+    take no part in equality, so they never tell two spectra apart.
     """
 
     energies: tuple[Fraction, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         energies = tuple(as_fraction(e) for e in self.energies)

@@ -127,6 +127,8 @@ def delta_coh_2q(params: TwoQubitParams, r: float, phi: float) -> float:
     """Coherence-sourced transfer to qubit A: 2 Re(alpha e^{i phi}) r sqrt(1-r^2)."""
     if not 0.0 <= r <= 1.0:
         raise ValidationError(f"r must lie in [0, 1], got {r!r}")
+    if not math.isfinite(phi):
+        raise ValidationError(f"phi must be finite, got {phi!r}")
     return (
         2.0
         * (params.alpha * cmath.exp(1j * phi)).real

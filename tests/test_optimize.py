@@ -4,18 +4,14 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sec_transfer import (
     BipartiteState,
-    LengthMismatch,
     SecUnitary,
     check_coherence_bound,
     classify_flow,
     decompose,
     is_potentially_coherent,
-    max_active_rearrange,
     maximize_transfer_exact,
     monte_carlo_max,
     optimal_diagonal_unitary,
@@ -32,42 +28,6 @@ from sec_transfer.fixtures import (
     random_state,
 )
 from sec_transfer.transfer import batch_transfers
-
-
-def test_max_active_examples():
-    perm, rearranged = max_active_rearrange([0.1, 0.9], [0, 1])
-    assert perm == [0, 1]
-    np.testing.assert_allclose(rearranged, [0.1, 0.9])
-
-    perm, _ = max_active_rearrange([0.25, 0.25, 0.25, 0.25], [0, 1, 2, 3])
-    assert perm == [0, 1, 2, 3]
-
-    probs, energies = [0.2, 0.5, 0.3], [0, 1, 2]
-    _, rearranged = max_active_rearrange(probs, energies)
-    best = max(
-        permutations(probs), key=lambda q: sum(p * e for p, e in zip(q, energies))
-    )
-    np.testing.assert_allclose(rearranged, best)
-
-
-def test_rearrange_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        max_active_rearrange([0.5, 0.5], [0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_rearrangement_optimality_brute_force(n, seed):
-    # oracle: exhaustive search over permutations up to size 4
-    rng = np.random.default_rng(seed)
-    probs = rng.dirichlet(np.ones(n))
-    energies = np.sort(rng.uniform(0, 3, size=n))
-    _, high = max_active_rearrange(probs, energies)
-    values = [sum(p * e for p, e in zip(q, energies)) for q in permutations(probs)]
-    assert float(high @ energies) == pytest.approx(max(values), abs=1e-12)
 
 
 def test_optimal_diagonal_unitary_two_qubit(two_qubit_spec):
@@ -119,6 +79,24 @@ def test_optimal_diagonal_unitary_vs_exhaustive(rng):
             )
         best = sum(per_block_best)
         assert value == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", DIMENSION_CLASSES)
+def test_optimal_diagonal_unitary_vs_exhaustive_target_b(dims, rng):
+    # oracle: every permutation of each block's members, one block at a time,
+    # scored by the per-block breakdown of the diagonal transfer
+    spec = ladder_spectrum(*dims)
+    for _ in range(3):
+        decomp = decompose(random_state(dims, rng, coherent=False), spec)
+        _, optimal = transfer_diagonal(decomp, optimal_diagonal_unitary(decomp, spec, "B"), "B")
+        for i, block in enumerate(spec.blocks):
+            best = -np.inf
+            for perm in permutations(range(block.dim)):
+                blocks = list(SecUnitary.identity(spec).blocks)
+                blocks[i] = np.eye(block.dim, dtype=complex)[list(perm)]
+                _, per_block = transfer_diagonal(decomp, SecUnitary(blocks, spec), "B")
+                best = max(best, per_block[i])
+            assert optimal[i] == pytest.approx(best, abs=1e-12)
 
 
 def test_optimal_diagonal_kills_coherent_transfer(rng):
@@ -185,6 +163,25 @@ def test_tied_populations_in_max_energy_order_give_identity_blocks(dims, probs):
         assert np.array_equal(block, np.eye(len(block)))
     diagonal = optimal_diagonal_unitary(decompose(state, spec), spec, "A")
     assert [b.tobytes() for b in result.unitary.blocks] == [b.tobytes() for b in diagonal.blocks]
+
+
+@pytest.mark.parametrize("target", ["A", "B"])
+@pytest.mark.parametrize(
+    "dims,probs",
+    [((2, 2), [0.3, 0.2, 0.2, 0.3]), ((3, 3), [1 / 9] * 9)],
+    ids=["tied-two-qubit", "maximally-mixed-3x3"],
+)
+def test_tied_populations_move_nothing_for_either_target(dims, probs, target):
+    # every block's populations tie, so the identity is optimal and ties keep
+    # the target's level order whether its levels rise or fall along a block
+    spec = ladder_spectrum(*dims)
+    state = BipartiteState.diagonal(probs, dims)
+    exact = maximize_transfer_exact(state, spec, target)
+    diagonal = optimal_diagonal_unitary(decompose(state, spec), spec, target)
+    assert exact.value == 0.0
+    for unitary in (exact.unitary, diagonal):
+        for block in unitary.blocks:
+            assert np.array_equal(block, np.eye(len(block)))
 
 
 def _count_eigh(monkeypatch) -> list:

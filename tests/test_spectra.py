@@ -6,12 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sec_transfer import (
+    BipartiteState,
     DegenerateSpectrum,
     Hamiltonian,
+    SecParams2Q,
     UnknownBlock,
     ValidationError,
     build_joint_spectrum,
+    decompose,
+    optimal_diagonal_unitary,
+    to_full_matrix,
+    transfer_diagonal,
+    two_qubit_spectrum,
 )
+from sec_transfer.fixtures import ladder_spectrum
 
 
 def spectrum(energies_a, energies_b):
@@ -186,6 +194,19 @@ def test_labels_do_not_change_block_structure():
         Hamiltonian((0, 1), labels=("g", "e")),
     )
     assert block_map(plain) == block_map(labelled)
+
+
+def test_labels_never_tell_two_spectra_apart():
+    labelled, plain = two_qubit_spectrum(), ladder_spectrum(2, 2)
+    assert labelled == plain
+    assert Hamiltonian((0, 1), labels=("g", "e")) == Hamiltonian((0, 1))
+    assert hash(Hamiltonian((0, 1), labels=("g", "e"))) == hash(Hamiltonian((0, 1)))
+    decomp = decompose(BipartiteState.diagonal([0.35, 0.3, 0.1, 0.25], (2, 2)), plain)
+    u = SecParams2Q(r=0.5).to_sec_unitary()
+    value, _ = transfer_diagonal(decomp, u, "A")
+    assert value == pytest.approx(0.2 * 0.25, abs=1e-15)
+    optimal_diagonal_unitary(decomp, labelled, "A")
+    assert to_full_matrix(u, plain).shape == (4, 4)
 
 
 def test_flat_local_energies_lexicographic():

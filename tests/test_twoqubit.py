@@ -115,3 +115,25 @@ def test_any_coherence_reverses_the_flow_over_all_unitaries(magnitude):
     assert best.value > 0.0
     unitary = SecParams2Q(best.r_star, best.phi_star).to_sec_unitary()
     assert transfer_direct(params.to_state(), unitary, "A") == pytest.approx(best.value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field,kwargs",
+    [
+        ("phi", {"phi": NAN}),
+        ("phi", {"phi": INF}),
+        ("phi", {"phi": -INF}),
+        ("thetas", {"thetas": (0.0, NAN, 0.0, 0.0)}),
+        ("thetas", {"thetas": (0.0, 0.0, 0.0, INF)}),
+    ],
+    ids=["phi-nan", "phi-inf", "phi-minus-inf", "theta-nan", "theta-inf"],
+)
+def test_non_finite_phases_are_refused_by_name(field, kwargs):
+    with pytest.raises(ValidationError, match=field):
+        SecParams2Q(r=0.5, **kwargs)
+
+
+@pytest.mark.parametrize("phi", [NAN, INF, -INF], ids=["nan", "inf", "minus-inf"])
+def test_coherent_transfer_refuses_a_non_finite_phase(phi):
+    with pytest.raises(ValidationError, match="phi"):
+        delta_coh_2q(TwoQubitParams(*BASE, alpha=BASE_ALPHA), 0.5, phi)

@@ -14,7 +14,10 @@ that fails the one-way rule, so every problem file that carries a state (the
 input of a ``decompose``, ``analyze`` or ``optimize`` job) is also run through
 ``decompose --csv``, comparing the CSV bytes, and through ``classify`` for
 both targets on its own state: a random state, so most of those reports list
-failing blocks and a witness (their count is printed).  The CLI's refusals
+failing blocks and a witness (their count is printed).  Each such file also
+runs through an exact ``optimize --target B``: the ``ladder-exact`` jobs run
+the exact optimizer for target A only, so this compares the other level
+orientation there too.  The CLI's refusals
 are compared on that file too: ``analyze`` with neither ``--unitary`` nor
 ``--seed``, ``analyze --seed 1 --tolerance split=0``, ``optimize --method
 monte-carlo`` without ``--seed``, ``classify`` with both ``--beta-a`` and
@@ -199,6 +202,7 @@ def _state_runs(problems: list[str], work: Path) -> list[tuple[list[str], Path]]
             runs.append((["classify", *given, "--target", target, "--output", str(report)],
                          report))
         runs += [(argv, report) for argv in (
+            ["optimize", *given, "--target", "B", "--output", str(report)],
             ["analyze", *given, "--target", "A"],
             ["analyze", *given, "--target", "A", "--seed", "1", "--tolerance", "split=0"],
             ["optimize", *given, "--target", "A", "--method", "monte-carlo"],
