@@ -20,7 +20,6 @@ from sec_transfer import (
     delta_diag_2q,
     gibbs_probabilities,
     max_transfer_2q,
-    second_order_check,
     transfer_direct,
     two_qubit_spectrum,
 )
@@ -32,8 +31,6 @@ print("populations p01=0.3, p10=0.1, coherence at its ceiling:")
 optimum = max_transfer_2q(params, "A")
 print(f"  optimal transfer to A: {optimum.value:.3f}")
 print(f"  at mixing r^2 = {optimum.r_star**2:.3f}, phase {optimum.phi_star:.1f}")
-curv_plus, curv_minus = second_order_check(params)
-print(f"  stationary curvatures: {curv_plus:+.3f} (max), {curv_minus:+.3f} (min)")
 incoherent = max_transfer_2q(
     TwoQubitParams(0.35, 0.3, 0.1, 0.25), "A", optimize_alpha=False
 )

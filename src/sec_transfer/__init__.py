@@ -65,7 +65,6 @@ _HOMES = {
         "max_transfer_vs_concurrence",
         "plane_scan",
         "plane_scan_gradient",
-        "second_order_check",
         "two_qubit_spectrum",
     ),
     "spectra": (

@@ -116,8 +116,11 @@ def _swap_witness(
             continue
         failing.append(i)
         for low in range(d):
-            # the members above ``low`` in target energy (see spectra)
-            for high in range(low + 1, d) if target == "A" else range(low):
+            # each pair once, for either target: the gain is symmetric in the
+            # pair, bit for bit, and walk orders differ only on nested pairs
+            # (w, z) around (x, y), w < x < y < z, which never tie for the
+            # block's largest gain M: g_wy <= M and g_xz <= M force g_wz < M = g_xy
+            for high in range(low + 1, d):
                 # swapping members (low, high) changes the target energy by
                 # -(p_high - p_low) * (e_high - e_low)
                 gain = (probs[high] - probs[low]) * (energies[high] - energies[low])

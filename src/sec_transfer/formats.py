@@ -3,7 +3,8 @@
 Schemas
 -------
 Hamiltonian        ``{"energies": [[num, den], ...], "labels": ["...", ...]}``
-                   (labels optional; when given, one string per level).
+                   (labels optional; when given, one string per level,
+                   checked, not kept).
 State              ``{"dims": [dA, dB], "re": [[...]], "im": [[...]]}``.
 Block unitary      ``{"blocks": {"<E as p/q>": {"re": [[...]], "im": [[...]]}}}``.
 Transfer report    ``{"target", "total", "diagonal", "coherent", "eta",
@@ -93,10 +94,7 @@ def fraction_key(value: Fraction) -> str:
 
 def hamiltonian_to_json(h: Hamiltonian) -> dict:
     """The inverse of :func:`hamiltonian_from_json`, which the tests check through it."""
-    payload = {"energies": [fraction_to_json(e) for e in h.energies]}
-    if h.labels is not None:
-        payload["labels"] = list(h.labels)
-    return payload
+    return {"energies": [fraction_to_json(e) for e in h.energies]}
 
 
 def hamiltonian_from_json(data: dict) -> Hamiltonian:
@@ -118,12 +116,14 @@ def hamiltonian_from_json(data: dict) -> Hamiltonian:
         if entry[1] == 0:
             raise ValidationError(f"Hamiltonian energy {entry!r} has a zero denominator")
         parsed.append(Fraction(entry[0], entry[1]))
-    if "labels" not in data:
-        return Hamiltonian(tuple(parsed))
-    labels = data["labels"]
+    # labels name the levels: checked (type before the levels, length after), then dropped
+    labels = data.get("labels", [])
     if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
         raise ValidationError(f"Hamiltonian labels must be an array of strings, got {labels!r}")
-    return Hamiltonian(tuple(parsed), tuple(labels))
+    h = Hamiltonian(tuple(parsed))
+    if "labels" in data and len(labels) != h.dim:
+        raise ValidationError("labels must match energies in length")
+    return h
 
 
 def _matrix_to_json(matrix: np.ndarray) -> dict:

@@ -38,7 +38,7 @@ from .errors import BlockMismatch, ValidationError
 from .spectra import JointSpectrum, check_system
 from .states import BipartiteState, StateDecomposition, _usable_cpus, decompose
 from .transfer import batch_transfers, transfer_direct
-from .unitaries import SAMPLE_CHUNK, SecUnitary, sample_haar_blocks
+from .unitaries import SAMPLE_CHUNK, SecUnitary, _integer, sample_haar_blocks
 
 METHOD_DIAGONAL = "diagonal_exact"
 METHOD_BLOCK_EIGEN = "block_eigen_exact"
@@ -139,6 +139,7 @@ def monte_carlo_max(
     reported value is re-evaluated through dense evolution of that unitary.
     """
     check_system(target)
+    n_samples, seed = _integer("n_samples", n_samples), _integer("seed", seed)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     decomp = decompose(state, spec)

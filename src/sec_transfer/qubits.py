@@ -4,8 +4,7 @@ The closed forms themselves (``TwoQubitParams``, ``delta_diag_2q``,
 ``delta_coh_2q``, ``max_transfer_2q`` and the reading of the reversal
 threshold they encode) live in :mod:`sec_transfer.twoqubit`, which needs no
 numpy.  This module adds what needs arrays: the general energy-conserving
-unitary ``SecParams2Q`` with its mixing ``r`` and effective phase ``phi``, and
-the second-order check of the optimum.
+unitary ``SecParams2Q`` with its mixing ``r`` and effective phase ``phi``.
 
 The Bell-diagonal geometry lives here too: states with maximally mixed
 marginals and a real useful coherence form a plane in the correlation
@@ -35,7 +34,6 @@ from .twoqubit import TWO_PI
 if TYPE_CHECKING:  # named only in annotations
     from .spectra import JointSpectrum
     from .states import BipartiteState
-    from .twoqubit import TwoQubitParams
     from .unitaries import SecUnitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -47,7 +45,7 @@ def two_qubit_spectrum() -> JointSpectrum:
     """The joint spectrum of two resonant qubits, each with levels {0, 1}."""
     from .spectra import Hamiltonian, build_joint_spectrum
 
-    h = Hamiltonian((0, 1), labels=("g", "e"))
+    h = Hamiltonian((0, 1))
     return build_joint_spectrum(h, h)
 
 
@@ -100,34 +98,6 @@ class SecParams2Q:
         )
         blocks = [np.array([[cmath.exp(1j * t00)]]), rot, np.array([[cmath.exp(1j * t11)]])]
         return SecUnitary(blocks, spec, validate=False)
-
-
-def second_order_check(params: TwoQubitParams) -> tuple[float, float]:
-    """Curvatures of the two optimized branches at their stationary mixings.
-
-    Evaluates d^2/dr^2 of the aligned (+) and anti-aligned (-) maximal-
-    coherence transfer branches at their stationary points ``x_+`` and
-    ``x_-``; a proper maximum/minimum pair returns (negative, positive).
-    Requires both p01 and p10 positive, otherwise the stationary points
-    degenerate to the boundary.
-    """
-    p01, p10 = params.p01, params.p10
-    if p01 <= 0.0 or p10 <= 0.0:
-        raise ValidationError(
-            "second_order_check needs p01 > 0 and p10 > 0; boundary optima "
-            "have no interior stationary point"
-        )
-    amax = math.sqrt(p01 * p10)
-    gap = p01 - p10
-
-    def curvature(x: float, sign: float) -> float:
-        slope = gap + sign * amax * (1.0 - 2.0 * x) / math.sqrt(x * (1.0 - x))
-        bend = -sign * 0.5 * amax / (x * (1.0 - x)) ** 1.5
-        return 2.0 * slope + 4.0 * x * bend
-
-    x_plus = p01 / (p01 + p10)
-    x_minus = p10 / (p01 + p10)
-    return curvature(x_plus, +1.0), curvature(x_minus, -1.0)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ exact equality test.  They enter only as exact values (int, ``Fraction`` or a
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,13 +65,10 @@ class Hamiltonian:
     """Nondegenerate local spectrum with exact-comparison semantics.
 
     ``energies`` must be strictly increasing exact rationals (at least two
-    levels).  ``labels`` optionally names the basis states: a sequence of
-    strings, one per level (a bare string is refused, not split).  Labels
-    take no part in equality, so they never tell two spectra apart.
+    levels).
     """
 
     energies: tuple[Fraction, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         energies = tuple(as_fraction(e) for e in self.energies)
@@ -90,13 +87,6 @@ class Hamiltonian:
             raise ValidationError(
                 "Hamiltonian energies and their spread must lie within double range"
             ) from None
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if isinstance(self.labels, str) or not all(isinstance(x, str) for x in labels):
-                raise ValidationError(f"labels must be a sequence of strings, got {self.labels!r}")
-            if len(labels) != len(energies):
-                raise ValidationError("labels must match energies in length")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -174,7 +164,8 @@ class JointSpectrum:
                 groups.setdefault(ea + eb, []).append((a, b))
         # reports write each block energy as "p/q"; refuse one Python cannot print
         limit = sys.get_int_max_str_digits()
-        if limit and any(max(abs(e.numerator), e.denominator) >= 10**limit for e in groups):
+        bound = 10**limit  # one 4,301-digit integer at the default limit; build it once
+        if limit and any(max(abs(e.numerator), e.denominator) >= bound for e in groups):
             raise ValidationError(
                 f"a block energy has a numerator or denominator of more than {limit} "
                 "digits, too long to write in a report"

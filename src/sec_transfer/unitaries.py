@@ -23,6 +23,7 @@ for a given seed regardless of schedule or batch size.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -135,8 +136,15 @@ def evolve(state: BipartiteState, u: SecUnitary) -> BipartiteState:
     return BipartiteState(_Handover(left @ full.T), state.dims, validate=False)
 
 
+def _integer(name: str, value) -> int:
+    """Argument ``name`` as an int; a bool or a non-integral value is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _chunk_generator(seed: int, chunk: int, energy: Fraction) -> np.random.Generator:
-    tag = f"sec-transfer:{int(seed)}:{int(chunk)}:{energy.numerator}/{energy.denominator}"
+    tag = f"sec-transfer:{seed}:{chunk}:{energy.numerator}/{energy.denominator}"
     key = int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=16).digest(), "big")
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -175,10 +183,14 @@ def sample_haar_blocks(
     ``start + i``, an ``(count, d_k, d_k)`` stack per block; a given sample
     index is the same for a given seed no matter the requested range.  Given
     a ``pool``, the blocks are drawn on its threads; each block has its own
-    stream, so the result is the same.
+    stream, so the result is the same.  ``seed``, ``count`` (>= 1) and
+    ``start`` (>= 0) are integers; a bool is refused, a numpy integer taken.
     """
+    seed, count, start = _integer("seed", seed), _integer("count", count), _integer("start", start)
     if count < 1:
         raise ValidationError("count must be >= 1")
+    if start < 0:
+        raise ValidationError(f"start must be >= 0, got {start}")
     draw = pool.map if pool else map
     return tuple(draw(lambda b: _haar_slice(seed, b.energy, b.dim, start, count), spec.blocks))
 

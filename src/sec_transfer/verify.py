@@ -36,7 +36,7 @@ from .states import decompose, partial_trace
 from .transfer import batch_transfers, transfer_coherent, transfer_diagonal, transfer_direct
 from .tolerances import DEFAULT_SEED
 from .twoqubit import TwoQubitParams, delta_coh_2q, delta_diag_2q, max_transfer_2q
-from .unitaries import is_potentially_coherent, sample_haar_blocks, to_full_matrix
+from .unitaries import _integer, is_potentially_coherent, sample_haar_blocks, to_full_matrix
 
 STATISTICAL_SEED = 987654
 FAST, FULL = "fast", "full"
@@ -432,7 +432,8 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Every property at ``FAST``; the properties seed numpy, so ``seed`` must be >= 0."""
+    """Every property at ``FAST``; the properties seed numpy, so ``seed`` is an integer >= 0."""
+    seed = _integer("the verify seed", seed)
     if seed < 0:
         raise ValidationError(f"the verify seed must be nonnegative, got {seed}")
     return [check(seed, FAST) for check in ALL_CHECKS]

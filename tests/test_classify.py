@@ -5,10 +5,12 @@ import pytest
 
 from sec_transfer import (
     BipartiteState,
+    Hamiltonian,
     LengthMismatch,
     NegativeTemperatureWarning,
     NotMaxActive,
     NotPassive,
+    build_joint_spectrum,
     classify_flow,
     decompose,
     gibbs_probabilities,
@@ -20,9 +22,11 @@ from sec_transfer import (
 )
 from sec_transfer import tolerances
 from sec_transfer.fixtures import (
+    DIMENSION_CLASSES,
     cross_coherent_member,
     ladder_spectrum,
     one_way_members,
+    random_state,
 )
 from sec_transfer.transfer import batch_transfers
 from sec_transfer.unitaries import sample_haar_blocks
@@ -275,3 +279,49 @@ def test_witness_works_with_coherences_present(rng):
     label = classify_flow(state, spec, "A")
     assert label.witness is not None
     assert transfer_direct(state, label.witness, "A") < 0.0
+
+
+# a rational spectrum whose 3/2 block holds four members, so nested swap pairs occur
+RATIONAL_SPEC = build_joint_spectrum(
+    Hamiltonian((0, Fraction(1, 3), Fraction(5, 6), Fraction(3, 2))),
+    Hamiltonian((0, Fraction(2, 3), Fraction(7, 6), Fraction(3, 2))),
+)
+
+
+@pytest.mark.parametrize("target", ["A", "B"])
+@pytest.mark.parametrize(
+    "spec",
+    [ladder_spectrum(*dims) for dims in DIMENSION_CLASSES] + [RATIONAL_SPEC],
+    ids=[f"ladder{a}x{b}" for a, b in DIMENSION_CLASSES] + ["rational4x4"],
+)
+def test_witness_drains_the_largest_single_swap_gain(spec, target):
+    rng = np.random.default_rng(3030)
+    energies = spec.ordered_local_energies(target)
+    witnessed = 0
+    for k in range(30):
+        state = random_state(spec.dims, rng, coherent=bool(k % 2))
+        label = classify_flow(state, spec, target)
+        if label.witness is None:
+            assert not label.failing_blocks
+            continue
+        witnessed += 1
+        probs = decompose(state, spec).probs
+        # brute force over every member pair of every failing block
+        largest = max(
+            (probs[s][hi] - probs[s][lo]) * (energies[s][hi] - energies[s][lo])
+            for s in map(spec.layout.span, label.failing_blocks)
+            for lo in range(s.stop - s.start)
+            for hi in range(s.stop - s.start)
+        )
+        (block,) = [
+            i
+            for i, mat in enumerate(label.witness.blocks)
+            if not np.array_equal(mat, np.eye(mat.shape[0]))
+        ]
+        low, high = np.flatnonzero(np.diag(label.witness.blocks[block]) == 0)
+        s = spec.layout.span(block)
+        gain = (probs[s][high] - probs[s][low]) * (energies[s][high] - energies[s][low])
+        assert block in label.failing_blocks
+        assert gain == largest > 0
+        assert transfer_direct(state, label.witness, target) == pytest.approx(-largest, abs=1e-12)
+    assert witnessed

@@ -85,7 +85,7 @@ def test_labels_must_be_an_array_of_strings(labels, tmp_path, capsys):
     assert _exit_code(argv, capsys) == 2
     with pytest.raises(ValidationError, match="labels"):
         formats.hamiltonian_from_json(h_a)
-    assert formats.hamiltonian_from_json({**TWO_LEVEL, "labels": ["g", "e"]}).labels == ("g", "e")
+    assert formats.hamiltonian_from_json({**TWO_LEVEL, "labels": ["g", "e"]}).energies == (0, 1)
 
 
 @pytest.mark.parametrize(

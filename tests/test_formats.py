@@ -26,9 +26,9 @@ from sec_transfer.cli import main
 
 
 def test_hamiltonian_roundtrip():
-    h = Hamiltonian((Fraction(0), Fraction(1, 2), Fraction(3, 2)), labels=("a", "b", "c"))
+    h = Hamiltonian((Fraction(0), Fraction(1, 2), Fraction(3, 2)))
     payload = formats.hamiltonian_to_json(h)
-    assert payload == {"energies": [[0, 1], [1, 2], [3, 2]], "labels": ["a", "b", "c"]}
+    assert payload == {"energies": [[0, 1], [1, 2], [3, 2]]}
     assert formats.hamiltonian_from_json(payload) == h
 
 

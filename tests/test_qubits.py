@@ -23,7 +23,6 @@ from sec_transfer import (
     maximize_transfer_exact,
     plane_scan,
     plane_scan_gradient,
-    second_order_check,
     transfer_direct,
     two_qubit_spectrum,
 )
@@ -212,48 +211,6 @@ def test_free_alpha_optimum_realized_by_unitary():
     u = SecParams2Q(r=optimum.r_star, phi=optimum.phi_star).to_sec_unitary(spec)
     realized = transfer_direct(saturated.to_state(), u, "A")
     assert realized == pytest.approx(optimum.value, abs=1e-12)
-
-
-def test_second_order_signs():
-    curvature_plus, curvature_minus = second_order_check(
-        TwoQubitParams(0.35, 0.3, 0.1, 0.25, alpha=np.sqrt(0.03))
-    )
-    assert curvature_plus < 0
-    assert curvature_minus > 0
-
-
-def test_second_order_symmetric_case():
-    curvature_plus, curvature_minus = second_order_check(
-        TwoQubitParams(0.3, 0.2, 0.2, 0.3)
-    )
-    assert curvature_plus < 0 < curvature_minus
-    assert curvature_plus == pytest.approx(-curvature_minus, rel=1e-12)
-
-
-def test_second_order_finite_difference_oracle():
-    # oracle: central differences on the aligned/anti-aligned branches
-    p01, p10 = 0.3, 0.1
-    params = TwoQubitParams(0.35, p01, p10, 0.25)
-    amax = np.sqrt(p01 * p10)
-
-    def branch(r, sign):
-        return (p01 - p10) * r**2 + sign * 2 * amax * r * np.sqrt(1 - r**2)
-
-    curvature_plus, curvature_minus = second_order_check(params)
-    h = 1e-5
-    r_plus = np.sqrt(p01 / (p01 + p10))
-    r_minus = np.sqrt(p10 / (p01 + p10))
-    numeric_plus = (branch(r_plus + h, 1) - 2 * branch(r_plus, 1) + branch(r_plus - h, 1)) / h**2
-    numeric_minus = (
-        branch(r_minus + h, -1) - 2 * branch(r_minus, -1) + branch(r_minus - h, -1)
-    ) / h**2
-    assert curvature_plus == pytest.approx(numeric_plus, abs=1e-6)
-    assert curvature_minus == pytest.approx(numeric_minus, abs=1e-6)
-
-
-def test_second_order_requires_interior():
-    with pytest.raises(ValidationError):
-        second_order_check(TwoQubitParams(0.5, 0.5, 0.0, 0.0))
 
 
 def test_bell_state_zero_correlations_is_mixed():

@@ -187,20 +187,9 @@ def test_blocks_partition_product_basis(ea, eb):
     assert sum(b.dim for b in spec.blocks) == len(ea) * len(eb)
 
 
-def test_labels_do_not_change_block_structure():
-    plain = spectrum([0, 1, 2], [0, 1])
-    labelled = build_joint_spectrum(
-        Hamiltonian((0, 1, 2), labels=("x", "y", "z")),
-        Hamiltonian((0, 1), labels=("g", "e")),
-    )
-    assert block_map(plain) == block_map(labelled)
-
-
 def test_labels_never_tell_two_spectra_apart():
     labelled, plain = two_qubit_spectrum(), ladder_spectrum(2, 2)
     assert labelled == plain
-    assert Hamiltonian((0, 1), labels=("g", "e")) == Hamiltonian((0, 1))
-    assert hash(Hamiltonian((0, 1), labels=("g", "e"))) == hash(Hamiltonian((0, 1)))
     decomp = decompose(BipartiteState.diagonal([0.35, 0.3, 0.1, 0.25], (2, 2)), plain)
     u = SecParams2Q(r=0.5).to_sec_unitary()
     value, _ = transfer_diagonal(decomp, u, "A")
@@ -218,17 +207,3 @@ def test_flat_local_energies_lexicographic():
 @pytest.fixture
 def qutrit_qubit_spec():
     return spectrum([0, 1, 2], [0, 1])
-
-
-@pytest.mark.parametrize(
-    "labels", ["ge", (None, True), ("g", 1), [b"g", b"e"]],
-    ids=["bare-string", "null-and-bool", "mixed", "bytes"],
-)
-def test_labels_are_strings_never_coerced(labels):
-    with pytest.raises(ValidationError, match="labels"):
-        Hamiltonian((0, 1), labels=labels)
-
-
-def test_labels_given_as_strings_are_kept_as_a_tuple():
-    h = Hamiltonian((0, 1), labels=["g", "e"])
-    assert h.labels == ("g", "e")

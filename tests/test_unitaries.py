@@ -10,13 +10,16 @@ from sec_transfer import (
     NotUnitary,
     SecParams2Q,
     SecUnitary,
+    ValidationError,
     evolve,
     is_potentially_coherent,
     local_energy,
+    monte_carlo_max,
     sample_haar,
     sample_haar_blocks,
     build_joint_spectrum,
     to_full_matrix,
+    verify,
 )
 from sec_transfer.fixtures import DIMENSION_CLASSES, ladder_spectrum, random_state
 
@@ -232,3 +235,49 @@ def test_sample_count_below_one_is_validation_error(two_qubit_spec, count):
 
     with pytest.raises(ValidationError, match="count must be >= 1"):
         sample_haar_blocks(two_qubit_spec, 1, count)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"seed": 1.5}, {"seed": True}, {"count": 2.5}, {"count": True}, {"start": 1.0},
+     {"start": False}, {"seed": "1"}],
+    ids=["float-seed", "bool-seed", "float-count", "bool-count", "float-start", "bool-start",
+         "string-seed"],
+)
+def test_sampler_arguments_must_be_integers(two_qubit_spec, bad):
+    (name,) = bad
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        sample_haar_blocks(two_qubit_spec, **{"seed": 1, "count": 2, "start": 0, **bad})
+
+
+def test_sampler_start_must_be_nonnegative(two_qubit_spec):
+    with pytest.raises(ValidationError, match="start must be >= 0, got -1"):
+        sample_haar_blocks(two_qubit_spec, 1, 2, start=-1)
+
+
+def test_sampler_takes_numpy_integers(two_qubit_spec):
+    plain = sample_haar_blocks(two_qubit_spec, 3, 2, start=5)
+    numpy = sample_haar_blocks(two_qubit_spec, np.int64(3), np.int32(2), start=np.uint8(5))
+    for ours, theirs in zip(plain, numpy):
+        np.testing.assert_array_equal(ours, theirs)
+    state = random_state((2, 2), np.random.default_rng(4))
+    value = monte_carlo_max(state, two_qubit_spec, "A", np.int64(3), np.int64(7))
+    assert value.samples == 3 and type(value.samples) is int
+    assert value.value == monte_carlo_max(state, two_qubit_spec, "A", 3, 7).value
+
+
+@pytest.mark.parametrize(
+    "bad", [{"n_samples": True}, {"n_samples": 2.0}, {"seed": 1.5}, {"seed": False}],
+    ids=["bool-samples", "float-samples", "float-seed", "bool-seed"],
+)
+def test_monte_carlo_arguments_must_be_integers(two_qubit_spec, bad):
+    (name,) = bad
+    state = random_state((2, 2), np.random.default_rng(4))
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        monte_carlo_max(state, two_qubit_spec, "A", **{"n_samples": 2, "seed": 1, **bad})
+
+
+@pytest.mark.parametrize("seed", [1.5, True, None])
+def test_verify_seed_must_be_an_integer(seed):
+    with pytest.raises(ValidationError, match="the verify seed must be an integer"):
+        verify.run_all(seed)

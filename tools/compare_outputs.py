@@ -15,9 +15,10 @@ input of a ``decompose``, ``analyze`` or ``optimize`` job) is also run through
 ``decompose --csv``, comparing the CSV bytes, and through ``classify`` for
 both targets on its own state: a random state, so most of those reports list
 failing blocks and a witness (their count is printed).  Each such file also
-runs through an exact ``optimize --target B``: the ``ladder-exact`` jobs run
-the exact optimizer for target A only, so this compares the other level
-orientation there too.  The CLI's refusals
+runs through the exact ``optimize`` for every target that the file's own
+exact-``optimize`` jobs do not use (B on ``ladder-exact`` files, A on
+``rational-blocks`` files, both on files with no such job), so both level
+orientations are compared on every file and no job is run twice.  The CLI's refusals
 are compared on that file too: ``analyze`` with neither ``--unitary`` nor
 ``--seed``, ``analyze --seed 1 --tolerance split=0``, ``optimize --method
 monte-carlo`` without ``--seed``, ``classify`` with both ``--beta-a`` and
@@ -191,8 +192,19 @@ def _state_problems(jobs) -> list[str]:
                    for job in jobs if job.argv[0] in STATE_COMMANDS})
 
 
-def _state_runs(problems: list[str], work: Path) -> list[tuple[list[str], Path]]:
-    """The extra runs, as the module docstring lists them, on every problem with a state."""
+def _exact_targets(jobs) -> set[tuple[str, str]]:
+    """The (problem file, target) pairs that the jobs run the exact optimizer on."""
+    return {(job.argv[job.argv.index("--input") + 1], job.argv[job.argv.index("--target") + 1])
+            for job in jobs
+            if job.argv[0] == "optimize" and "--method" not in job.argv}
+
+
+def _state_runs(problems: list[str], done: set[tuple[str, str]],
+                work: Path) -> list[tuple[list[str], Path]]:
+    """The extra runs, as the module docstring lists them, on every problem with a state.
+
+    ``done`` holds the (problem, target) pairs whose exact optimizer a job already ran.
+    """
     csv, report = work / "extra.csv", work / "extra.json"
     runs = []
     for problem in problems:
@@ -201,8 +213,9 @@ def _state_runs(problems: list[str], work: Path) -> list[tuple[list[str], Path]]
         for target in ("A", "B"):
             runs.append((["classify", *given, "--target", target, "--output", str(report)],
                          report))
+        runs += [(["optimize", *given, "--target", target, "--output", str(report)], report)
+                 for target in ("A", "B") if (problem, target) not in done]
         runs += [(argv, report) for argv in (
-            ["optimize", *given, "--target", "B", "--output", str(report)],
             ["analyze", *given, "--target", "A"],
             ["analyze", *given, "--target", "A", "--seed", "1", "--tolerance", "split=0"],
             ["optimize", *given, "--target", "A", "--method", "monte-carlo"],
@@ -264,7 +277,7 @@ def main(argv: list[str]) -> int:
                 print(f"{name} seed {seed}: {same}/{len(problems)} decompose runs identical "
                       f"pinned to one CPU and not, {same_piped}/{len(problems)} fed from a "
                       f"pipe and by path", flush=True)
-                runs = _state_runs(problems, work)
+                runs = _state_runs(problems, _exact_targets(jobs), work)
                 same = failing = refused = 0
                 for run_argv, output in runs:
                     parent, change = _both(trees, run_argv, output, moves)
