@@ -16,7 +16,6 @@ from sec_transfer import (
     BellDiagParams,
     concurrence_bell_diagonal,
     concurrence_wootters,
-    max_transfer_vs_concurrence,
     maximize_transfer_exact,
     plane_scan,
     plane_scan_gradient,
@@ -32,7 +31,7 @@ for concurrence in (0.0, 0.5, 1.0):
     state = bell_diagonal_state(BellDiagParams(2 * p01, 2 * p01, 1 - 4 * p01))
     exact = maximize_transfer_exact(state, spec, "A").value
     print(
-        f"  C = {concurrence:.1f}: closed form {max_transfer_vs_concurrence(concurrence):.3f},"
+        f"  C = {concurrence:.1f}: closed form {0.25 * (1 + concurrence):.3f},"
         f" block optimizer {exact:.3f},"
         f" spin-flip concurrence {concurrence_wootters(state):.3f}"
     )

@@ -62,7 +62,6 @@ _HOMES = {
         "concurrence_bell_diagonal",
         "concurrence_directional_derivative",
         "concurrence_wootters",
-        "max_transfer_vs_concurrence",
         "plane_scan",
         "plane_scan_gradient",
         "two_qubit_spectrum",

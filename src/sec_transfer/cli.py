@@ -5,7 +5,8 @@ Subcommands: ``decompose``, ``analyze``, ``optimize``, ``classify``,
 validation error (malformed or non-UTF-8 input, missing field, unphysical
 data, a request too large for memory), 3 when a numerical invariant fails.
 Every failure message names the violated invariant and, where one applies,
-the offending tolerance.
+the offending tolerance.  A warning raised during a run is printed as one
+line on stderr, ``warning: <message>``, whatever the install path.
 
 ``--tolerance KEY=VAL`` overrides one of the four keys of
 :mod:`sec_transfer.tolerances` (``herm``, ``trace``, ``psd``, ``split``); an
@@ -37,10 +38,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import tolerances
 from .errors import NumericalInvariantError, ValidationError
-from .jsonio import dump_json, format_json, read_json, two_qubit_params_from_json
+from .jsonio import dump_json, format_json, read_json
+from .jsonio import two_qubit_optimum_to_json, two_qubit_params_from_json
 from .twoqubit import max_transfer_2q
 
 
@@ -100,15 +103,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "qubit-max":
         params = two_qubit_params_from_json(read_json(args.input))
         optimum = max_transfer_2q(params, args.target, optimize_alpha=not args.fixed_alpha)
-        payload = {
-            "target": args.target,
-            "value": optimum.value,
-            "r_star": optimum.r_star,
-            "phi_star": optimum.phi_star,
-            "alpha_star_re": optimum.alpha_star.real,
-            "alpha_star_im": optimum.alpha_star.imag,
-            "alpha_optimized": not args.fixed_alpha,
-        }
+        payload = two_qubit_optimum_to_json(optimum, args.target, not args.fixed_alpha)
         _write_report(args, payload, dump_json)
         return 0
 
@@ -121,16 +116,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "decompose":
         _, _, spec, state = _load_state(args, tol)
         decomp = cli.decompose(state, spec)
-        names = [formats.fraction_key(e) for e in spec.energies]
-        probs = [decomp.probs[spec.layout.span(i)] for i in range(len(names))]
-        payload = {
-            "p_E": {name: float(p.sum()) for name, p in zip(names, probs)},
-            "blocks": {name: [float(x) for x in p] for name, p in zip(names, probs)},
-            "coherence_blocks": sorted(
-                f"{names[i]}|{names[j]}" for i, j in decomp.coh_blocks.tolist()
-            ),
-        }
-        _write_report(args, payload, formats.dump_json)
+        _write_report(args, formats.decomposition_to_json(decomp), formats.dump_json)
         if args.csv is not None:
             formats.write_decomposition_csv(decomp, args.csv)
         return 0
@@ -202,21 +188,10 @@ def run(args: argparse.Namespace) -> int:
     from . import verify
 
     results = verify.run_all(args.seed)
-    print(verify.format_table(results))
+    print(formats.verify_table(results))
     if args.output is not None:
-        formats.dump_json(
-            {
-                "seed": args.seed,
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-            },
-            args.output,
-        )
-    if not all(r.passed for r in results):
-        return 3
-    return 0
+        formats.dump_json(formats.verify_report_to_json(args.seed, results), args.output)
+    return 0 if all(r.passed for r in results) else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return run(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,10 @@ Flow class         ``{"direction", "failing_blocks", "has_useful_coherence",
                    applied to it).
 Problem file       ``{"h_a": <Hamiltonian>, "h_b": <Hamiltonian>,
                    "state": <State>}`` (state optional for constructor runs).
+Decomposition      ``{"p_E", "blocks", "coherence_blocks"}``, keyed by block
+                   energy and by sorted ``"<E1>|<E2>"`` pair; CSV: a row a block.
+Verify report      ``{"seed", "checks"}``, each check ``{"name", "passed",
+                   "detail"}``; its table prints one line per check.
 
 The library names a block by its index in the spectrum's block order; the
 energy keys above are made from those indices here, where blocks meet text.
@@ -78,6 +82,7 @@ if TYPE_CHECKING:  # the report types, named only in annotations
     from .qubits import PlaneScan
     from .transfer import TransferReport
     from .unitaries import SecUnitary
+    from .verify import CheckResult
 
 
 def _is_int(value) -> bool:
@@ -257,6 +262,18 @@ def flow_classification_to_json(result: FlowClassification, spectrum: JointSpect
         "min_transfer": result.min_transfer,
         "witness": None if result.witness is None else sec_unitary_to_json(result.witness),
     }
+
+
+def verify_report_to_json(seed: int, results: list[CheckResult]) -> dict:
+    return {"seed": seed, "checks": [vars(r) for r in results]}
+
+
+def verify_table(results: list[CheckResult]) -> str:
+    """One line per property: its name, PASS or FAIL, and its detail."""
+    width = max(len(r.name) for r in results)
+    return "\n".join(
+        f"{r.name.ljust(width)}  {'PASS' if r.passed else 'FAIL'}  {r.detail}" for r in results
+    )
 
 
 # json's own scanner decides every token of the problem-file walk
@@ -633,6 +650,26 @@ def load_problem(
     return h_a, h_b, spec, state
 
 
+def _block_populations(decomp: StateDecomposition) -> list[tuple[str, np.ndarray]]:
+    """Per block, in block order: its energy key and its populations."""
+    layout = decomp.spectrum.layout
+    return [
+        (fraction_key(energy), decomp.probs[layout.span(i)])
+        for i, energy in enumerate(decomp.spectrum.energies)
+    ]
+
+
+def decomposition_to_json(decomp: StateDecomposition) -> dict:
+    blocks = _block_populations(decomp)
+    return {
+        "p_E": {key: float(probs.sum()) for key, probs in blocks},
+        "blocks": {key: [float(p) for p in probs] for key, probs in blocks},
+        "coherence_blocks": sorted(
+            f"{blocks[i][0]}|{blocks[j][0]}" for i, j in decomp.coh_blocks.tolist()
+        ),
+    }
+
+
 DECOMP_CSV_HEADER = ["E", "p_E", "probs", "chi_same_energy_max", "chi_cross_energy_max"]
 
 
@@ -642,20 +679,16 @@ def decomposition_summary_rows(decomp: StateDecomposition) -> list[list[str]]:
     same = np.diagonal(peaks).copy()
     np.fill_diagonal(peaks, 0.0)
     cross = np.maximum(peaks.max(axis=0), peaks.max(axis=1))
-    layout = decomp.spectrum.layout
-    rows = []
-    for i, energy in enumerate(decomp.spectrum.energies):
-        probs = decomp.probs[layout.span(i)]
-        rows.append(
-            [
-                fraction_key(energy),
-                repr(float(probs.sum())),
-                ";".join(repr(float(p)) for p in probs),
-                repr(float(same[i])),
-                repr(float(cross[i])),
-            ]
-        )
-    return rows
+    return [
+        [
+            key,
+            repr(float(probs.sum())),
+            ";".join(repr(float(p)) for p in probs),
+            repr(float(same[i])),
+            repr(float(cross[i])),
+        ]
+        for i, (key, probs) in enumerate(_block_populations(decomp))
+    ]
 
 
 def write_decomposition_csv(decomp: StateDecomposition, path) -> None:

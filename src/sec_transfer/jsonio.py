@@ -1,9 +1,10 @@
 """JSON reading and report writing, without numpy.
 
 The JSON helpers that need only the standard library: the strict file
-reader, field access, the deterministic report text, and the two-qubit
+reader, field access, the deterministic report text, the two-qubit
 parameter schema ``{"p00", "p01", "p10", "p11", "alpha_re", "alpha_im"}``
-(the coherence keys optional, default 0).  This is their one home:
+(the coherence keys optional, default 0), and the ``qubit-max`` report (the
+optimum's fields, ``target`` and ``alpha_optimized``).  This is their one home:
 :mod:`sec_transfer.formats` imports the reader, field access and
 ``dump_json`` for its own use, and the ``qubit-max`` command uses them
 without loading numpy.
@@ -15,7 +16,7 @@ import json
 from pathlib import Path
 
 from .errors import NumericalInvariantError, ValidationError
-from .twoqubit import TwoQubitParams
+from .twoqubit import TwoQubitOptimum, TwoQubitParams
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -106,3 +107,15 @@ def two_qubit_params_from_json(data: dict) -> TwoQubitParams:
     ]
     alpha = [_number(data.get(key, 0.0), f"{context} {key!r}") for key in ("alpha_re", "alpha_im")]
     return TwoQubitParams(*probs, alpha=complex(*alpha))
+
+
+def two_qubit_optimum_to_json(optimum: TwoQubitOptimum, target: str, alpha_optimized: bool) -> dict:
+    return {
+        "target": target,
+        "value": optimum.value,
+        "r_star": optimum.r_star,
+        "phi_star": optimum.phi_star,
+        "alpha_star_re": optimum.alpha_star.real,
+        "alpha_star_im": optimum.alpha_star.imag,
+        "alpha_optimized": alpha_optimized,
+    }

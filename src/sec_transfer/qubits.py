@@ -201,18 +201,6 @@ def concurrence_wootters(state: BipartiteState) -> float:
     return float(max(0.0, etas[3] - etas[2] - etas[1] - etas[0]))
 
 
-def max_transfer_vs_concurrence(concurrence: float) -> float:
-    """Optimal transfer along the maximum-coherence Bell-diagonal line.
-
-    Equals (1 + C)/4 for C in [0, 1].  The relation holds on that one line
-    only; away from it the optimum is not a function of the concurrence
-    alone.
-    """
-    if not -tolerances.QUBIT_DOMAIN <= concurrence <= 1.0 + tolerances.QUBIT_DOMAIN:
-        raise ValidationError(f"concurrence must lie in [0, 1], got {concurrence!r}")
-    return 0.25 * (1.0 + min(1.0, max(0.0, concurrence)))
-
-
 @dataclass(eq=False)
 class PlaneScan:
     """Grid scan of the in-scope Bell-diagonal triangle.

@@ -20,7 +20,7 @@ from sec_transfer import (
     thermal_product,
     transfer_direct,
 )
-from sec_transfer import tolerances
+from sec_transfer import formats, tolerances
 from sec_transfer.fixtures import (
     DIMENSION_CLASSES,
     cross_coherent_member,
@@ -325,3 +325,32 @@ def test_witness_drains_the_largest_single_swap_gain(spec, target):
         assert gain == largest > 0
         assert transfer_direct(state, label.witness, target) == pytest.approx(-largest, abs=1e-12)
     assert witnessed
+
+
+def test_gibbs_weights_shift_by_the_lowest_level():
+    weights = gibbs_probabilities(Hamiltonian((1000, 1001)), 1.0)
+    assert weights.tolist() == [0.7310585786300049, 0.2689414213699951]
+
+
+def test_witness_takes_the_first_of_two_tied_swaps():
+    """Two disjoint swaps in the E = 3 block of a 4x4 ladder drain exactly 0.0625 each.
+
+    The block's members, in block order, are (0, 3), (1, 2), (2, 1), (3, 0); the
+    witness swaps members 0 and 1, the first pair of the walk.
+    """
+    spec = ladder_spectrum(4, 4)
+    block = spec.layout.index[Fraction(3)]
+    probs = np.zeros(16)
+    probs[0] = 0.5625  # E = 0, a single member, so every block but E = 3 is passive
+    for (a, b), p in zip(spec.blocks[block].members, [0.125, 0.1875, 0.03125, 0.09375]):
+        probs[4 * a + b] = p
+    state = BipartiteState.diagonal(probs, (4, 4))
+    label = classify_flow(state, spec, "A")
+    assert label.failing_blocks == [block]
+    swap = [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    blocks = formats.sec_unitary_to_json(label.witness)["blocks"]
+    assert blocks.pop("3") == {"re": swap, "im": [[0.0] * 4] * 4}
+    for key, matrix in blocks.items():
+        d = len(matrix["re"])
+        assert matrix == {"re": np.eye(d).tolist(), "im": np.zeros((d, d)).tolist()}, key
+    assert transfer_direct(state, label.witness, "A") == pytest.approx(-0.0625, abs=1e-15)

@@ -663,6 +663,10 @@ FLAG_REFUSALS = {
                  "thermal constructor needs both --beta-a and --beta-b"),
     "one-marginal": (["classify", "--probs-b", "1"],
                      "passive/max-active constructor needs both --probs-a and --probs-b"),
+    "unparsable-marginal": (["classify", "--probs-a", "0.5,x", "--probs-b", "0.5,0.5"],
+                            "expected comma-separated floats, got '0.5,x'"),
+    "tolerance-without-value": (["analyze", "--seed", "1", "--tolerance", "herm"],
+                                "--tolerance expects KEY=VAL, got 'herm'"),
 }
 
 
@@ -687,3 +691,62 @@ def test_constructor_refuses_marginals_whose_slack_adds_up(tmp_path, capsys):
         "validation error: probs_a must be non-increasing with energy (slack 1e-12) "
         "to be passive\n"
     )
+
+
+# refusals of a problem file without a state, or of constructor values read
+# against its levels: (subcommand and its flags, message)
+STATELESS_REFUSALS = {
+    "decompose-no-state": (["decompose"], "problem file carries no state"),
+    "analyze-no-state": (["analyze", "--target", "A", "--seed", "1"],
+                         "problem file carries no state"),
+    "optimize-no-state": (["optimize", "--target", "A"], "problem file carries no state"),
+    "nan-beta": (["classify", "--target", "A", "--beta-a", "nan", "--beta-b", "1"],
+                 "beta_a must be finite, got nan"),
+    "marginal-too-long": (["classify", "--target", "A", "--probs-a", "0.5,0.25,0.25",
+                           "--probs-b", "0.5,0.5"],
+                          "probs_a has 3 entries for 2 levels"),
+    "negative-marginal": (["classify", "--target", "A", "--probs-a", "1.5,-0.5",
+                           "--probs-b", "0.5,0.5"],
+                          "probs_a must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATELESS_REFUSALS))
+def test_refusals_on_a_stateless_problem_name_their_reason(case, tmp_path, capsys):
+    flags, message = STATELESS_REFUSALS[case]
+    path = _write(tmp_path, _problem())
+    assert main([flags[0], "--input", path, *flags[1:]]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_bell_scan_requires_output(capsys):
+    assert main(["bell-scan", "--resolution", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: bell-scan requires --output for the CSV table\n"
+    )
+
+
+@pytest.mark.parametrize("fixed_alpha", [False, True], ids=["free-alpha", "fixed-alpha"])
+@pytest.mark.parametrize("target", ["A", "B"])
+def test_qubit_max_without_single_excitations_reports_zero(target, fixed_alpha, tmp_path, capsys):
+    path = _write(tmp_path, {"p00": 0.5, "p01": 0, "p10": 0, "p11": 0.5})
+    argv = ["qubit-max", "--input", path, "--target", target]
+    assert main(argv + ["--fixed-alpha"] * fixed_alpha) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "target": target, "value": 0.0, "r_star": 0.0, "phi_star": 0.0,
+        "alpha_star_re": 0.0, "alpha_star_im": 0.0, "alpha_optimized": not fixed_alpha,
+    }
+
+
+def test_warnings_print_as_one_line_each(tmp_path, capsys):
+    path = _write(tmp_path, _problem())
+    argv = ["classify", "--input", path, "--target", "A", "--beta-a", "-1", "--beta-b", "-2"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["direction"] == "A_from_B"
+    assert err.splitlines() == [
+        "warning: beta_a = -1.0 is negative: population-inverted thermal weights",
+        "warning: beta_b = -2.0 is negative: population-inverted thermal weights",
+    ]

@@ -175,3 +175,16 @@ def test_kernel_refuses_energy_keyed_stacks(rng):
     refusal = "must be a sequence in the spectrum's block order, not a mapping"
     with pytest.raises(BlockMismatch, match=refusal):
         batch_transfers(decomp, keyed, "A")
+
+
+def test_kernel_refuses_a_missing_or_misshapen_stack(rng):
+    spec = ladder_spectrum(2, 2)
+    decomp = decompose(random_state((2, 2), rng), spec)
+    batch = sample_haar_blocks(spec, 1, 3)
+    with pytest.raises(BlockMismatch, match=r"^2 sample stacks given for a spectrum of 3 blocks$"):
+        batch_transfers(decomp, batch[:-1], "A")
+    swapped = [batch[0], batch[2], batch[1]]
+    with pytest.raises(
+        BlockMismatch, match=r"^sample stack for E=1 has shape \(1, 1\), expected \(2, 2\)$"
+    ):
+        batch_transfers(decomp, swapped, "A")

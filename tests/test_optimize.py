@@ -7,6 +7,7 @@ import pytest
 
 from sec_transfer import (
     BipartiteState,
+    BlockMismatch,
     SecUnitary,
     check_coherence_bound,
     classify_flow,
@@ -343,3 +344,9 @@ def test_exact_optimizer_value_is_reproducible(rng):
             assert transfer_direct(state, result.unitary, "A") == pytest.approx(
                 result.value, abs=1e-10
             )
+
+
+def test_diagonal_optimum_refuses_another_spectrum():
+    decomp = decompose(BipartiteState(np.eye(4) / 4, (2, 2)), ladder_spectrum(2, 2))
+    with pytest.raises(BlockMismatch, match="^decomposition was built over a different joint"):
+        optimal_diagonal_unitary(decomp, ladder_spectrum(3, 2), "A")

@@ -19,13 +19,13 @@ from sec_transfer import (
     delta_coh_2q,
     delta_diag_2q,
     max_transfer_2q,
-    max_transfer_vs_concurrence,
     maximize_transfer_exact,
     plane_scan,
     plane_scan_gradient,
     transfer_direct,
     two_qubit_spectrum,
 )
+from sec_transfer.fixtures import ladder_spectrum
 
 
 def random_params(rng, real_alpha=False):
@@ -305,14 +305,9 @@ def test_concurrence_scope_checks():
 
 
 def test_transfer_vs_concurrence_line():
-    assert max_transfer_vs_concurrence(0.0) == 0.25
-    assert max_transfer_vs_concurrence(1.0) == 0.5
-    assert max_transfer_vs_concurrence(0.5) == pytest.approx(0.375)
-    # consistency with the population optimum at p01 = 0.375
+    # the population optimum at p01 = 0.375, (1 + C)/4 at C = 0.5
     params = TwoQubitParams(0.125, 0.375, 0.375, 0.125)
     assert max_transfer_2q(params, "A").value == pytest.approx(0.375, abs=1e-15)
-    with pytest.raises(ValidationError):
-        max_transfer_vs_concurrence(1.5)
 
 
 def test_plane_scan_smallest_grid():
@@ -399,3 +394,16 @@ def test_plane_scan_concurrence_derivative_positive():
     assert rates.min() > 0
     # the transfer grows at rate 1/(2 sqrt(3)) along the concurrence direction
     np.testing.assert_allclose(rates, 1 / (2 * np.sqrt(3)), atol=1e-12)
+
+
+def test_two_qubit_guards_name_what_they_refuse():
+    with pytest.raises(ValidationError, match=r"^r must lie in \[0, 1\], got 1.5$"):
+        SecParams2Q(r=1.5, phi=0.0)
+    with pytest.raises(ValidationError, match=r"^thetas must hold four phases \(t00, t01"):
+        SecParams2Q(r=0.5, phi=0.0, thetas=(0.0, 0.0, 0.0))
+    with pytest.raises(NotTwoQubit, match=r"^expected a 2x2 joint spectrum, got dims \(3, 2\)$"):
+        SecParams2Q(r=0.5, phi=0.0).to_sec_unitary(ladder_spectrum(3, 2))
+    with pytest.raises(NotTwoQubit, match=r"^expected dims \(2, 2\), got \(3, 2\)$"):
+        concurrence_wootters(BipartiteState(np.eye(6) / 6, (3, 2)))
+    with pytest.raises(Unphysical, match="^correlations lie outside the physical tetrahedron$"):
+        concurrence_bell_diagonal(BellDiagParams(0.9, 0.9, 0.9))

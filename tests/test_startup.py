@@ -43,8 +43,7 @@ PUBLIC = {
     "qubits": [
         "BellDiagParams", "PlaneScan", "SecParams2Q", "bell_correlations",
         "bell_diagonal_state", "concurrence_bell_diagonal", "concurrence_directional_derivative",
-        "concurrence_wootters", "max_transfer_vs_concurrence", "plane_scan",
-        "plane_scan_gradient", "two_qubit_spectrum",
+        "concurrence_wootters", "plane_scan", "plane_scan_gradient", "two_qubit_spectrum",
     ],
     "spectra": [
         "EnergyBlock", "Hamiltonian", "JointSpectrum", "build_joint_spectrum",
@@ -124,9 +123,9 @@ def _cli(tmp_path, argv: list[str]) -> tuple[subprocess.CompletedProcess, bool]:
     return done, report.read_text() == "True"
 
 
-def test_all_is_the_65_public_names():
+def test_all_is_the_64_public_names():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 65
+    assert len(names) == 64
     assert sorted(sec_transfer.__all__) == names
 
 

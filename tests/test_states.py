@@ -10,6 +10,7 @@ from sec_transfer import (
     BipartiteState,
     DimensionMismatch,
     NotAState,
+    ValidationError,
     decompose,
     local_energy,
     partial_trace,
@@ -265,3 +266,16 @@ def test_zero_psd_tolerance_on_a_pure_state_file(tmp_path, capsys, seed):
             f"validation error: not positive semidefinite: lowest eigenvalue {lowest:.3e} "
             "below -0\n"
         )
+
+
+def test_state_guards_name_what_they_refuse():
+    with pytest.raises(
+        DimensionMismatch, match=r"^state matrix must be square, got shape \(4, 3\)$"
+    ):
+        BipartiteState(np.zeros((4, 3)), (2, 2))
+    with pytest.raises(ValidationError, match="^zero vector cannot define a state$"):
+        BipartiteState.from_vector(np.zeros(4), (2, 2))
+    with pytest.raises(
+        DimensionMismatch, match=r"^state dims \(2, 2\) do not match spectrum dims \(3, 2\)$"
+    ):
+        local_energy(BipartiteState(np.eye(4) / 4, (2, 2)), ladder_spectrum(3, 2), "A")

@@ -5,10 +5,13 @@ import pytest
 
 from sec_transfer import (
     BipartiteState,
+    Hamiltonian,
+    NumericalInvariantError,
     SecParams2Q,
     SecUnitary,
     analyze,
     batch_transfers,
+    build_joint_spectrum,
     decompose,
     is_potentially_coherent,
     sample_haar,
@@ -337,3 +340,22 @@ def test_split_check_refuses_twice_its_scaled_bound(num, den, tmp_path, monkeypa
     assert "transfer split violated" in message and f"exceeds {bound:g}" in message
     scaled = f"({tolerances.SPLIT:g} x level spread {spread:g})"
     assert (scaled in message) is (spread > 1)
+
+
+def test_split_bound_reads_the_level_spread_not_the_levels():
+    """Levels 10, 11, 12 on A spread 2: the bound is ``split_tol x 2``, whatever the offset."""
+    spec = build_joint_spectrum(Hamiltonian((10, 11, 12)), Hamiltonian((0, 1, 2)))
+    state = random_state((3, 3), np.random.default_rng(1))
+    decomp = decompose(state, spec)
+    for seed in range(10):
+        u = sample_haar(spec, seed)
+        total = transfer_direct(state, u, "A")
+        residual = abs(
+            total - transfer_diagonal(decomp, u, "A")[0] - transfer_coherent(decomp, u, "A")[0]
+        )
+        if residual > 0:
+            break
+    assert residual > 0
+    with pytest.raises(NumericalInvariantError, match="transfer split violated"):
+        analyze(state, u, "A", split_tol=residual / 3)
+    assert analyze(state, u, "A", split_tol=residual).total == total

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from sec_transfer import (
+    BipartiteState,
+    NotTwoQubit,
     SecParams2Q,
     TwoQubitParams,
     ValidationError,
@@ -20,6 +22,7 @@ from sec_transfer import (
     max_transfer_2q,
     transfer_direct,
 )
+from sec_transfer.twoqubit import check_system
 
 NAN, INF = float("nan"), float("inf")
 BASE = (0.1, 0.2, 0.4, 0.3)
@@ -137,3 +140,20 @@ def test_non_finite_phases_are_refused_by_name(field, kwargs):
 def test_coherent_transfer_refuses_a_non_finite_phase(phi):
     with pytest.raises(ValidationError, match="phi"):
         delta_coh_2q(TwoQubitParams(*BASE, alpha=BASE_ALPHA), 0.5, phi)
+
+
+@pytest.mark.parametrize("r", [-0.5, 1.5])
+def test_closed_forms_refuse_a_mixing_outside_the_unit_interval(r):
+    params = TwoQubitParams(*BASE, alpha=BASE_ALPHA)
+    message = rf"^r must lie in \[0, 1\], got {r}$"
+    with pytest.raises(ValidationError, match=message):
+        delta_diag_2q(params, r)
+    with pytest.raises(ValidationError, match=message):
+        delta_coh_2q(params, r, 0.0)
+
+
+def test_system_and_state_guards_name_what_they_refuse():
+    with pytest.raises(ValidationError, match="^system must be 'A' or 'B', got 'C'$"):
+        check_system("C")
+    with pytest.raises(NotTwoQubit, match=r"^expected dims \(2, 2\), got \(3, 2\)$"):
+        TwoQubitParams.from_state(BipartiteState(np.eye(6) / 6, (3, 2)))

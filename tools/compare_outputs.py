@@ -24,6 +24,8 @@ are compared on that file too: ``analyze`` with neither ``--unitary`` nor
 monte-carlo`` without ``--seed``, ``classify`` with both ``--beta-a`` and
 ``--probs-a``, ``decompose``, ``optimize`` and ``classify`` each with
 ``--tolerance split=1``, and ``bell-scan --input`` (with ``--output``).
+``classify`` also runs at a negative ``--beta-a``, so the one-line warning
+it prints on stderr is compared.
 Then, on each file, ``optimize --method diagonal`` runs and the
 ``unitary`` of the change's report is given back to ``analyze
 --unitary``.  Each such file is also
@@ -220,6 +222,7 @@ def _state_runs(problems: list[str], done: set[tuple[str, str]],
             ["analyze", *given, "--target", "A", "--seed", "1", "--tolerance", "split=0"],
             ["optimize", *given, "--target", "A", "--method", "monte-carlo"],
             ["classify", *given, "--target", "A", "--beta-a", "1", "--probs-a", "1"],
+            ["classify", *given, "--target", "A", "--beta-a", "-1", "--beta-b", "1"],
             ["decompose", *given, "--tolerance", "split=1"],
             ["optimize", *given, "--target", "A", "--tolerance", "split=1"],
             ["classify", *given, "--target", "A", "--tolerance", "split=1"],
