@@ -6,7 +6,8 @@ validation error (malformed or non-UTF-8 input, missing field, unphysical
 data, a request too large for memory), 3 when a numerical invariant fails.
 Every failure message names the violated invariant and, where one applies,
 the offending tolerance.  A warning raised during a run is printed as one
-line on stderr, ``warning: <message>``, whatever the install path.
+line on stderr, ``warning: <message>``, whatever the install path and
+whatever ``-W`` or ``PYTHONWARNINGS`` asks: no warning is hidden or raised.
 
 ``--tolerance KEY=VAL`` overrides one of the four keys of
 :mod:`sec_transfer.tolerances` (``herm``, ``trace``, ``psd``, ``split``); an
@@ -32,6 +33,10 @@ parallel work: the Monte-Carlo search draws a chunk's blocks on one thread
 per block up to that count, and a file of at least ``formats.SPLIT_BYTES``
 read on two or more CPUs is decoded with one forked helper process, which
 never returns into this module and is reaped before the state is admitted.
+An ``--input`` that is a pipe is read whole and walked in this process.  The
+state's rows are decoded by orjson, imported at the first row: a run that
+reads no state (``--help``, ``qubit-max``, ``bell-scan``, ``verify``, a
+constructor-only ``classify``) never loads it.
 """
 
 from __future__ import annotations
@@ -269,6 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
+            warnings.simplefilter("default")  # not -W's or PYTHONWARNINGS's: never an error
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return run(args)
     except ValidationError as exc:

@@ -34,20 +34,24 @@ every emitted value parses back to the exact double and identical inputs
 produce byte-identical files.
 
 A problem file is walked rather than parsed whole: it is read
-``PROBLEM_CHUNK`` characters at a time, and json's own decoder reads each key
-and value of the problem and state objects, and the state's ``re`` and ``im``
-arrays one row at a time, each row checked to hold only numbers and copied
-into a float64 buffer.  Neither the file's whole text nor a D = 1024 state
-as 2 D^2 Python floats (about 64 MB against the 16 MB complex matrix) is ever
-held.  A file of at least ``SPLIT_BYTES``, read by a process allowed to run
-on two or more CPUs (the count that also sizes the Monte-Carlo search), is
-walked by two processes at once: a forked helper decodes rows 1, 3, 5, ...
-and sends them down a pipe, while the reading process decodes the even
-ones; each steps over the other's rows.  Text the walk does not take (an
-integer outside int64, duplicate keys, any syntax error, ...) is parsed
-again by ``read_json``, so its errors and values are those of
-``json.load``.  Only a regular file is walked: any other (a pipe) is parsed
-whole, as it is read.
+``PROBLEM_CHUNK`` characters at a time, json's own decoder reads each key
+and value of the problem and state objects, and orjson reads the state's
+``re`` and ``im`` arrays one row at a time, each row checked to hold only
+numbers and copied into a float64 buffer.  orjson gives json's double for
+every number json reads as a float; a row it refuses (``1e400``, ``NaN``,
+...) or that holds a float of magnitude 2**63 or more (orjson's reading of
+an integer literal past int64, which json keeps as an int) is not walked.
+Neither the file's whole text nor a D = 1024 state as 2 D^2 Python floats
+(about 64 MB against the 16 MB complex matrix) is ever held.  A file of at
+least ``SPLIT_BYTES``, read by a process allowed to run on two or more CPUs
+(the count that also sizes the Monte-Carlo search), is walked by two
+processes at once: a forked helper decodes rows 1, 3, 5, ... and sends them
+down a pipe, while the reading process decodes the even ones; each steps
+over the other's rows.  Text the walk does not take (an integer outside
+int64, duplicate keys, any syntax error, ...) is parsed again by
+``read_json``, so its errors and values are those of ``json.load``.  A file
+that is not a regular file (a pipe) is read whole into one string, which is
+walked in one process and, if the walk does not take it, parsed by json.
 
 The Bell-plane scan CSV takes few distinct values per column, so each
 distinct value of a scan column (told apart by its bit pattern, so ``-0.0``
@@ -71,7 +75,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BlockMismatch, ValidationError
-from .jsonio import _reject_constant, _require, dump_json, load_json, read_json
+from .jsonio import _reject_constant, _require, dump_json, parse_json, read_json, read_text
 from .spectra import Hamiltonian, JointSpectrum, build_joint_spectrum
 from .states import BipartiteState, StateDecomposition, _Handover, _usable_cpus
 from .tolerances import ADMISSION
@@ -287,27 +291,29 @@ _NUMBERS = {float, int}
 # Characters of a problem file read at a time; the walk holds about two
 # chunks of text plus the row it is decoding (24,000 characters at D = 1024).
 # Each process of a split walk (``SPLIT_BYTES``) reads the whole file this
-# way.  From 16 KiB to 1 MiB the walk takes the same time, best of 5, on a
-# ladder-exact D = 1024 file (47.8 MiB, 0.80-0.87 s) and, best of 30, on a
-# rational-blocks 13 x 13 one (1.3 MiB, 21-23 ms).  Its traced peak grows with
-# the chunk: 16.4 MiB at 64 KiB against 21.1 MiB at 1 MiB on the first, 0.8
-# against 4.5 MiB on the second.  Smaller chunks save less than 0.3 MiB more.
+# way.  With orjson decoding the rows, one process walks a ladder D = 1024
+# file (47.8 MiB) in 0.21-0.24 s, best of 5 to 7, at every chunk from 16 KiB
+# to 1 MiB, and a ladder 13 x 13 one (1.3 MiB) in 7.5-8.0 ms, best of 30.
+# Its traced peak grows with the chunk: 16.4 MiB at 64 KiB against 21.1 MiB
+# at 1 MiB on the first, 0.8 against 4.5 MiB on the second.  Smaller chunks
+# save less than 0.3 MiB more.
 PROBLEM_CHUNK = 1 << 16
 
 # Bytes from which a problem file's state rows are decoded by two processes,
 # where this one may run on two CPUs: a forked helper takes every other row.
-# Measured end to end (2 vCPUs, Python 3.11.7), the split wins from 1.8 MB
-# on.  ``python -m sec_transfer.cli`` on ladder files, 30 alternating runs
-# each, split against one process, best and median: ``analyze --seed 1`` at
-# 1.8 MB 0.201/0.300 s against 0.208/0.313 s, at 2.4 MB 0.207/0.283 against
-# 0.214/0.337, at 3.1 MB 0.210/0.315 against 0.232/0.320; ``optimize
-# --method diagonal`` at 1.8 MB 0.227/0.294 against 0.242/0.316.  At 1.36 MB
-# (a rational-blocks 13 x 13 file) it lost, 0.193/0.225 against 0.191/0.211,
-# and the benchmark's rational-blocks rounds ran slower with it.  Timed in
-# process, ``_read_problem`` alone already wins from about 0.6 MB (best of
-# 100, over two or three such runs: 0.57 MB split 8.2-9.4 ms against 8.9-9.5
-# ms, 0.69 MB 8.5-10.6 against 10.1-10.9).
-SPLIT_BYTES = 3 << 19
+# Measured end to end (2 vCPUs, Python 3.11.7, orjson 3.8.3): ``decompose``
+# on ladder files through ``python -m sec_transfer.cli``, 60 alternating
+# pairs each, split against one process, medians and the pairs the split
+# won: 3.1 MB 176.7 against 175.0 ms (26/60), 5.0 MB 202.2 against 199.1
+# (25/60), 6.2 MB 193.0 against 192.8 and 217.2 against 209.1 (24/60, 18/60
+# in two batches), 7.6 MB 200.2 against 201.2 and 208.4 against 213.0
+# (38/60 twice), 9.3 MB 217.0 against 222.1 (37/60), 11.2 MB 234.1 against
+# 236.9 (38/60), 15.8 MB 240.8 against 255.1 (52/60).  Timed alone in a
+# fresh process that has loaded the library, ``_read_problem`` splits
+# better from 5 MB on (30 alternating pairs: 29.6 against 30.5 ms, won
+# 19/30; 7.6 MB 35.4 against 42.6, 26/30; 50.2 MB 188 against 239, 29/30),
+# and worse below 3 MB (1.8 MB 16.9 against 13.7, 1/30).
+SPLIT_BYTES = 7 << 20
 
 
 class _Unwalkable(Exception):
@@ -318,16 +324,17 @@ class _Text:
     """The unread text of a problem file, read ``PROBLEM_CHUNK`` characters at a time.
 
     ``text[at:]`` is what the walk has not consumed; the rest is dropped when
-    more is read.
+    more is read.  With no ``handle``, ``text`` is the whole file, already
+    ended, and is never copied.
     """
 
     __slots__ = ("handle", "text", "at", "ended")
 
-    def __init__(self, handle):
+    def __init__(self, handle, text: str = ""):
         self.handle = handle
-        self.text = ""
+        self.text = text
         self.at = 0
-        self.ended = False
+        self.ended = handle is None
 
     def more(self, least: float, stop: str | None = None) -> None:
         """Read until ``least`` characters are unread, a chunk holds ``stop``, or the file ends."""
@@ -392,11 +399,26 @@ class _Text:
             self.more(math.inf, "]")
         self.at = end + 1
 
-    def row(self):
-        """:meth:`value`, once a ``]`` is read: a row of numbers is decoded once."""
-        if self.text.find("]", self.at) < 0:
+    def row(self) -> list:
+        """The array at the next character, up to its first ``]``, decoded once by orjson.
+
+        Text orjson refuses (``1e400``, ``NaN``, a nested array, a string
+        holding ``]``, ...) raises :class:`_Unwalkable`.
+        """
+        import orjson  # only here: a run that reads no state row never loads it
+
+        if self.peek() != "[":
+            raise _Unwalkable
+        while (end := self.text.find("]", self.at)) < 0:
+            if self.ended:
+                raise _Unwalkable
             self.more(math.inf, "]")
-        return self.value()
+        try:
+            row = orjson.loads(self.text[self.at : end + 1])
+        except orjson.JSONDecodeError:
+            raise _Unwalkable from None
+        self.at = end + 1
+        return row
 
 
 def _numbers(row: list) -> bool:
@@ -404,15 +426,14 @@ def _numbers(row: list) -> bool:
 
     Integers are taken in int64's range, where both round them to the
     nearest float64; past it numpy makes the lists an unsigned or object
-    array.
+    array.  orjson gives an int only from -2**63 on (it reads an integer
+    literal outside [-2**63, 2**64) as a float, which :func:`_walk_rows`
+    refuses), so only the upper end is checked.
     """
     kinds = set(map(type, row))
     if not kinds or not kinds <= _NUMBERS:
         return False
-    if int not in kinds:
-        return True
-    ints = [x for x in row if type(x) is int]
-    return -(2**63) <= min(ints) and max(ints) < 2**63
+    return int not in kinds or max(x for x in row if type(x) is int) < 2**63
 
 
 def _walk_object(text: _Text, member) -> dict:
@@ -440,14 +461,17 @@ def _walk_object(text: _Text, member) -> dict:
 def _walk_rows(text: _Text, size: int, part: tuple[int, int]) -> np.ndarray:
     """A square array of number rows, as float64, each row decoded once.
 
-    Only one row's Python numbers are alive at once.  The buffer is
-    allocated from the first row's length, once ``size`` (the file's bytes)
-    could hold that many rows (each entry takes at least one character), so
-    it is never more than eight bytes per byte of the file.  Of the other
-    rows, only those of ``part`` (``(index, count)``: the rows ``i`` with
-    ``i % count == index``) are decoded and checked; the rest are stepped
-    over to their first ``]`` and left unset, for the process that decodes
-    them to check.
+    orjson reads every number as json does, except an integer literal
+    outside [-2**63, 2**64): orjson gives a float, json an int that numpy
+    cannot take.  So a row holding a float of magnitude 2**63 or more is not
+    walked (the int -2**63 is).  Only one row's Python numbers are alive at
+    once.  The buffer is allocated from the first row's length, once
+    ``size`` (the file's bytes) could hold that many rows (each entry takes
+    at least one character), so it is never more than eight bytes per byte
+    of the file.  Of the other rows, only those of ``part`` (``(index,
+    count)``: the rows ``i`` with ``i % count == index``) are decoded and
+    checked; the rest are stepped over to their first ``]`` and left unset,
+    for the process that decodes them to check.
     """
     index, count = part
     text.take("[")
@@ -458,7 +482,7 @@ def _walk_rows(text: _Text, size: int, part: tuple[int, int]) -> np.ndarray:
             raise _Unwalkable
         if rows is None or filled % count == index:
             row = text.row()
-            if type(row) is not list or not _numbers(row):
+            if not _numbers(row):
                 raise _Unwalkable
             if rows is None:
                 if len(row) ** 2 > size:
@@ -467,6 +491,10 @@ def _walk_rows(text: _Text, size: int, part: tuple[int, int]) -> np.ndarray:
             if len(row) != len(rows):
                 raise _Unwalkable
             rows[filled] = row
+            if np.abs(rows[filled]).max() >= 2**63 and any(
+                type(x) is float and abs(x) >= 2**63 for x in row
+            ):
+                raise _Unwalkable
         else:
             text.skip()
         filled += 1
@@ -491,7 +519,11 @@ def _walk_problem(source, size: int | None = None, part: tuple[int, int] = (0, 1
     """
     if isinstance(source, str):
         source, size = io.StringIO(source), len(source)
-    text = _Text(source)
+    return _walk(_Text(source), size, part)
+
+
+def _walk(text: _Text, size: int, part: tuple[int, int]) -> dict:
+    """:func:`_walk_problem` on ``text``."""
 
     def state_member(key: str):
         return _walk_rows(text, size, part) if key in ("re", "im") else text.value()
@@ -597,20 +629,23 @@ def _read_problem(path) -> dict:
     :func:`~sec_transfer.states._usable_cpus` counts them.  Any text the
     walk does not take is parsed again by :func:`read_json`, so every
     rejection, message and line/column report is read_json's.  A file that is not a
-    regular file (a pipe, say), which has no size and can be read only
-    once, is parsed whole by :func:`load_json`, never walked.
+    regular file (a pipe, say), which can be read only once, is read whole
+    into one string, walked in one process, and parsed by
+    :func:`~sec_transfer.jsonio.parse_json` if the walk does not take it.
     """
     with open(path, "r", encoding="utf-8") as handle:
         status = os.fstat(handle.fileno())
-        if not stat.S_ISREG(status.st_mode):
-            return load_json(handle, path)
+        # a pipe can be read only once: its whole text is walked, and kept for json
+        text = None if stat.S_ISREG(status.st_mode) else read_text(handle, path)
         try:
+            if text is not None:
+                return _walk(_Text(None, text), len(text), (0, 1))
             if status.st_size >= SPLIT_BYTES and hasattr(os, "fork") and _usable_cpus() >= 2:
                 return _walk_split(path, handle, status.st_size)
             return _walk_problem(handle, status.st_size)
         except (_Unwalkable, ValueError, ValidationError, RecursionError):
-            pass  # leaving the handler frees the walk's text and rows before read_json reads the file
-    return read_json(path)
+            pass  # leaving the handler frees the walk's text and rows before json parses the file
+    return read_json(path) if text is None else parse_json(text, path)
 
 
 def load_problem(

@@ -5,7 +5,8 @@ reader, field access, the deterministic report text, the two-qubit
 parameter schema ``{"p00", "p01", "p10", "p11", "alpha_re", "alpha_im"}``
 (the coherence keys optional, default 0), and the ``qubit-max`` report (the
 optimum's fields, ``target`` and ``alpha_optimized``).  This is their one home:
-:mod:`sec_transfer.formats` imports the reader, field access and
+:mod:`sec_transfer.formats` imports the reader (and its two steps,
+:func:`read_text` and :func:`parse_json`, for a pipe), field access and
 ``dump_json`` for its own use, and the ``qubit-max`` command uses them
 without loading numpy.
 """
@@ -49,19 +50,25 @@ def read_json(path):
     naming the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        return load_json(handle, path)
+        return parse_json(read_text(handle, path), path)
 
 
-def load_json(handle, path):
-    """:func:`read_json` on ``handle``, a UTF-8 text file not yet read, opened on ``path``."""
+def read_text(handle, path) -> str:
+    """The whole text of ``handle``, a UTF-8 text file not yet read, opened on ``path``."""
     try:
-        return json.load(handle, parse_constant=_reject_constant)
+        return handle.read()
     except UnicodeDecodeError as exc:
-        # json.load decodes the whole file at once, so exc.start is a file offset
+        # the whole file is decoded in one call, so exc.start is a file offset
         raise ValidationError(
             f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
             f"at offset {exc.start})"
         ) from None
+
+
+def parse_json(text: str, path):
+    """:func:`read_json` on ``text``, the whole text of the file at ``path``."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: malformed JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"

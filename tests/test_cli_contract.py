@@ -256,6 +256,63 @@ def test_problem_file_read_from_a_pipe_reads_as_by_path(text, code, tmp_path):
         assert piped.stderr.count(b"\n") == 1 and b"/dev/stdin: " in piped.stderr
 
 
+_PIPED_STATE = json.dumps(_problem(state=_state()))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="reads /dev/stdin")
+@pytest.mark.parametrize(
+    "text",
+    [
+        _PIPED_STATE.replace('"re": [[0.25', '"re": [[0.2\xff5').encode("latin-1"),
+        _PIPED_STATE.replace('"dims": ', '"dims" ').encode(),
+        _PIPED_STATE.replace('"im": [[0.0', '"im": [[1e400', 1).encode(),
+        _PIPED_STATE.replace('"im": [[0.0', '"im": [[' + "1" * 30, 1).encode(),
+    ],
+    ids=["not-utf8", "malformed", "overflow", "integer-30-digits"],
+)
+def test_piped_refusals_read_as_by_path(text, tmp_path):
+    """Each refusal of a walked pipe is the refusal of the same file by path, one line."""
+    path = tmp_path / "problem.json"
+    path.write_bytes(text)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    piped, by_path = (
+        subprocess.run([sys.executable, "-m", "sec_transfer.cli", "decompose", "--input", name],
+                       input=text, env=env, capture_output=True, timeout=120)
+        for name in ["/dev/stdin", str(path)]
+    )
+    assert piped.returncode == by_path.returncode == 2
+    assert piped.stdout == by_path.stdout == b""
+    assert piped.stderr == by_path.stderr.replace(str(path).encode(), b"/dev/stdin")
+    assert piped.stderr.count(b"\n") == 1 and piped.stderr.startswith(b"validation error: ")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="reads a named pipe")
+def test_piped_problem_file_is_walked_not_parsed_whole(tmp_path, monkeypatch):
+    """A pipe's text is walked as one buffer, read once; json parses none of it whole."""
+    fifo = tmp_path / "problem.fifo"
+    os.mkfifo(fifo)
+    parsed = []
+    monkeypatch.setattr(formats, "parse_json", lambda *args: parsed.append(args))
+    monkeypatch.setattr(formats, "read_json", lambda *args: parsed.append(args))
+    reads = []
+    text_class = formats._Text
+
+    def watched(handle, text=""):
+        reads.append((handle, len(text)))
+        return text_class(handle, text)
+
+    monkeypatch.setattr(formats, "_Text", watched)
+    writer = subprocess.Popen([sys.executable, "-c", f"open({str(fifo)!r}, 'w').write("
+                               f"{_PIPED_STATE!r})"])
+    try:
+        state = formats.load_problem(fifo)[3]
+    finally:
+        writer.kill()  # it has exited once the text is read to its end
+        writer.wait(timeout=120)
+    assert parsed == [] and reads == [(None, len(_PIPED_STATE))]
+    np.testing.assert_array_equal(state.matrix, MIXED)
+
+
 def test_monte_carlo_rejects_zero_samples(tmp_path, capsys):
     path = _write(tmp_path, _problem(state=_state()))
     argv = ["optimize", "--input", path, "--target", "A", "--method", "monte-carlo",
@@ -749,4 +806,19 @@ def test_warnings_print_as_one_line_each(tmp_path, capsys):
     assert err.splitlines() == [
         "warning: beta_a = -1.0 is negative: population-inverted thermal weights",
         "warning: beta_b = -2.0 is negative: population-inverted thermal weights",
+    ]
+
+
+def test_warnings_print_as_one_line_even_where_python_makes_them_errors(tmp_path):
+    """``PYTHONWARNINGS=error`` neither turns a warning into a traceback nor hides its line."""
+    path = _write(tmp_path, _problem())
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+           "PYTHONWARNINGS": "error"}
+    argv = ["classify", "--input", path, "--target", "A", "--beta-a", "-1", "--beta-b", "1"]
+    done = subprocess.run([sys.executable, "-m", "sec_transfer.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout)["direction"] == "none"
+    assert done.stderr.decode().splitlines() == [
+        "warning: beta_a = -1.0 is negative: population-inverted thermal weights",
     ]

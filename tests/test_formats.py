@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sec_transfer import (
     Hamiltonian,
@@ -300,7 +304,7 @@ WALK_CASES = {
         .replace("0.125", "12.5e-2").replace("-0.0", "-0e0"),
         True,
     ),
-    "overflow": (_swap(_ROW0, "[0.25, 1e400, -0.0, -0.0]"), True),
+    "overflow": (_swap(_ROW0, "[0.25, 1e400, -0.0, -0.0]"), False),
     "underflow-to-zero": (_swap(_ROW0, "[0.25, -1e-400, -0.0, -0.0]"), True),
     "integer-entries": (_with_state(re=[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
                                     im=[[0] * 4] * 4), True),
@@ -315,6 +319,10 @@ WALK_CASES = {
             ("-2**63", -(2**63), True),
             ("2**63", 2**63, False),
             ("-2**63-1", -(2**63) - 1, False),
+            # orjson reads these as floats, json as ints that numpy cannot take
+            ("2**64", 2**64, False),
+            ("-2**64", -(2**64), False),
+            ("30-digits", 10**29, False),
         ]
     },
     "all-integer-re": (_with_state(re=[[2**53 + 1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
@@ -634,15 +642,15 @@ def test_split_cli_run_prints_nothing_from_the_helper(problem, tmp_path):
 
 def test_problem_walk_decodes_each_row_once_in_tiny_chunks(monkeypatch):
     """No state row is decoded twice, not even after a failed attempt on a cut row."""
-    decode = formats._DECODE
+    decode = orjson.loads
     rows = []  # every decode started on a row of floats, failed ones included
 
-    def counted(text, at):
-        if re.match(r"\[\s*-?\d+\.", text[at : at + 20]):
-            rows.append(text[at : at + 6])
-        return decode(text, at)
+    def counted(text):
+        if re.match(r"\[\s*-?\d+\.", text[:20]):
+            rows.append(text[:6])
+        return decode(text)
 
-    monkeypatch.setattr(formats, "_DECODE", counted)
+    monkeypatch.setattr(orjson, "loads", counted)
     monkeypatch.setattr(formats, "PROBLEM_CHUNK", 3)
     data = formats._walk_problem(WALK_CASES["spread"][0])
     assert len(rows) == 8
@@ -667,6 +675,84 @@ def test_problem_walk_retries_a_value_on_doubled_text(monkeypatch):
     # each retry holds at least twice the text, except the last, cut by the end of the file
     assert all(new >= 2 * old for old, new in zip(attempts, attempts[1:-1]))
     assert len(attempts) <= len(note).bit_length()
+
+
+# The row decoder against json, one number at a time: the walk takes a number
+# exactly where json reads it as a finite float, or an int, of magnitude below
+# 2**63 (-2**63 itself included), and then with json's bits.
+
+
+def _assert_walked_as_json(number: str) -> None:
+    try:
+        walked = formats._walk_problem('{"state": {"re": [[' + number + "]]}}")["state"]["re"]
+    except (formats._Unwalkable, ValueError):
+        walked = None
+    value = json.loads(number)
+    if type(value) is float:
+        walks = math.isfinite(value) and abs(value) < 2**63
+    else:
+        walks = -(2**63) <= value < 2**63
+    assert (walked is not None) is walks, number
+    if walks:
+        assert walked.view(np.int64)[0, 0] == np.float64(value).view(np.int64), number
+
+
+HARD_NUMBERS = [
+    "5e-324", "-5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "2.2250738585072009e-308", "2.2250738585072011e-308",
+    "2.2250738585072014e-308", "1.7976931348623157e308", "1.7976931348623158e308",
+    "0.1000000000000000055511151231257827", "0.1000000000000000055511151231257828",
+    "1e-400", "-1e-400", "1e400", "-0.0", "-0", "0e999", "9007199254740993",
+    "9007199254740993.0", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "9223372036854775807.0", "9.2233720368547748e18", "1e19",
+    "18446744073709551615", "18446744073709551616", "-18446744073709551616", "1" * 30,
+]
+
+
+@pytest.mark.parametrize("number", HARD_NUMBERS)
+def test_row_decoder_reads_hard_numbers_as_json_does(number):
+    _assert_walked_as_json(number)
+
+
+DECODER = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+@DECODER
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_row_decoder_reads_the_repr_of_every_double_as_json_does(value):
+    _assert_walked_as_json(repr(value))
+
+
+@st.composite
+def decimal_numbers(draw) -> str:
+    """A JSON number of 1-40 significant digits, any point position, exponent -340 to 310."""
+    digits = draw(st.text("0123456789", min_size=0, max_size=39))
+    digits = draw(st.sampled_from("123456789")) + digits
+    point = draw(st.integers(1, len(digits)))
+    fraction = "." + digits[point:] if point < len(digits) else ""
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{digits[:point]}{fraction}e{draw(st.integers(-340, 310))}"
+
+
+@DECODER
+@given(decimal_numbers())
+def test_row_decoder_reads_decimal_strings_as_json_does(number):
+    _assert_walked_as_json(number)
+
+
+@DECODER
+@given(st.floats(min_value=0.0, max_value=1.7e308), st.integers(-1, 1),
+       st.sampled_from(["", "-"]))
+def test_row_decoder_reads_midpoints_between_doubles_as_json_does(value, offset, sign):
+    """The exact midpoint of two adjacent doubles, or one unit of its last digit either side."""
+    low, high = Fraction(value), Fraction(math.nextafter(value, math.inf))
+    midpoint = (low + high) / 2  # a dyadic rational, so a finite decimal
+    exponent = 0
+    while midpoint.denominator != 1:
+        midpoint *= 10
+        exponent -= 1
+    digits = int(midpoint) + offset
+    _assert_walked_as_json(f"{sign}{digits}e{exponent}")
 
 
 def _state_matrix_outcome(data):

@@ -3,7 +3,8 @@
 ``import sec_transfer``, every ``--help`` and every ``qubit-max`` run, exit 2
 included, must leave numpy unimported: each case runs in a fresh interpreter
 through the same entry point as ``python -m sec_transfer.cli``.  A numpy
-subcommand imports only the layers it calls.  The help texts are pinned
+subcommand imports only the layers it calls, and a run that reads no state
+row never loads orjson.  The help texts are pinned
 byte for byte (at 80 columns).
 """
 
@@ -320,3 +321,43 @@ def test_bell_scan_loads_no_unitary_layer_and_no_hashlib(tmp_path):
     unwanted = {"sec_transfer.unitaries", "sec_transfer.transfer", "sec_transfer.optimize",
                 "hashlib", "_hashlib"}
     assert not unwanted & loaded
+
+
+QUBIT = {"energies": [[0, 1], [1, 1]]}
+
+
+def _stateless_argv(case: str, tmp_path) -> list[str]:
+    bare, params = tmp_path / "bare.json", tmp_path / "q.json"
+    bare.write_text(json.dumps({"h_a": QUBIT, "h_b": QUBIT}))
+    params.write_text(json.dumps({"p00": 0.1, "p01": 0.2, "p10": 0.4, "p11": 0.3}))
+    return {
+        "help": ["--help"],
+        "decompose-help": ["decompose", "--help"],
+        "qubit-max": ["qubit-max", "--input", str(params), "--target", "A"],
+        "bell-scan": ["bell-scan", "--resolution", "5", "--output", str(tmp_path / "scan.csv")],
+        "verify": ["verify"],
+        "classify-constructor": ["classify", "--input", str(bare), "--target", "A",
+                                 "--beta-a", "1", "--beta-b", "2"],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["help", "decompose-help", "qubit-max", "bell-scan", "verify",
+                                  "classify-constructor"])
+def test_runs_that_read_no_state_never_load_orjson(case, tmp_path):
+    report = tmp_path / "modules.json"
+    done = _python(MODULES_DRIVER, str(report), *_stateless_argv(case, tmp_path))
+    assert done.returncode == 0, done.stderr.decode()
+    assert "orjson" not in json.loads(report.read_text())
+
+
+def test_a_state_row_loads_orjson(tmp_path):
+    """The control for the runs above: the first state row is what imports orjson."""
+    mixed = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "h_a": QUBIT, "h_b": QUBIT, "state": {"dims": [2, 2], "re": mixed, "im": [[0] * 4] * 4},
+    }))
+    report = tmp_path / "modules.json"
+    done = _python(MODULES_DRIVER, str(report), "decompose", "--input", str(problem))
+    assert done.returncode == 0, done.stderr.decode()
+    assert "orjson" in json.loads(report.read_text())

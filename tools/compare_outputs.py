@@ -35,10 +35,15 @@ walks the file in one process, and once unpinned, so that a file of at least
 ``formats.SPLIT_BYTES`` is split between the CLI process and a forked
 helper; both runs must give the same exit code, stdout, stderr and output
 bytes.  A third ``decompose`` under the change tree reads the same file as
-``--input /dev/stdin``, fed from a pipe, which is never walked or split but
-parsed whole; it must give the same exit code, stdout and stderr as the
-unpinned run by path.  ``verify --output`` at its default seed, and
-``bell-scan`` without ``--output``, are compared once.
+``--input /dev/stdin``, fed from a pipe, which is walked whole in one
+process; it must give the same exit code, stdout and stderr as the unpinned
+run by path.  Each such file is also copied twice, with the first entry of
+its ``re`` row 1 (a row the split helper decodes) set to ``1e400`` in one
+copy and to a 20-digit integer in the other: no walk takes either, so each
+run falls back to json's whole parse (from the split helper, on a file of at
+least ``formats.SPLIT_BYTES``).  Both trees run ``decompose`` on each copy
+by path and fed from a pipe, and compare.  ``verify --output`` at its
+default seed, and ``bell-scan`` without ``--output``, are compared once.
 Last, every ``demos/*.py`` of either tree runs as that tree's own script
 against that tree's ``src``, each run in a fresh working directory; both runs
 must give the same exit code, stdout, stderr and files left in that
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -233,6 +239,38 @@ def _state_runs(problems: list[str], done: set[tuple[str, str]],
     return runs
 
 
+# entries no walk takes, each set in its own copy of a state file
+FALLBACK_ENTRIES = {"overflow": "1e400", "integer-20-digits": "1" * 20}
+
+
+def _fallback_copies(problem: str, work: Path) -> list[Path]:
+    """Copies of ``problem``, the first entry of its ``re`` row 1 set to each fallback entry."""
+    text = Path(problem).read_text(encoding="utf-8")
+    row0 = text.index("[[", text.index('"re"')) + 1
+    start = text.index("[", text.index("]", row0)) + 1
+    end = re.compile(r"[,\]]").search(text, start).start()
+    copies = []
+    for name, entry in FALLBACK_ENTRIES.items():
+        copy = work / f"{Path(problem).stem}-{name}.json"
+        copy.write_text(text[:start] + entry + text[end:], encoding="utf-8")
+        copies.append(copy)
+    return copies
+
+
+def _compare_fallbacks(trees: list[Path], problem: str, work: Path, moves: list) -> tuple:
+    """Runs and identical runs of ``decompose`` on the fallback copies, by path and piped."""
+    output = work / "extra.json"
+    runs = same = 0
+    for copy in _fallback_copies(problem, work):
+        same += _compare(trees, ["decompose", "--input", str(copy)], output, moves)
+        piped = [_run(tree, ["decompose", "--input", "/dev/stdin"], output,
+                      piped=copy.read_bytes()) for tree in trees]
+        same += _same(f"decompose --input {copy} fed from a pipe", *piped)
+        runs += 2
+        copy.unlink()
+    return runs, same
+
+
 def _write_unitary(written: bytes | None, path: Path) -> None:
     """The ``unitary`` of an optimize report into ``path``; no report, no file."""
     path.unlink(missing_ok=True)
@@ -280,6 +318,12 @@ def main(argv: list[str]) -> int:
                 print(f"{name} seed {seed}: {same}/{len(problems)} decompose runs identical "
                       f"pinned to one CPU and not, {same_piped}/{len(problems)} fed from a "
                       f"pipe and by path", flush=True)
+                fallbacks = [_compare_fallbacks(trees, problem, work, moves)
+                             for problem in problems]
+                runs, same = (sum(column) for column in zip(*fallbacks))
+                differing += runs - same
+                print(f"{name} seed {seed}: {same}/{runs} fallback decompose runs identical, "
+                      f"by path and fed from a pipe", flush=True)
                 runs = _state_runs(problems, _exact_targets(jobs), work)
                 same = failing = refused = 0
                 for run_argv, output in runs:
